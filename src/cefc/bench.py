@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import koopman
 from .controller import ControlLimits, LqrWeights, coordinate
 from .gridsim import GridModel, Scenario, default_grid
 from .koopman import Dataset, KoopmanModel, eval_metrics, fit, generate_dataset, method_config
 
 METHODS = ("cefc", "cefc-ntd", "edmd", "dmd")
 SUBCASE_INERTIA = (0.80, 0.85, 0.94, 0.89, 0.82)
+#: inertia scale of the LQR vs constant-support comparison
+EDCPS_INERTIA = 0.85
 
 
 @dataclass
@@ -33,7 +34,6 @@ class BenchSuite:
     seed: int = 7
     inertia_scales: tuple = SUBCASE_INERTIA
     outdir: str = "bench_out"
-    ridge: float = 1e-8
     limits: ControlLimits | None = None
 
     def __post_init__(self):
@@ -57,7 +57,7 @@ def run_prediction_table(suite: BenchSuite, dataset: Dataset | None = None) -> d
     table = {}
     for name in suite.methods:
         cfg = method_config(name, dt=dataset.train[0].dt)
-        model = fit(dataset, cfg, ridge=suite.ridge)
+        model = fit(dataset, cfg)
         table[name] = eval_metrics(model, dataset.test, suite.grid.base_frequency)
     rows = [
         (name, m["nadir_hz"], m["ssv_hz"], m["mean_hz"]) for name, m in table.items()
@@ -70,14 +70,13 @@ def run_prediction_table(suite: BenchSuite, dataset: Dataset | None = None) -> d
     return table
 
 
-def control_scenario(inertia_scale: float, seed: int = 0) -> Scenario:
+def control_scenario(inertia_scale: float) -> Scenario:
     """Large-deficit subcase used in the coordinated-control experiments."""
     return Scenario(
         inertia_scale=inertia_scale,
         trip_set=(1, 2, 3),
         trip_time=5.0,
         noise_amplitude=0.0,
-        noise_seed=seed,
         horizon=60.0,
         dt=0.1,
     )
@@ -113,9 +112,9 @@ def run_control_subcases(suite: BenchSuite, model: KoopmanModel, weights: LqrWei
     return results
 
 
-def run_edcps_comparison(suite: BenchSuite, model: KoopmanModel, weights: LqrWeights | None = None, inertia_scale: float = 0.85) -> dict:
+def run_edcps_comparison(suite: BenchSuite, model: KoopmanModel, weights: LqrWeights | None = None) -> dict:
     """Same scenario under LQR DC support and under constant full support."""
-    scenario = control_scenario(inertia_scale)
+    scenario = control_scenario(EDCPS_INERTIA)
     trace_lqr = coordinate(suite.grid, scenario, model, suite.limits, weights, dc_mode="lqr")
     trace_max = coordinate(suite.grid, scenario, model, suite.limits, weights, dc_mode="max")
     rows = list(

@@ -9,6 +9,8 @@ formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import koopman
 from .controller import ControlLimits, LqrWeights, StabilizabilityError, coordinate
-from .gridsim import GridModel, Scenario, SimulationError, default_grid, simulate
+from .gridsim import GridModel, HvdcLink, LoadNode, Machine, Scenario, SimulationError, default_grid, simulate
 from .koopman import Dataset, KoopmanModel, fit, generate_dataset, method_config
 from .robustness import FeederSpec, check_prop1
 
@@ -43,6 +45,17 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _check_keys(section: str, given, accepted):
+    """Reject the keys of a config section that its target does not take."""
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+
+
 def _grid_from_config(cfg) -> GridModel:
     section = cfg.get("grid")
     if section is None:
@@ -50,6 +63,10 @@ def _grid_from_config(cfg) -> GridModel:
     if isinstance(section, str):
         with open(section) as fh:
             section = json.load(fh)
+    _check_keys("grid", section, _field_names(GridModel))
+    for key, cls in (("machines", Machine), ("loads", LoadNode), ("hvdc", HvdcLink)):
+        for item in section.get(key, ()):
+            _check_keys(f"grid.{key}", item, _field_names(cls))
     return GridModel.from_dict(section)
 
 
@@ -60,16 +77,20 @@ def _scenario_from_config(cfg) -> Scenario:
     if isinstance(section, str):
         with open(section) as fh:
             section = json.load(fh)
+    _check_keys("scenario", section, _field_names(Scenario))
     return Scenario.from_dict(section)
 
 
 def _limits_from_config(cfg, grid) -> ControlLimits:
     section = cfg.get("limits", {})
+    # the link limits and support come from the grid
+    _check_keys("limits", section, _field_names(ControlLimits) - {"ud_min", "ud_max", "ud_support"})
     return ControlLimits.for_grid(grid, **section)
 
 
 def _weights_from_config(cfg, model) -> LqrWeights:
     section = cfg.get("weights", {})
+    _check_keys("weights", section, ("q_omega", "r"))
     return LqrWeights.for_model(model, **section)
 
 
@@ -110,24 +131,12 @@ def cmd_predict(cfg, args) -> int:
     model = KoopmanModel.load(args.model)
     outdir = _outdir(cfg)
     rec = simulate(grid, scenario)
-    k0 = koopman._prediction_start(rec, model.config)
-    steps = len(rec) - 1 - k0
-    w = model.config.window_len
-    om_hat = koopman.predict_rollout(
-        model,
-        rec.omega[k0 - w + 1 : k0 + 1],
-        rec.y[k0 - w + 1 : k0 + 1],
-        rec.ul[k0:-1],
-        rec.ud[k0:-1],
-        steps,
-    )
+    k0, om_hat = koopman.predict_record(model, rec)
     path = os.path.join(outdir, "prediction.csv")
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        wtr = _csv.writer(fh)
+        wtr = csv.writer(fh)
         wtr.writerow(["t", "omega_true", "omega_pred"])
-        for i in range(steps + 1):
+        for i in range(len(om_hat)):
             wtr.writerow(
                 [f"{rec.t[k0 + i]:.12g}", f"{rec.omega[k0 + i]:.12g}", f"{om_hat[i]:.12g}"]
             )
@@ -181,7 +190,7 @@ def cmd_bench(cfg, args) -> int:
     )
     dataset = generate_dataset(grid, suite.n_train, suite.n_test, suite.seed)
     table = bench_mod.run_prediction_table(suite, dataset)
-    model = fit(dataset, method_config("cefc", dt=dataset.train[0].dt), ridge=suite.ridge)
+    model = fit(dataset, method_config("cefc", dt=dataset.train[0].dt))
     weights = _weights_from_config(cfg, model)
     bench_mod.run_control_subcases(suite, model, weights)
     bench_mod.run_edcps_comparison(suite, model, weights)
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cefc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **extra):
+    def add(name, func):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.set_defaults(func=func)

@@ -12,14 +12,17 @@ Decision pipeline on an under-frequency event:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gridsim, koopman
+from . import gridsim
 from .gridsim import GridModel, Scenario
 from .koopman import KoopmanModel, lift, predict_rollout, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
+
+#: seconds of lifted-model prediction behind each shedding decision
+PREDICTION_HORIZON = 30.0
 
 
 class StabilizabilityError(Exception):
@@ -34,7 +37,6 @@ class ControlLimits:
     quantum_mw: float = 10.0  # feeder quantum d
     activation_threshold_hz: float = 0.2  # deviation magnitude triggering EFC
     omega_min: float = -0.02  # nadir floor, p.u. deviation
-    ss_floor: float = -0.01  # steady-state floor, p.u. deviation
     planning_margin_pu: float = 0.004  # backoff above the floor used when sizing sheds
     base_frequency: float = 50.0
     ud_support: np.ndarray | None = None  # full-support reference per link, MW
@@ -47,9 +49,7 @@ class ControlLimits:
             raise ValueError("feeder quantum must be > 0")
         if self.omega_min >= 0:
             raise ValueError("nadir floor must be negative (deviation form)")
-        if self.activation_threshold_pu < -self.omega_min:
-            pass  # activation is less severe than the nadir floor
-        else:
+        if not self.activation_threshold_pu < -self.omega_min:
             raise ValueError("activation threshold must be less severe than the nadir floor")
         if self.ud_support is None:
             self.ud_support = self.ud_max.copy()
@@ -194,6 +194,15 @@ def quantize(amounts, d: float):
     return np.floor(np.clip(amounts, 0.0, None) / d + 0.5) * d
 
 
+def shed_weights(node_base_mw) -> np.ndarray:
+    """Diagonal of the shedding cost Q1: each node's base power over the mean."""
+    node_base_mw = np.asarray(node_base_mw, dtype=float)
+    q1_diag = node_base_mw / np.mean(node_base_mw)
+    if np.any(q1_diag <= 0) or not np.all(np.isfinite(q1_diag)):
+        raise ValueError("Q1 diagonal must be positive and finite")
+    return q1_diag
+
+
 def solve_shedding(
     model: KoopmanModel,
     omega_window,
@@ -201,7 +210,6 @@ def solve_shedding(
     limits: ControlLimits,
     node_base_mw,
     steps: int,
-    q1_diag=None,
 ) -> SheddingPlan:
     """One-shot shedding amount from the condensed convex QP.
 
@@ -212,11 +220,7 @@ def solve_shedding(
     """
     node_base_mw = np.asarray(node_base_mw, dtype=float)
     p = model.n_loads
-    if q1_diag is None:
-        q1_diag = node_base_mw / np.mean(node_base_mw)
-    q1_diag = np.asarray(q1_diag, dtype=float)
-    if np.any(q1_diag <= 0) or not np.all(np.isfinite(q1_diag)):
-        raise ValueError("Q1 diagonal must be positive and finite")
+    q1_diag = shed_weights(node_base_mw)
 
     om_free = predict_max_dc(model, omega_window, y_window, limits, steps)
     C = shedding_sensitivity(model, steps)
@@ -264,31 +268,21 @@ def solve_shedding(
     return make_plan(x, True)
 
 
-def solve_dare(A, B, q_diag_or_weights, r_diag=None, tol: float = 1e-10, max_iter: int = 100_000, discount: float = 1.0) -> RiccatiSolution:
+def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 100_000, discount: float = 1.0) -> RiccatiSolution:
     """Fixed-point iteration for the discrete algebraic Riccati equation.
 
-    Accepts either (A, B, LqrWeights) or (A, B, q_diag, r_diag).  Iterates
-    from P = Q2 until the equation residual (Frobenius norm) drops below
-    `tol` scaled by max(1, ||P||); raises StabilizabilityError if it does
-    not converge.  `discount` < 1 solves the discounted problem (A, B scaled
+    Q2 = diag(q_diag) and R2 = diag(r_diag).  Iterates from P = Q2 until
+    the equation residual (Frobenius norm) drops below `tol` scaled by
+    max(1, ||P||); raises StabilizabilityError if it does not converge.  `discount` < 1 solves the discounted problem (A, B scaled
     by the discount), which keeps the iteration bounded when the identified
     A carries marginal modes that the DC inputs cannot move.
     """
-    if isinstance(q_diag_or_weights, LqrWeights):
-        q_diag = q_diag_or_weights.q_diag
-        r_diag = q_diag_or_weights.r_diag
-    else:
-        q_diag = np.asarray(q_diag_or_weights, dtype=float)
-        r_diag = np.asarray(r_diag, dtype=float)
     if not 0.0 < discount <= 1.0:
         raise ValueError("discount must be in (0, 1]")
     A = discount * np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != A.shape[0]:
-        B = B.reshape(A.shape[0], -1)
-    B = discount * B
-    Q = np.diag(q_diag)
-    R = np.diag(r_diag)
+    B = discount * np.atleast_2d(np.asarray(B, dtype=float))
+    Q = np.diag(np.asarray(q_diag, dtype=float))
+    R = np.diag(np.asarray(r_diag, dtype=float))
 
     def residual_of(P):
         S = R + B.T @ P @ B
@@ -325,7 +319,6 @@ def coordinate(
     model: KoopmanModel,
     limits: ControlLimits,
     weights: LqrWeights | None = None,
-    prediction_horizon: float = 30.0,
     dc_mode: str = "lqr",
 ) -> CoordinationTrace:
     """Closed-loop run of the full pipeline against the nonlinear simulator.
@@ -337,12 +330,12 @@ def coordinate(
         raise ValueError("dc_mode must be 'lqr' or 'max'")
     if weights is None:
         weights = LqrWeights.for_model(model)
-    sol = solve_dare(model.A, model.B_d, weights, discount=0.98) if dc_mode == "lqr" else None
+    sol = solve_dare(model.A, model.B_d, weights.q_diag, weights.r_diag, discount=0.98) if dc_mode == "lqr" else None
     cfg = model.config
     w = cfg.window_len
     dt = scenario.dt
     delay_steps = int(round(MEASUREMENT_DELAY / dt))
-    pred_steps = int(round(prediction_horizon / dt))
+    pred_steps = int(round(PREDICTION_HORIZON / dt))
     p, q = grid.n_loads, grid.n_links
     node_base = np.array([ld.base_power for ld in grid.loads])
 

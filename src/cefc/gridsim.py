@@ -11,8 +11,7 @@ the test suite.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,7 +208,6 @@ class TrajectoryRecord:
     ud: np.ndarray  # (n, q) DC reference deviations, MW (as commanded)
     ud_applied: np.ndarray | None = None  # (n, q) after ramp limiting
     scenario: Scenario | None = None
-    states: np.ndarray | None = None  # (n, nx) raw simulator state, tests only
 
     def __len__(self) -> int:
         return len(self.t)
@@ -390,13 +388,11 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     ul_arr = np.zeros((n, plant.p))
     ud_arr = np.zeros((n, plant.q))
     ud_app = np.zeros((n, plant.q))
-    states = np.zeros((n, plant.nx))
 
     for k in range(n):
         t = t_arr[k]
         omega[k] = x[0]
         y[k] = plant.voltages(t, x, ul, load_noise)
-        states[k] = x
         if k == n_steps:
             ul_arr[k] = ul
             ud_arr[k] = ud_arr[k - 1] if k > 0 else 0.0
@@ -405,16 +401,14 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
 
         ud_cmd = np.zeros(plant.q)
         if policy is not None:
-            out = policy(t, omega[: k + 1], y[: k + 1])
-            if out is not None:
-                ul_cmd, ud_cmd = out
-                ul_cmd = np.asarray(ul_cmd, dtype=float)
-                ud_cmd = np.asarray(ud_cmd, dtype=float)
-                if np.any(ul_cmd < -1e-12) or np.any(ul_cmd > 1.0 + 1e-12):
-                    raise SimulationError("policy returned shedding ratio outside [0, 1]")
-                if np.any(ud_cmd < ud_lo - 1e-9) or np.any(ud_cmd > ud_hi + 1e-9):
-                    raise SimulationError("policy returned DC command outside link limits")
-                ul = np.maximum(ul, np.clip(ul_cmd, 0.0, 1.0))
+            ul_cmd, ud_cmd = policy(t, omega[: k + 1], y[: k + 1])
+            ul_cmd = np.asarray(ul_cmd, dtype=float)
+            ud_cmd = np.asarray(ud_cmd, dtype=float)
+            if np.any(ul_cmd < -1e-12) or np.any(ul_cmd > 1.0 + 1e-12):
+                raise SimulationError("policy returned shedding ratio outside [0, 1]")
+            if np.any(ud_cmd < ud_lo - 1e-9) or np.any(ud_cmd > ud_hi + 1e-9):
+                raise SimulationError("policy returned DC command outside link limits")
+            ul = np.maximum(ul, np.clip(ul_cmd, 0.0, 1.0))
 
         if noise_loads:
             load_noise = rng.normal(0.0, scenario.noise_amplitude, plant.p)
@@ -448,20 +442,4 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
         ud=ud_arr,
         ud_applied=ud_app,
         scenario=scenario,
-        states=states,
     )
-
-
-def load_grid(path) -> GridModel:
-    with open(path) as fh:
-        return GridModel.from_dict(json.load(fh))
-
-
-def save_grid(grid: GridModel, path):
-    with open(path, "w") as fh:
-        json.dump(grid.to_dict(), fh, indent=2)
-
-
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return Scenario.from_dict(json.load(fh))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ DICTIONARIES = ("identity", "delay", "rbf", "delay_rbf")
 
 #: measurement delay between a power deficit and the first usable window, s
 MEASUREMENT_DELAY = 0.4
+#: draws of a training trajectory before a diverging simulation is an error
+MAX_RETRIES = 5
 
 
 class InsufficientHistoryError(Exception):
@@ -37,7 +39,7 @@ class ObservableConfig:
     delay_span: float = 0.4  # tau, s; 0 disables delay embedding
     dictionary: str = "delay_rbf"
     rbf_count: int = 0
-    rbf_centers: np.ndarray | None = None  # (count, base_dim), set during fit
+    rbf_centers: np.ndarray | None = None  # (count, length of the raw delay vector), set during fit
     rbf_widths: np.ndarray | None = None  # (count,)
     include_voltage: bool = True
 
@@ -47,7 +49,7 @@ class ObservableConfig:
         n = self.delay_span / self.dt
         if self.delay_span < 0 or abs(n - round(n)) > 1e-9:
             raise ValueError("delay span must be a nonnegative multiple of dt")
-        if self.dictionary in ("rbf", "delay_rbf") and self.rbf_count <= 0 and self.dictionary == "rbf":
+        if self.dictionary == "rbf" and self.rbf_count <= 0:
             raise ValueError("rbf dictionary requires rbf_count > 0")
 
     @property
@@ -57,10 +59,6 @@ class ObservableConfig:
     @property
     def window_len(self) -> int:
         return self.n_delays + 1
-
-    def base_dim(self, n_buses: int) -> int:
-        """Dimension of the raw delay vector the RBF features act on."""
-        return self.window_len * (1 + (n_buses if self.include_voltage else 0))
 
     def dim(self, n_buses: int) -> int:
         d = 1  # current omega
@@ -287,8 +285,6 @@ def generate_dataset(
     n_test: int,
     seed: int,
     horizon: float = 60.0,
-    dt: float = 0.1,
-    max_retries: int = 5,
 ) -> Dataset:
     """Randomized trips, inertia scales and excitation; train/test seed-disjoint."""
     if n_train <= 0 or n_test <= 0:
@@ -300,17 +296,17 @@ def generate_dataset(
         records = getattr(ds, split)
         for child in ss.spawn(count):
             rng = np.random.default_rng(child)
-            for attempt in range(max_retries):
+            for attempt in range(MAX_RETRIES):
                 try:
-                    records.append(_sample_trajectory(grid, rng, horizon, dt))
+                    records.append(_sample_trajectory(grid, rng, horizon))
                     break
                 except SimulationError:
-                    if attempt == max_retries - 1:
+                    if attempt == MAX_RETRIES - 1:
                         raise
     return ds
 
 
-def _sample_trajectory(grid, rng, horizon, dt):
+def _sample_trajectory(grid, rng, horizon):
     trippable = [i for i, m in enumerate(grid.machines) if m.can_trip]
     n_trip = int(rng.integers(1, min(3, len(trippable)) + 1))
     trip_set = tuple(sorted(rng.choice(trippable, size=n_trip, replace=False).tolist()))
@@ -322,13 +318,12 @@ def _sample_trajectory(grid, rng, horizon, dt):
         noise_seed=int(rng.integers(0, 2**31 - 1)),
         noise_channels=("dc",),
         horizon=horizon,
-        dt=dt,
     )
-    policy = _excitation_policy(grid, rng, dt)
+    policy = _excitation_policy(grid, rng, scenario.dt)
     return simulate(grid, scenario, policy)
 
 
-def _resolve_rbf(records, config, n_buses, rng_seed=12345):
+def _resolve_rbf(records, config):
     """Pick RBF centers from training-data quantiles of the base delay vectors."""
     if config.dictionary not in ("rbf", "delay_rbf") or config.rbf_count <= 0:
         return config
@@ -458,8 +453,7 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
     records = data.train if isinstance(data, Dataset) else list(data)
     if not records:
         raise ValueError("empty dataset")
-    n_buses = records[0].y.shape[1]
-    config = _resolve_rbf(records, config, n_buses)
+    config = _resolve_rbf(records, config)
 
     G0, G1, U = _regression_pairs(records, config)
     n = G0.shape[1]
@@ -512,27 +506,35 @@ def _prediction_start(rec, config):
     return max(config.window_len - 1, trip_idx + delay)
 
 
+def predict_record(model: KoopmanModel, rec):
+    """Rollout of a record from `_prediction_start`, driven by its recorded controls.
+
+    Returns (start index, omega-hat for every sample from the start on).
+    """
+    k0 = _prediction_start(rec, model.config)
+    w = model.config.window_len
+    om_hat = predict_rollout(
+        model,
+        rec.omega[k0 - w + 1 : k0 + 1],
+        rec.y[k0 - w + 1 : k0 + 1],
+        rec.ul[k0:-1],
+        rec.ud[k0:-1],
+        len(rec) - 1 - k0,
+    )
+    return k0, om_hat
+
+
 def eval_metrics(model: KoopmanModel, test_records, base_frequency: float = 50.0) -> dict:
     """Mean absolute nadir / steady-state / trajectory errors over a test set, in Hz.
 
-    Each record is predicted open-loop from the first full window after the
-    disturbance, driving the model with the recorded control sequences.
+    Each record is predicted open-loop by `predict_record`; records that end
+    within one step of their prediction start are skipped.
     """
     nadir_err, ssv_err, traj_err = [], [], []
     for rec in test_records:
-        k0 = _prediction_start(rec, model.config)
-        steps = len(rec) - 1 - k0
-        if steps <= 1:
+        if len(rec) - 1 - _prediction_start(rec, model.config) <= 1:
             continue
-        w = model.config.window_len
-        om_hat = predict_rollout(
-            model,
-            rec.omega[k0 - w + 1 : k0 + 1],
-            rec.y[k0 - w + 1 : k0 + 1],
-            rec.ul[k0:-1],
-            rec.ud[k0:-1],
-            steps,
-        )
+        k0, om_hat = predict_record(model, rec)
         om_true = rec.omega[k0:]
         om_hat = np.nan_to_num(om_hat, nan=1e3, posinf=1e3, neginf=-1e3)
         tail = max(1, int(round(5.0 / rec.dt)))

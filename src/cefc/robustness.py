@@ -1,60 +1,58 @@
 """Switched-mode view of feeder shedding and the model-error selection check.
 
-Each combination of feeder switchings is a time-invariant mode of the lifted
-dynamics; modes are ranked by Hamiltonian values built from a backward
-costate recursion, and the selection under the learned model is compared
-with the selection under an accurate reference model and with brute-force
-enumeration on the ground-truth simulator.
+Each combination of on/off feeder switchings is a time-invariant mode of the
+lifted dynamics.  Modes are ranked by Hamiltonian values at the costate of a
+backward recursion with a zero terminal boundary, which is identically zero,
+and the selection under the learned model is compared with the selection
+under an accurate reference model and with brute-force enumeration on the
+ground-truth simulator.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gridsim
-from .controller import ControlLimits
+from .controller import ControlLimits, shed_weights
 from .gridsim import GridModel, Scenario, SimulationError
 from .koopman import KoopmanModel, lift
 
 MODE_CAP = 4096
+#: steps a one-shot mode is charged over: the 30 s decision horizon at 0.1 s
+HORIZON_STEPS = 300
 
 
 @dataclass
 class FeederSpec:
-    """Feeders available for switching: shedding quantum and host load node."""
+    """On/off feeders available for switching: shedding quantum and host load node."""
 
     quanta_mw: np.ndarray  # (N,)
     nodes: np.ndarray  # (N,) load-node index of each feeder
-    levels: int = 2  # switching levels per feeder; 2 = on/off
 
     def __post_init__(self):
         self.quanta_mw = np.atleast_1d(np.asarray(self.quanta_mw, dtype=float))
         self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=int))
         if len(self.quanta_mw) != len(self.nodes):
             raise ValueError("one node per feeder required")
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
 
     @property
     def n_feeders(self) -> int:
         return len(self.quanta_mw)
 
     @classmethod
-    def uniform(cls, n_feeders: int, quantum_mw: float, n_nodes: int, levels: int = 2) -> "FeederSpec":
+    def uniform(cls, n_feeders: int, quantum_mw: float, n_nodes: int) -> "FeederSpec":
         return cls(
             quanta_mw=np.full(n_feeders, quantum_mw),
             nodes=np.arange(n_feeders) % n_nodes,
-            levels=levels,
         )
 
 
 @dataclass
 class ModeSet:
-    feeders: FeederSpec
-    modes: np.ndarray  # (n_modes, N) feeder levels, lexicographic
+    modes: np.ndarray  # (n_modes, N) feeder on/off states, lexicographic
     shed_ratio: np.ndarray  # (n_modes, p) node shedding ratios
     B_modes: np.ndarray  # (n_modes, dim_g) lifted input column per mode
     costs: np.ndarray  # (n_modes,) control cost of each one-shot mode
@@ -64,35 +62,25 @@ class ModeSet:
         return len(self.modes)
 
 
-def enumerate_modes(
-    feeders: FeederSpec,
-    model: KoopmanModel,
-    node_base_mw,
-    q1_diag=None,
-    horizon_steps: int = 300,
-) -> ModeSet:
+def enumerate_modes(feeders: FeederSpec, model: KoopmanModel, node_base_mw) -> ModeSet:
     """All feeder switching combinations with their lifted input columns and costs."""
-    n_modes = feeders.levels**feeders.n_feeders
+    n_modes = 2**feeders.n_feeders
     if n_modes > MODE_CAP:
         raise ValueError(f"{n_modes} modes exceeds the cap of {MODE_CAP}")
     node_base_mw = np.asarray(node_base_mw, dtype=float)
-    p = model.n_loads
-    if q1_diag is None:
-        q1_diag = node_base_mw / np.mean(node_base_mw)
-    q1_diag = np.asarray(q1_diag, dtype=float)
+    q1_diag = shed_weights(node_base_mw)
 
     modes = np.array(
-        list(itertools.product(range(feeders.levels), repeat=feeders.n_feeders)),
+        list(itertools.product((0, 1), repeat=feeders.n_feeders)),
         dtype=int,
     ).reshape(n_modes, feeders.n_feeders)
-    shed_ratio = np.zeros((n_modes, p))
+    shed_ratio = np.zeros((n_modes, model.n_loads))
     for j in range(feeders.n_feeders):
         shed_ratio[:, feeders.nodes[j]] += modes[:, j] * feeders.quanta_mw[j] / node_base_mw[feeders.nodes[j]]
     B_modes = shed_ratio @ model.B_l.T
     # one-shot timing: the mode vector is held from the second step to the end
-    costs = (horizon_steps - 1) * np.einsum("ij,j,ij->i", shed_ratio, q1_diag, shed_ratio)
+    costs = (HORIZON_STEPS - 1) * np.einsum("ij,j,ij->i", shed_ratio, q1_diag, shed_ratio)
     return ModeSet(
-        feeders=feeders,
         modes=modes,
         shed_ratio=shed_ratio,
         B_modes=B_modes,
@@ -100,54 +88,13 @@ def enumerate_modes(
     )
 
 
-def switched_step(g, mode_index: int, modes: ModeSet, A) -> np.ndarray:
-    """One step of the active mode: g' = A g + B_i."""
-    if not 0 <= mode_index < modes.n_modes:
-        raise IndexError("mode index out of range")
-    return np.asarray(A) @ np.asarray(g, dtype=float) + modes.B_modes[mode_index]
+def solve_costate(A, T: int) -> np.ndarray:
+    """Backward costate recursion lam(t) = -A' lam(t+1), lam(T) = 0.
 
-
-def product_form_step(g, v, modes: ModeSet, A):
-    """The product-form switched dynamics evaluated at relaxed inputs v.
-
-    With a one-hot v this reduces to switched_step of the active mode; the
-    last mode is active when every v_i is zero.
-    """
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(g, dtype=float)
-    A = np.asarray(A)
-    out = np.zeros_like(g)
-    prefix = 1.0
-    for i in range(modes.n_modes - 1):
-        out = out + (A @ g + modes.B_modes[i]) * prefix * v[i]
-        prefix *= 1.0 - v[i]
-    out = out + (A @ g + modes.B_modes[-1]) * prefix
-    return out
-
-
-def mode_weights(v) -> np.ndarray:
-    """Simplex weights w_i = v_i * prod_{n<i}(1 - v_n) of the relaxed inputs."""
-    v = np.asarray(v, dtype=float)
-    n = len(v) + 1
-    w = np.zeros(n)
-    prefix = 1.0
-    for i in range(n - 1):
-        w[i] = v[i] * prefix
-        prefix *= 1.0 - v[i]
-    w[-1] = prefix
-    return w
-
-
-def solve_costate(A, T: int, terminal=None) -> np.ndarray:
-    """Backward costate recursion lam(t) = -A' lam(t+1), lam(T) = terminal.
-
-    The stated boundary condition is the zero vector, which makes the whole
-    trajectory identically zero; a nonzero `terminal` is a diagnostic mode.
+    The zero boundary condition makes the whole trajectory identically zero.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    lam = np.zeros((T, n))
-    lam[-1] = np.zeros(n) if terminal is None else np.asarray(terminal, dtype=float)
+    lam = np.zeros((T, A.shape[0]))
     for t in range(T - 2, -1, -1):
         lam[t] = -A.T @ lam[t + 1]
     return lam
@@ -196,16 +143,14 @@ class Prop1Report:
 
 def _measured_window(grid, scenario, limits, config):
     """Measurement window at the shedding decision time of an uncontrolled run."""
-    support = None
 
     def policy(t, om_hist, y_hist):
         return np.zeros(grid.n_loads), limits.ud_support
 
     rec = gridsim.simulate(grid, scenario, policy)
-    k0 = int(round((scenario.trip_time + 0.4) / scenario.dt))
-    k0 = max(k0, config.window_len - 1)
     w = config.window_len
-    return rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], k0
+    k0 = max(int(round((scenario.trip_time + 0.4) / scenario.dt)), w - 1)
+    return rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1]
 
 
 def brute_force_mode(
@@ -213,14 +158,13 @@ def brute_force_mode(
     scenario: Scenario,
     limits: ControlLimits,
     modes: ModeSet,
-    shed_time: float | None = None,
 ):
     """Simulate every mode on the ground truth; cheapest feasible mode wins.
 
-    Returns (index or None, feasibility mask).
+    Each mode is switched in 0.5 s after the trip.  Returns (index or None,
+    feasibility mask).
     """
-    if shed_time is None:
-        shed_time = scenario.trip_time + 0.5
+    shed_time = scenario.trip_time + 0.5
     feasible = np.zeros(modes.n_modes, dtype=bool)
     for i in range(modes.n_modes):
         ratio = np.clip(modes.shed_ratio[i], 0.0, 1.0)
@@ -247,40 +191,21 @@ def check_prop1(
     scenario: Scenario,
     feeders: FeederSpec,
     limits: ControlLimits,
-    horizon_steps: int = 300,
-    terminal_costate=None,
-    recompute_oracle_costate: bool = False,
 ) -> Prop1Report:
     """Compare mode selections of the learned and accurate lifted models.
 
-    With the literal zero terminal costate both rankings reduce to the mode
-    costs; `terminal_costate` enables the diagnostic nonzero boundary, and
-    `recompute_oracle_costate` re-runs the recursion with the accurate A.
+    The zero terminal costate makes the costate identically zero over the
+    horizon, so each model's Hamiltonian values equal its mode costs.
     """
     node_base = np.array([ld.base_power for ld in grid.loads])
-    modes_l = enumerate_modes(feeders, learned, node_base, horizon_steps=horizon_steps)
-    modes_o = enumerate_modes(feeders, oracle, node_base, horizon_steps=horizon_steps)
+    modes_l = enumerate_modes(feeders, learned, node_base)
+    modes_o = enumerate_modes(feeders, oracle, node_base)
 
-    om_win, y_win, _ = _measured_window(grid, scenario, limits, learned.config)
-    g_l = lift(om_win, y_win, learned.config)
-    om_win_o, y_win_o, _ = _measured_window(grid, scenario, limits, oracle.config)
-    g_o = lift(om_win_o, y_win_o, oracle.config)
+    g_l = lift(*_measured_window(grid, scenario, limits, learned.config), learned.config)
+    g_o = lift(*_measured_window(grid, scenario, limits, oracle.config), oracle.config)
 
-    lam_l = solve_costate(learned.A, horizon_steps, terminal=terminal_costate)
-    lam_o = (
-        solve_costate(oracle.A, horizon_steps, terminal=terminal_costate)
-        if recompute_oracle_costate
-        else lam_l
-    )
-
-    vals_l = np.mean(
-        [mode_hamiltonian_values(lam_l[t], g_l, modes_l, learned.A) for t in range(horizon_steps)],
-        axis=0,
-    )
-    vals_o = np.mean(
-        [mode_hamiltonian_values(lam_o[t], g_o, modes_o, oracle.A) for t in range(horizon_steps)],
-        axis=0,
-    )
+    vals_l = mode_hamiltonian_values(np.zeros(learned.dim), g_l, modes_l, learned.A)
+    vals_o = mode_hamiltonian_values(np.zeros(oracle.dim), g_o, modes_o, oracle.A)
     k_star = select_mode(vals_l)
     i_star = select_mode(vals_o)
     bf, feasible = brute_force_mode(grid, scenario, limits, modes_l)

@@ -1,9 +1,15 @@
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cefc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from cefc.gridsim import Scenario, default_grid, simulate
+from cefc.koopman import KoopmanModel, eval_metrics, predict_record
+
+GRID = default_grid().to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +34,16 @@ def workspace(tmp_path_factory):
     return {"root": root, "cfg_path": str(cfg_path), "out": cfg["output_dir"]}
 
 
+def config_with(tmp_path, workspace, **changes) -> str:
+    """The workspace config with `changes` applied, written under `tmp_path`."""
+    with open(workspace["cfg_path"]) as fh:
+        cfg = json.load(fh)
+    cfg.update(output_dir=str(tmp_path / "out"), **changes)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def test_gen_data_writes_a_manifest(workspace):
     with open(os.path.join(workspace["out"], "dataset", "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -49,6 +65,30 @@ def test_predict_is_deterministic(workspace):
         with open(pred, "rb") as fh:
             outputs.append(fh.read())
     assert outputs[0] == outputs[1]
+
+
+def test_predict_writes_the_rollout_that_eval_metrics_scores(workspace):
+    model_path = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["predict", "--config", workspace["cfg_path"], "--model", model_path]) == EXIT_OK
+    with open(os.path.join(workspace["out"], "prediction.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    model = KoopmanModel.load(model_path)
+    with open(workspace["cfg_path"]) as fh:
+        rec = simulate(default_grid(), Scenario.from_dict(json.load(fh)["scenario"]))
+    k0, om_hat = predict_record(model, rec)
+    assert [r["t"] for r in rows] == [f"{v:.12g}" for v in rec.t[k0:]]
+    assert [r["omega_pred"] for r in rows] == [f"{v:.12g}" for v in om_hat]
+
+    # the written columns give back the errors eval_metrics scores on the record
+    true = np.array([float(r["omega_true"]) for r in rows])
+    pred = np.array([float(r["omega_pred"]) for r in rows])
+    tail = int(round(5.0 / rec.dt))
+    m = eval_metrics(model, [rec], 50.0)
+    assert m["n_records"] == 1
+    assert m["nadir_hz"] == pytest.approx(50.0 * abs(pred.min() - true.min()), rel=1e-9, abs=1e-12)
+    assert m["ssv_hz"] == pytest.approx(50.0 * abs(pred[-tail:].mean() - true[-tail:].mean()), rel=1e-9, abs=1e-12)
+    assert m["mean_hz"] == pytest.approx(50.0 * np.mean(np.abs(pred - true)), rel=1e-9, abs=1e-12)
 
 
 def test_control_writes_trace_and_summary(workspace):
@@ -110,3 +150,27 @@ def test_diverging_scenario_is_a_numerical_error(tmp_path, workspace):
     path.write_text(json.dumps(cfg))
     model = os.path.join(workspace["out"], "model_dmd.json")
     assert main(["predict", "--config", str(path), "--model", model]) == EXIT_NUMERICAL
+
+
+def test_documented_limits_key_is_accepted(tmp_path, workspace):
+    path = config_with(tmp_path, workspace, limits={"quantum_mw": 20.0})
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("limits", {"shed_quantum_mw": 10.0}, "shed_quantum_mw"),
+        ("limits", {"ss_floor": -0.01}, "ss_floor"),
+        ("weights", {"q_omega": 1e4, "r_link": 1e-4}, "r_link"),
+        ("scenario", {"trip_set": [1], "trip_tme": 5.0}, "trip_tme"),
+        ("grid", {**GRID, "frequency": 60.0}, "frequency"),
+        ("grid", {**GRID, "hvdc": [GRID["hvdc"][0], {**GRID["hvdc"][1], "ramp": 100.0}]}, "ramp"),
+    ],
+)
+def test_unknown_config_key_is_a_config_error(tmp_path, workspace, capsys, section, value, key):
+    path = config_with(tmp_path, workspace, **{section: value})
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err

@@ -7,11 +7,8 @@ from cefc.robustness import (
     check_prop1,
     enumerate_modes,
     mode_hamiltonian_values,
-    mode_weights,
-    product_form_step,
     select_mode,
     solve_costate,
-    switched_step,
 )
 
 
@@ -34,10 +31,6 @@ class TestFeederSpec:
     def test_mismatched_nodes_rejected(self):
         with pytest.raises(ValueError):
             FeederSpec(quanta_mw=[40.0, 40.0], nodes=[0])
-
-    def test_levels_floor(self):
-        with pytest.raises(ValueError):
-            FeederSpec(quanta_mw=[40.0], nodes=[0], levels=1)
 
 
 class TestEnumerateModes:
@@ -64,46 +57,22 @@ class TestEnumerateModes:
 
 class TestSwitchedDynamics:
     def test_step_is_affine_in_the_mode_column(self, modes, cefc_model):
+        # at the unit costate e_j the Hamiltonian reads off component j of the
+        # switched step A g + B_i, plus the mode cost
         g = np.arange(cefc_model.dim, dtype=float) / cefc_model.dim
-        out = switched_step(g, 5, modes, cefc_model.A)
-        assert np.allclose(out, cefc_model.A @ g + modes.B_modes[5])
-
-    def test_step_index_checked(self, modes, cefc_model):
-        with pytest.raises(IndexError):
-            switched_step(np.zeros(cefc_model.dim), 99, modes, cefc_model.A)
-
-    def test_product_form_reduces_to_the_active_mode(self, modes, cefc_model):
-        g = np.linspace(-0.01, 0.01, cefc_model.dim)
-        for i in range(modes.n_modes - 1):
-            v = np.zeros(modes.n_modes - 1)
-            v[i] = 1.0
-            assert np.allclose(
-                product_form_step(g, v, modes, cefc_model.A),
-                switched_step(g, i, modes, cefc_model.A),
-            )
-        assert np.allclose(
-            product_form_step(g, np.zeros(modes.n_modes - 1), modes, cefc_model.A),
-            switched_step(g, modes.n_modes - 1, modes, cefc_model.A),
+        eye = np.eye(cefc_model.dim)
+        steps = np.stack(
+            [mode_hamiltonian_values(eye[j], g, modes, cefc_model.A) - modes.costs for j in range(cefc_model.dim)],
+            axis=1,
         )
-
-    def test_mode_weights_form_a_simplex(self):
-        v = np.array([0.3, 0.5, 0.2])
-        w = mode_weights(v)
-        assert np.isclose(np.sum(w), 1.0)
-        assert np.allclose(w, [0.3, 0.35, 0.07, 0.28])
+        assert np.allclose(steps, cefc_model.A @ g + modes.B_modes)
+        assert np.allclose(steps[5], cefc_model.A @ g + modes.B_modes[5])
 
 
 class TestCostate:
     def test_zero_boundary_collapses_the_trajectory(self):
         lam = solve_costate(np.diag([0.9, 0.8]), 50)
         assert np.all(lam == 0.0)
-
-    def test_nonzero_terminal_recursion(self):
-        A = np.array([[0.5, 0.1], [0.0, 0.7]])
-        lam = solve_costate(A, 3, terminal=[1.0, 2.0])
-        assert np.allclose(lam[2], [1.0, 2.0])
-        assert np.allclose(lam[1], -A.T @ lam[2])
-        assert np.allclose(lam[0], A.T @ A.T @ lam[2])
 
 
 class TestHamiltonianRanking:
@@ -126,6 +95,9 @@ class TestCheckProp1:
         report = check_prop1(cefc_model, cefc_model, grid, scenario, feeders, limits)
         assert report.k_star == report.i_star
         assert len(report.values_learned) == 8
+        # zero terminal costate: the Hamiltonian values are the mode costs
+        assert np.array_equal(report.values_learned, report.costs)
+        assert np.array_equal(report.values_oracle, report.costs)
         if report.brute_force_mode is not None:
             assert report.holds is True
         d = report.to_dict()
