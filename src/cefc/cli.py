@@ -131,7 +131,12 @@ def cmd_predict(cfg, args) -> int:
     model = KoopmanModel.load(args.model)
     outdir = _outdir(cfg)
     rec = simulate(grid, scenario)
-    k0, om_hat = koopman.predict_record(model, rec)
+    try:
+        k0, om_hat = koopman.predict_record(model, rec)
+    except koopman.InsufficientHistoryError as exc:
+        raise ConfigError(
+            f"scenario horizon {scenario.horizon} s ends before the prediction start: {exc}"
+        ) from exc
     path = os.path.join(outdir, "prediction.csv")
     with open(path, "w", newline="") as fh:
         wtr = csv.writer(fh)

@@ -280,9 +280,16 @@ def steady_state_deviation(grid: GridModel, deficit: float) -> float:
 
 
 class _Plant:
-    """Precomputed per-unit quantities and the ODE right-hand side."""
+    """Precomputed per-unit quantities and the affine ODE right-hand side.
 
-    def __init__(self, grid: GridModel, scenario: Scenario):
+    With z = [x, clip(pg)] the dynamics are ``dx = A @ z + b``: the governor
+    clip is the only nonlinearity, `A` depends on the held shedding ratios and
+    on the pre/post-trip machine set, and `b` carries the held DC reference,
+    the shed, the deficit and the load noise.  State layout:
+    [omega, pg (machines), w (loads), pdc (links)].
+    """
+
+    def __init__(self, grid: GridModel, scenario: Scenario, substeps: int):
         s = grid.s_base
         self.nm = len(grid.machines)
         self.p = grid.n_loads
@@ -307,42 +314,121 @@ class _Plant:
             + scenario.extra_deficit
         )
         self.trip_time = scenario.trip_time
-        self.scale = scenario.inertia_scale
+        self.m_tot = tuple(
+            scenario.inertia_scale * np.sum(self.M[self._active(post)]) for post in (False, True)
+        )
         self.vsens = np.asarray(grid.voltage_sensitivity, dtype=float)
         self.nx = 1 + self.nm + self.p + self.q
+        self.pg = slice(1, 1 + self.nm)
+        self.w = slice(1 + self.nm, 1 + self.nm + self.p)
+        self.pdc = slice(1 + self.nm + self.p, self.nx)
+        self.substeps = substeps
+        self.h = scenario.dt / substeps
+        self._A = {}  # (ul bytes, post) -> A
+        self._W = {}  # (ul bytes, post) -> (W, stage governor limits)
 
-    def rhs(self, t, x, ul, r, load_noise):
-        om = x[0]
-        pg = x[1 : 1 + self.nm]
-        w = x[1 + self.nm : 1 + self.nm + self.p]
-        pdc = x[1 + self.nm + self.p :]
-        post = t >= self.trip_time
-        act = self.online if post else np.ones(self.nm, dtype=bool)
+    def _active(self, post: bool) -> np.ndarray:
+        return self.online if post else np.ones(self.nm, dtype=bool)
 
-        dpg = (-self.K * om - pg) / self.Tg
-        dw = (om - w) / self.Tm
-        dpdc = (r - pdc) / self.lag
+    def matrix(self, ul, post: bool) -> np.ndarray:
+        """`A` of ``dx = A @ [x, clip(pg)] + b`` for held `ul`, cached."""
+        key = (ul.tobytes(), post)
+        A = self._A.get(key)
+        if A is None:
+            nx, act = self.nx, self._active(post)
+            m_tot = self.m_tot[post]
+            load = (1.0 - ul) * self.c  # frequency-sensitive load still connected
+            A = np.zeros((nx, nx + self.nm))
+            A[0, 0] = -(np.sum(load) + np.sum(self.D[act])) / m_tot
+            A[0, self.w] = load / m_tot
+            A[0, self.pdc] = self.sign / (self.s_base * m_tot)
+            A[0, nx:] = act / m_tot
+            pg, w, pdc = (np.arange(nx)[sl] for sl in (self.pg, self.w, self.pdc))
+            A[pg, 0] = -self.K / self.Tg
+            A[pg, pg] = -1.0 / self.Tg
+            A[w, 0] = 1.0 / self.Tm
+            A[w, w] = -1.0 / self.Tm
+            A[pdc, pdc] = -1.0 / self.lag
+            self._A[key] = A
+        return A
 
-        mech = np.sum(np.clip(pg, -self.gov_lim, self.gov_lim)[act])
-        dc = np.dot(self.sign, pdc) / self.s_base
-        shed = np.dot(ul, self.Pl)
-        dyn_load = np.dot((1.0 - ul) * self.c, om - w)
+    def forcing(self, ul, r, load_noise, post: bool) -> np.ndarray:
+        """`b` of ``dx = A @ [x, clip(pg)] + b`` for the held inputs."""
         deficit = (self.trip_deficit if post else 0.0) + np.sum(load_noise) / self.s_base
-        d_tot = np.sum(self.D[act])
-        m_tot = self.scale * np.sum(self.M[act])
-        dom = (mech + dc + shed - deficit - dyn_load - d_tot * om) / m_tot
+        b = np.zeros(self.nx)
+        b[0] = (np.dot(ul, self.Pl) - deficit) / self.m_tot[post]
+        b[self.pdc] = r / self.lag
+        return b
 
-        dx = np.empty_like(x)
-        dx[0] = dom
-        dx[1 : 1 + self.nm] = dpg
-        dx[1 + self.nm : 1 + self.nm + self.p] = dw
-        dx[1 + self.nm + self.p :] = dpdc
-        return dx
+    def fused(self, ul, post: bool):
+        """One sample step of RK4 with the clip inactive, as a matrix on [x, b].
 
-    def voltages(self, t, x, ul, load_noise):
+        Returns (W, lim): the first nx rows of ``W @ [x, b]`` are the state
+        after all substeps; the rest are the governor outputs of the active
+        machines at every stage point, to be checked against `lim`.
+        """
+        key = (ul.tobytes(), post)
+        hit = self._W.get(key)
+        if hit is None:
+            nx, h, act = self.nx, self.h, self._active(post)
+            A = self.matrix(ul, post)
+            A_lin = A[:, :nx].copy()
+            A_lin[:, self.pg] += A[:, nx:]  # clip(pg) = pg inside the limits
+            X = np.hstack([np.eye(nx), np.zeros((nx, nx))])  # x as a map of [x, b]
+            B = np.hstack([np.zeros((nx, nx)), np.eye(nx)])
+            gov = np.arange(nx)[self.pg][act]
+            stages = []
+            for _ in range(self.substeps):
+                k1 = A_lin @ X + B
+                s2 = X + h / 2 * k1
+                k2 = A_lin @ s2 + B
+                s3 = X + h / 2 * k2
+                k3 = A_lin @ s3 + B
+                s4 = X + h * k3
+                k4 = A_lin @ s4 + B
+                stages += [X[gov], s2[gov], s3[gov], s4[gov]]
+                X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            W = np.vstack([X, *stages])
+            lim = np.tile(self.gov_lim[act], 4 * self.substeps)
+            hit = self._W[key] = (W, lim)
+        return hit
+
+    def step(self, t, x, ul, r, load_noise):
+        """Advance one sample step; returns (x, t) with t accumulated by t += h.
+
+        The fused map serves steps whose stage times all lie on one side of
+        the trip and whose stage governor outputs stay inside their limits;
+        other steps are integrated stage by stage.
+        """
+        h = self.h
+        t_end = t
+        for _ in range(self.substeps):
+            t_end += h
+        if t >= self.trip_time or t_end < self.trip_time:
+            post = bool(t >= self.trip_time)
+            W, lim = self.fused(ul, post)
+            out = W @ np.concatenate([x, self.forcing(ul, r, load_noise, post)])
+            if np.all(np.abs(out[self.nx :]) <= lim):
+                return out[: self.nx], t_end
+
+        def f(t_stage, x_stage):
+            post = bool(t_stage >= self.trip_time)
+            z = np.concatenate([x_stage, np.clip(x_stage[self.pg], -self.gov_lim, self.gov_lim)])
+            return self.matrix(ul, post) @ z + self.forcing(ul, r, load_noise, post)
+
+        for _ in range(self.substeps):
+            k1 = f(t, x)
+            k2 = f(t + h / 2, x + h / 2 * k1)
+            k3 = f(t + h / 2, x + h / 2 * k2)
+            k4 = f(t + h, x + h * k3)
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        return x, t
+
+    def voltages(self, x, ul, load_noise):
         om = x[0]
-        w = x[1 + self.nm : 1 + self.nm + self.p]
-        pdc = x[1 + self.nm + self.p :]
+        w = x[self.w]
+        pdc = x[self.pdc]
         # PCC-side proxy: converter injections plus the uncontrolled load
         # variation; feeders disconnected by shedding drop off their own
         # radial branch and do not move the monitored buses.
@@ -364,9 +450,8 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     scenario.validate(grid)
     if substeps < 4:
         raise ValueError("substeps must be >= 4 (RK4 step <= dt/4)")
-    plant = _Plant(grid, scenario)
+    plant = _Plant(grid, scenario, substeps)
     dt = scenario.dt
-    h = dt / substeps
     n_steps = int(round(scenario.horizon / dt))
     rng = np.random.default_rng(scenario.noise_seed)
     noise_loads = "loads" in scenario.noise_channels and scenario.noise_amplitude > 0
@@ -392,7 +477,7 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     for k in range(n):
         t = t_arr[k]
         omega[k] = x[0]
-        y[k] = plant.voltages(t, x, ul, load_noise)
+        y[k] = plant.voltages(x, ul, load_noise)
         if k == n_steps:
             ul_arr[k] = ul
             ud_arr[k] = ud_arr[k - 1] if k > 0 else 0.0
@@ -423,13 +508,7 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
         ud_arr[k] = ud_cmd
         ud_app[k] = r
 
-        for _ in range(substeps):
-            k1 = plant.rhs(t, x, ul, r, load_noise)
-            k2 = plant.rhs(t + h / 2, x + h / 2 * k1, ul, r, load_noise)
-            k3 = plant.rhs(t + h / 2, x + h / 2 * k2, ul, r, load_noise)
-            k4 = plant.rhs(t + h, x + h * k3, ul, r, load_noise)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+        x, t = plant.step(t, x, ul, r, load_noise)
         if not np.all(np.isfinite(x)) or abs(x[0]) > 1.0:
             raise SimulationError(f"integration diverged at t={t:.2f}s")
 

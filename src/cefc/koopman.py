@@ -528,15 +528,20 @@ def eval_metrics(model: KoopmanModel, test_records, base_frequency: float = 50.0
     """Mean absolute nadir / steady-state / trajectory errors over a test set, in Hz.
 
     Each record is predicted open-loop by `predict_record`; records that end
-    within one step of their prediction start are skipped.
+    within one step of their prediction start are skipped.  A rollout with
+    non-finite values counts in `n_diverged` and is scored with those values
+    mapped to +-1e3.
     """
     nadir_err, ssv_err, traj_err = [], [], []
+    n_diverged = 0
     for rec in test_records:
         if len(rec) - 1 - _prediction_start(rec, model.config) <= 1:
             continue
         k0, om_hat = predict_record(model, rec)
         om_true = rec.omega[k0:]
-        om_hat = np.nan_to_num(om_hat, nan=1e3, posinf=1e3, neginf=-1e3)
+        if not np.all(np.isfinite(om_hat)):
+            n_diverged += 1
+            om_hat = np.nan_to_num(om_hat, nan=1e3, posinf=1e3, neginf=-1e3)
         tail = max(1, int(round(5.0 / rec.dt)))
         nadir_err.append(abs(np.min(om_hat) - np.min(om_true)))
         ssv_err.append(abs(np.mean(om_hat[-tail:]) - np.mean(om_true[-tail:])))
@@ -547,4 +552,5 @@ def eval_metrics(model: KoopmanModel, test_records, base_frequency: float = 50.0
         "ssv_hz": scale * float(np.mean(ssv_err)),
         "mean_hz": scale * float(np.mean(traj_err)),
         "n_records": len(traj_err),
+        "n_diverged": n_diverged,
     }

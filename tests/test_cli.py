@@ -152,6 +152,14 @@ def test_diverging_scenario_is_a_numerical_error(tmp_path, workspace):
     assert main(["predict", "--config", str(path), "--model", model]) == EXIT_NUMERICAL
 
 
+def test_horizon_ending_before_the_prediction_start_is_a_config_error(tmp_path, workspace, capsys):
+    scenario = {"trip_set": [1], "trip_time": 5.0, "horizon": 5.0, "dt": 0.1}
+    path = config_with(tmp_path, workspace, scenario=scenario)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["predict", "--config", path, "--model", model]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_documented_limits_key_is_accepted(tmp_path, workspace):
     path = config_with(tmp_path, workspace, limits={"quantum_mw": 20.0})
     model = os.path.join(workspace["out"], "model_dmd.json")

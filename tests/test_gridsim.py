@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cefc.gridsim import (
+    GOVERNOR_LIMIT,
+    MOTOR_FREQ_SENSITIVITY,
     GridModel,
     Scenario,
     SimulationError,
@@ -16,6 +20,168 @@ def trip_scenario(**kw):
     base = dict(trip_set=(1, 2), trip_time=5.0, horizon=60.0, dt=0.1)
     base.update(kw)
     return Scenario(**base)
+
+
+def reference_simulate(grid, scenario, policy=None, substeps=4):
+    """Plain RK4 with the per-term right-hand side evaluated at every stage.
+
+    The oracle for `simulate`'s fused sample steps: same policy, noise and
+    ramp handling, with the physics written out term by term.  Returns
+    (omega, y, ud_applied, clipped), where `clipped[i]` says whether the
+    governor clip of machine i engaged at some stage while it was online.
+    """
+    s = grid.s_base
+    ms, lds, lks = grid.machines, grid.loads, grid.hvdc
+    M = np.array([m.inertia * m.capacity / s for m in ms])
+    D = np.array([m.damping * m.capacity / s for m in ms])
+    K = np.array([m.gov_gain * m.capacity / s for m in ms])
+    Tg = np.array([m.gov_tc for m in ms])
+    lim = np.array([GOVERNOR_LIMIT * m.capacity / s for m in ms])
+    Pl = np.array([ld.base_power / s for ld in lds])
+    c = np.array([MOTOR_FREQ_SENSITIVITY * ld.dynamic_fraction * ld.base_power / s for ld in lds])
+    Tm = np.array([ld.motor_tc for ld in lds])
+    lag = np.array([lk.response_lag for lk in lks])
+    sign = np.array([lk.sign for lk in lks])
+    ud_lo = np.array([lk.ud_min for lk in lks])
+    ud_hi = np.array([lk.ud_max for lk in lks])
+    ramp = np.array([lk.ramp_rate for lk in lks])
+    vsens = np.asarray(grid.voltage_sensitivity, dtype=float)
+    nm, p, q = len(ms), len(lds), len(lks)
+    online = np.ones(nm, dtype=bool)
+    online[list(scenario.trip_set)] = False
+    trip_deficit = sum(ms[i].output for i in scenario.trip_set) / s + scenario.extra_deficit
+    clipped = np.zeros(nm, dtype=bool)
+
+    def rhs(t, x, ul, r, load_noise):
+        om, pg = x[0], x[1 : 1 + nm]
+        w, pdc = x[1 + nm : 1 + nm + p], x[1 + nm + p :]
+        post = t >= scenario.trip_time
+        act = online if post else np.ones(nm, dtype=bool)
+        clipped[act & (np.abs(pg) > lim)] = True
+        mech = np.sum(np.clip(pg, -lim, lim)[act])
+        dc = np.dot(sign, pdc) / s
+        shed = np.dot(ul, Pl)
+        dyn_load = np.dot((1.0 - ul) * c, om - w)
+        deficit = (trip_deficit if post else 0.0) + np.sum(load_noise) / s
+        dom = (mech + dc + shed - deficit - dyn_load - np.sum(D[act]) * om) / (
+            scenario.inertia_scale * np.sum(M[act])
+        )
+        return np.concatenate([[dom], (-K * om - pg) / Tg, (om - w) / Tm, (r - pdc) / lag])
+
+    def voltages(x, ul, load_noise):
+        om, w, pdc = x[0], x[1 + nm : 1 + nm + p], x[1 + nm + p :]
+        inj = np.concatenate([-(1.0 - ul) * c * (om - w) - load_noise / s, sign * pdc / s])
+        return 1.0 + vsens @ inj
+
+    dt = scenario.dt
+    h = dt / substeps
+    n_steps = int(round(scenario.horizon / dt))
+    rng = np.random.default_rng(scenario.noise_seed)
+    noisy = scenario.noise_amplitude > 0
+    x, r, ul, load_noise = np.zeros(1 + nm + p + q), np.zeros(q), np.zeros(p), np.zeros(p)
+    omega, y, ud_app = [], [], []
+    for k in range(n_steps + 1):
+        t = k * dt
+        omega.append(x[0])
+        y.append(voltages(x, ul, load_noise))
+        if k == n_steps:
+            ud_app.append(r)
+            break
+        ud_cmd = np.zeros(q)
+        if policy is not None:
+            ul_cmd, ud_cmd = policy(t, np.array(omega), np.array(y))
+            ul = np.maximum(ul, np.clip(ul_cmd, 0.0, 1.0))
+        if noisy and "loads" in scenario.noise_channels:
+            load_noise = rng.normal(0.0, scenario.noise_amplitude, p)
+        if noisy and "dc" in scenario.noise_channels:
+            ud_cmd = np.clip(ud_cmd + rng.normal(0.0, scenario.noise_amplitude, q), ud_lo, ud_hi)
+        r = np.clip(r + np.clip(ud_cmd - r, -ramp * dt, ramp * dt), ud_lo, ud_hi)
+        ud_app.append(r)
+        for _ in range(substeps):
+            k1 = rhs(t, x, ul, r, load_noise)
+            k2 = rhs(t + h / 2, x + h / 2 * k1, ul, r, load_noise)
+            k3 = rhs(t + h / 2, x + h / 2 * k2, ul, r, load_noise)
+            k4 = rhs(t + h, x + h * k3, ul, r, load_noise)
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+    return np.array(omega), np.array(y), np.array(ud_app), clipped
+
+
+def shed_and_ramp_policy(grid, shed_time=7.0, shed=(0.12, 0.05, 0.0), dc_mw=70.0):
+    """Sheds once at `shed_time`, asks to restore later, and steps DC to `dc_mw`."""
+
+    def policy(t, om, y):
+        ul = np.asarray(shed) if shed_time <= t < shed_time + 3.0 else np.zeros(grid.n_loads)
+        return ul, np.full(grid.n_links, dc_mw if t >= 5.5 else -dc_mw / 2)
+
+    return policy
+
+
+def assert_matches_reference(grid, scenario, policy_factory=None):
+    rec = simulate(grid, scenario, policy_factory() if policy_factory else None)
+    omega, y, ud_app, clipped = reference_simulate(
+        grid, scenario, policy_factory() if policy_factory else None
+    )
+    assert np.max(np.abs(rec.omega - omega)) <= 1e-12
+    assert np.max(np.abs(rec.y - y)) <= 1e-12
+    assert np.max(np.abs(rec.ud_applied - ud_app)) <= 1e-12
+    return rec, clipped
+
+
+class TestFusedStepsMatchReference:
+    def test_deep_event_with_the_governor_clip_engaged(self, grid):
+        scenario = trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0)
+        _, clipped = assert_matches_reference(grid, scenario)
+        assert clipped[0]  # the stage-by-stage steps ran
+
+    def test_trip_between_samples(self, grid):
+        assert_matches_reference(grid, trip_scenario(trip_time=5.03, horizon=30.0))
+
+    def test_noise_on_loads_and_dc(self, grid):
+        scenario = trip_scenario(
+            noise_amplitude=4.0, noise_seed=3, noise_channels=("loads", "dc"), horizon=30.0
+        )
+        assert_matches_reference(grid, scenario)
+
+    def test_policy_that_sheds_and_ramps_dc(self, grid):
+        rec, _ = assert_matches_reference(
+            grid, trip_scenario(horizon=30.0), lambda: shed_and_ramp_policy(grid)
+        )
+        assert np.any(rec.ul > 0) and np.any(rec.ud_applied == 70.0)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(
+    inertia_scale=st.floats(0.8, 1.0),
+    trip_set=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True),
+    extra_deficit=st.floats(0.0, 0.1),
+    noise_seed=st.integers(0, 2**31 - 1),
+    shed_time=st.floats(5.0, 12.0),
+    shed=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3),
+    dc_mw=st.floats(-80.0, 80.0),
+)
+def test_simulate_matches_reference_and_respects_limits(
+    grid, inertia_scale, trip_set, extra_deficit, noise_seed, shed_time, shed, dc_mw
+):
+    scenario = trip_scenario(
+        inertia_scale=inertia_scale,
+        trip_set=tuple(sorted(trip_set)),
+        extra_deficit=extra_deficit,
+        noise_amplitude=3.0,
+        noise_seed=noise_seed,
+        noise_channels=("loads", "dc"),
+        horizon=20.0,
+    )
+    rec, _ = assert_matches_reference(
+        grid, scenario, lambda: shed_and_ramp_policy(grid, shed_time, shed, dc_mw)
+    )
+    assert np.all(np.diff(rec.ul, axis=0) >= 0.0)
+    ud_lo = np.array([lk.ud_min for lk in grid.hvdc])
+    ud_hi = np.array([lk.ud_max for lk in grid.hvdc])
+    ramp_dt = np.array([lk.ramp_rate for lk in grid.hvdc]) * scenario.dt
+    assert np.all((rec.ud_applied >= ud_lo) & (rec.ud_applied <= ud_hi))
+    steps = np.diff(rec.ud_applied, axis=0, prepend=0.0)
+    assert np.all(np.abs(steps) <= ramp_dt + 1e-9)
 
 
 class TestSteadyState:

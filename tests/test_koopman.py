@@ -65,6 +65,21 @@ class TestLift:
         assert np.array_equal(g, [0.05])
 
 
+class TestEvalMetrics:
+    def test_diverged_rollouts_are_counted(self, grid):
+        recs = [simulate(grid, Scenario(trip_set=(i,), horizon=30.0)) for i in (1, 2)]
+        cfg = method_config("dmd")
+
+        def model(a):
+            return KoopmanModel(np.array([[a]]), np.zeros((1, grid.n_loads)), np.zeros((1, grid.n_links)), cfg)
+
+        with np.errstate(over="ignore"):
+            unstable = eval_metrics(model(1e3), recs, grid.base_frequency)
+        assert unstable["n_records"] == 2 and unstable["n_diverged"] == 2
+        assert np.isfinite(unstable["nadir_hz"]) and unstable["nadir_hz"] > 1e4  # the 1e3 p.u. stand-in
+        assert eval_metrics(model(0.9), recs, grid.base_frequency)["n_diverged"] == 0
+
+
 class TestFit:
     def test_model_shapes_and_finiteness(self, grid, dataset_small, cefc_model):
         cfg = cefc_model.config
