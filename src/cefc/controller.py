@@ -131,6 +131,7 @@ class CoordinationTrace:
     plan: SheddingPlan | None
     omega_pred: np.ndarray | None  # model prediction from activation, padded with nan
     ud_commands: np.ndarray  # (n, q) as issued by the controller
+    riccati: RiccatiSolution | None  # the LQR gain's solve; None under constant support
 
     def nadir(self) -> float:
         return float(np.min(self.record.omega))
@@ -150,6 +151,9 @@ class CoordinationTrace:
             "cumulative_abs_ud_mw_s": float(
                 np.sum(np.abs(self.ud_commands)) * self.record.dt
             ),
+            "riccati": None
+            if self.riccati is None
+            else {"iterations": self.riccati.iterations, "residual": self.riccati.residual},
         }
 
 
@@ -268,14 +272,22 @@ def solve_shedding(
     return make_plan(x, True)
 
 
-def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 100_000, discount: float = 1.0) -> RiccatiSolution:
-    """Fixed-point iteration for the discrete algebraic Riccati equation.
+def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, discount: float = 1.0) -> RiccatiSolution:
+    """Structure-preserving doubling for the discrete algebraic Riccati equation.
 
-    Q2 = diag(q_diag) and R2 = diag(r_diag).  Iterates from P = Q2 until
-    the equation residual (Frobenius norm) drops below `tol` scaled by
-    max(1, ||P||); raises StabilizabilityError if it does not converge.  `discount` < 1 solves the discounted problem (A, B scaled
-    by the discount), which keeps the iteration bounded when the identified
-    A carries marginal modes that the DC inputs cannot move.
+    Q2 = diag(q_diag) and R2 = diag(r_diag).  Writes the equation as
+    P = Q + A'P(I + G P)^-1 A with G = B R2^-1 B' and iterates the doubling
+    triple (A_k, G_k, H_k) from (A, G, Q) (Chu, Fan, Lin & Wang, Int. J.
+    Control 77, 2004): H_k equals 2^k steps of the Riccati recursion and A_k
+    the closed-loop map squared k times, so a few steps converge.  Stops when
+    the equation residual (Frobenius norm) of P = H_k and the last doubling
+    increment both drop below `tol` scaled by max(1, ||P||); `max_iter` counts
+    doubling steps.  Raises StabilizabilityError on a non-finite value or
+    without convergence: a mode that no input reaches and that does not decay
+    keeps P growing, however small its residual is relative to ||P||.
+    `discount` < 1 solves the discounted problem (A, B scaled by the
+    discount), which keeps P bounded when the identified A carries marginal
+    modes that the DC inputs cannot move.
     """
     if not 0.0 < discount <= 1.0:
         raise ValueError("discount must be in (0, 1]")
@@ -283,27 +295,33 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 100_000
     B = discount * np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.diag(np.asarray(q_diag, dtype=float))
     R = np.diag(np.asarray(r_diag, dtype=float))
+    n = A.shape[0]
 
     def residual_of(P):
         S = R + B.T @ P @ B
         return A.T @ P @ A - P + Q - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A)
 
-    P = Q.copy()
+    Ak, G, P = A, B @ np.linalg.solve(R, B.T), Q.copy()
+    res = float("inf")
     # overflow before the finiteness check is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            S = R + B.T @ P @ B
-            Pn = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A)
-            Pn = 0.5 * (Pn + Pn.T)
-            if not np.all(np.isfinite(Pn)):
+            W = np.eye(n) + G @ P
+            WA, WG = np.split(np.linalg.solve(W, np.hstack([Ak, G])), 2, axis=1)
+            step = Ak.T @ P @ WA
+            G = G + Ak @ WG @ Ak.T
+            Ak = Ak @ WA
+            G = 0.5 * (G + G.T)
+            P = P + 0.5 * (step + step.T)
+            if not np.all(np.isfinite(P)):
                 raise StabilizabilityError("Riccati iteration diverged; (A, B_d) may not be stabilizable")
-            P = Pn
+            scale = tol * max(1.0, float(np.linalg.norm(P)))
             res = float(np.linalg.norm(residual_of(P)))
-            if res < tol * max(1.0, float(np.linalg.norm(P))):
+            if res < scale and np.linalg.norm(step) < scale:
                 K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
                 return RiccatiSolution(P=P, K=K, residual=res, iterations=it)
     raise StabilizabilityError(
-        f"Riccati iteration did not converge in {max_iter} iterations (residual {res:.3e})"
+        f"Riccati iteration did not converge in {max_iter} doubling steps (residual {res:.3e})"
     )
 
 
@@ -409,4 +427,5 @@ def coordinate(
         plan=state["plan"],
         omega_pred=omega_pred,
         ud_commands=ud_cmds,
+        riccati=sol,
     )

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridsim import GridModel, Scenario, TrajectoryRecord, SimulationError, simulate
 
@@ -110,10 +111,11 @@ def method_config(name: str, dt: float = 0.1) -> ObservableConfig:
 
 
 def _base_vector(omega_window, y_window, config):
+    """Raw delay vector of each window: omegas, then the flattened voltages."""
     parts = [omega_window]
     if config.include_voltage:
-        parts.append(np.asarray(y_window).reshape(-1))
-    return np.concatenate(parts)
+        parts.append(y_window.reshape(*y_window.shape[:-2], -1))
+    return np.concatenate(parts, axis=-1)
 
 
 def _rbf_features(z, config):
@@ -121,33 +123,45 @@ def _rbf_features(z, config):
     w = config.rbf_widths
     if c is None or w is None:
         raise ValueError("rbf centers/widths not set; fit the model first")
-    d2 = np.sum((z[None, :] - c) ** 2, axis=1)
+    d2 = np.sum((z[..., None, :] - c) ** 2, axis=-1)
     return np.exp(-d2 / (2.0 * w**2))
 
 
 def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
-    """Feature vector for one trailing window; first entry is the raw current omega."""
+    """Feature vector of a trailing window; first entry is the raw current omega.
+
+    omega (..., L) and y (..., L, n_buses) give features (..., dim): leading
+    axes are a batch of windows, each lifted on its last L samples.  A y
+    without the bus axis is read as (..., L * n_buses).
+    """
     om = np.asarray(omega_window, dtype=float)
     yv = np.asarray(y_window, dtype=float)
-    if yv.ndim == 1:
-        yv = yv.reshape(len(om), -1)
-    if len(om) < config.window_len or len(yv) < config.window_len:
-        raise InsufficientHistoryError(
-            f"need {config.window_len} samples, got {len(om)}"
-        )
-    om = om[-config.window_len :]
-    yv = yv[-config.window_len :]
+    if yv.ndim == om.ndim:
+        yv = yv.reshape(*om.shape, -1)
+    w = config.window_len
+    if om.shape[-1] < w or yv.shape[-2] < w:
+        raise InsufficientHistoryError(f"need {w} samples, got {om.shape[-1]}")
+    om = om[..., -w:]
+    yv = yv[..., -w:, :]
 
-    parts = [np.array([om[-1]])]
+    parts = [om[..., -1:]]
     if config.dictionary in ("delay", "delay_rbf"):
-        parts.append(om[:-1])  # oldest first
+        parts.append(om[..., :-1])  # oldest first
         if config.include_voltage:
-            parts.append(yv.reshape(-1))
+            parts.append(yv.reshape(*yv.shape[:-2], -1))
     elif config.include_voltage:
-        parts.append(yv[-1])
+        parts.append(yv[..., -1, :])
     if config.dictionary in ("rbf", "delay_rbf") and config.rbf_count > 0:
         parts.append(_rbf_features(_base_vector(om, yv, config), config))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
+
+
+def _windows(rec, w):
+    """Every trailing window of a record: omega (n - w + 1, w), y (n - w + 1, w, n_buses)."""
+    return (
+        sliding_window_view(rec.omega, w),
+        sliding_window_view(rec.y, w, axis=0).swapaxes(-1, -2),
+    )
 
 
 @dataclass
@@ -329,15 +343,12 @@ def _resolve_rbf(records, config):
         return config
     if config.rbf_centers is not None and config.rbf_widths is not None:
         return config
-    w = config.window_len
-    samples = []
     stride = 5
+    samples = []
     for rec in records:
-        for k in range(w - 1, len(rec), stride):
-            samples.append(
-                _base_vector(rec.omega[k - w + 1 : k + 1], rec.y[k - w + 1 : k + 1], config)
-            )
-    Z = np.array(samples)
+        om, y = _windows(rec, config.window_len)
+        samples.append(_base_vector(om[::stride], y[::stride], config))
+    Z = np.concatenate(samples)
     # quantile-spaced along the first frequency coordinate, deterministic
     order = np.argsort(Z[:, 0], kind="stable")
     idx = order[np.linspace(0, len(order) - 1, config.rbf_count).round().astype(int)]
@@ -365,11 +376,7 @@ def _regression_pairs(records, config):
     G0, G1, U = [], [], []
     w = config.window_len
     for rec in records:
-        lifted = [
-            lift(rec.omega[k - w + 1 : k + 1], rec.y[k - w + 1 : k + 1], config)
-            for k in range(w - 1, len(rec))
-        ]
-        lifted = np.array(lifted)
+        lifted = lift(*_windows(rec, w), config)
         k = np.arange(w - 1, len(rec) - 1)
         keep = np.ones(len(k), dtype=bool)
         if rec.scenario is not None and rec.scenario.trip_set:

@@ -34,6 +34,7 @@ def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
     work = [i for i in np.flatnonzero(slack > -1e-9)]
     work = _independent_subset(G, work, n)
 
+    full_step = False
     for _ in range(max_iter):
         Gw = G[work] if work else np.zeros((0, n))
         kkt = np.block(
@@ -46,8 +47,11 @@ def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
         mu = sol[n:]
 
         # the KKT solve carries rounding noise proportional to the gradient
-        # size, so the stationarity test must scale with it
-        if np.linalg.norm(d) < tol * max(1.0, np.linalg.norm(grad)):
+        # size, so the stationarity test must scale with it; after a full
+        # unblocked step x already minimizes over the working set, however
+        # large a d the solve of a nearly dependent working set returns
+        if full_step or np.linalg.norm(d) < tol * max(1.0, np.linalg.norm(grad)):
+            full_step = False
             if len(mu) == 0 or np.min(mu) >= -tol:
                 return x, list(work)
             # drop the lowest-index violating row (Bland's rule, avoids cycling)
@@ -67,6 +71,7 @@ def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
                     alpha = max(a, 0.0)
                     blocking = i
         x = x + alpha * d
+        full_step = blocking is None
         if blocking is not None:
             work.append(blocking)
             work = _independent_subset(G, work, n)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ class TestQuantize:
             quantize(5.0, 0.0)
 
 
+def fixed_point_dare(A, B, q_diag, r_diag, max_iter=200_000):
+    """Oracle: the Riccati recursion from P = Q2 until it stops moving."""
+    Q, R = np.diag(q_diag), np.diag(r_diag)
+    P = Q.copy()
+    for _ in range(max_iter):
+        Pn = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        Pn = 0.5 * (Pn + Pn.T)
+        if np.linalg.norm(Pn - P) <= 1e-13 * np.linalg.norm(Pn):
+            return Pn, np.linalg.solve(R + B.T @ Pn @ B, B.T @ Pn @ A)
+        P = Pn
+    raise AssertionError("oracle fixed point did not settle")
+
+
+def assert_matches_fixed_point(sol, A, B, q_diag, r_diag):
+    P, K = fixed_point_dare(A, B, q_diag, r_diag)
+    assert np.linalg.norm(sol.P - P) <= 1e-8 * np.linalg.norm(P)
+    assert np.linalg.norm(sol.K - K) <= 1e-8 * np.linalg.norm(K)
+
+
 class TestDare:
     def test_scalar_fixed_point(self):
         sol = solve_dare(np.array([[0.5]]), np.array([[1.0]]), [1.0], [1.0])
@@ -122,6 +143,31 @@ class TestDare:
     def test_discount_bounds_a_marginal_mode(self):
         sol = solve_dare(np.array([[1.0]]), np.array([[0.0]]), [1.0], [1.0], discount=0.9)
         assert np.isfinite(sol.P[0, 0])
+
+    def test_marginal_mode_that_no_input_reaches_raises(self):
+        # P grows by Q every step without bound; the doubling increment never settles
+        with pytest.raises(StabilizabilityError, match="did not converge"):
+            solve_dare(np.array([[1.0]]), np.array([[0.0]]), [1.0], [1.0])
+
+    def test_doubling_steps_on_the_fitted_model(self, cefc_model):
+        w = LqrWeights.for_model(cefc_model)
+        sol = solve_dare(cefc_model.A, cefc_model.B_d, w.q_diag, w.r_diag, discount=0.98)
+        assert sol.iterations <= 20
+
+    def test_agrees_with_the_fixed_point_on_the_fitted_model(self, cefc_model):
+        w = LqrWeights.for_model(cefc_model)
+        sol = solve_dare(cefc_model.A, cefc_model.B_d, w.q_diag, w.r_diag, discount=0.98)
+        assert_matches_fixed_point(sol, 0.98 * cefc_model.A, 0.98 * cefc_model.B_d, w.q_diag, w.r_diag)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_agrees_with_the_fixed_point_on_random_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 6
+        A = rng.normal(size=(dim, dim))
+        A *= rng.uniform(0.9, 1.1) / np.max(np.abs(np.linalg.eigvals(A)))
+        B = rng.normal(size=(dim, 2))
+        q, r = rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, 2)
+        assert_matches_fixed_point(solve_dare(A, B, q, r), A, B, q, r)
 
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError):
@@ -223,6 +269,17 @@ class TestCoordinate:
         assert np.all(trace.ud_commands >= limits.ud_min - 1e-9)
         s = trace.summary(grid.base_frequency)
         assert s["nadir_hz"] >= grid.base_frequency * (1.0 + limits.omega_min) - 0.02
+
+    def test_summary_reports_the_riccati_solve(self, grid, cefc_model, limits):
+        from cefc.bench import control_scenario
+
+        lqr = coordinate(grid, control_scenario(0.85), cefc_model, limits)
+        const = coordinate(grid, control_scenario(0.85), cefc_model, limits, dc_mode="max")
+        s = json.loads(json.dumps(lqr.summary(grid.base_frequency)))
+        assert s["riccati"] == {"iterations": lqr.riccati.iterations, "residual": lqr.riccati.residual}
+        assert 0 < s["riccati"]["iterations"] <= 20
+        assert s["riccati"]["residual"] < 1e-10 * max(1.0, np.linalg.norm(lqr.riccati.P))
+        assert const.riccati is None and const.summary(grid.base_frequency)["riccati"] is None
 
     def test_rejects_unknown_dc_mode(self, grid, cefc_model, limits):
         from cefc.bench import control_scenario

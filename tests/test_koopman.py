@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cefc.gridsim import Scenario, simulate
 from cefc.koopman import (
+    _regression_pairs,
+    _resolve_rbf,
     Dataset,
     InsufficientHistoryError,
     KoopmanModel,
@@ -63,6 +66,74 @@ class TestLift:
         cfg = method_config("dmd")
         g = lift(np.array([0.05]), np.ones((1, 2)), cfg)
         assert np.array_equal(g, [0.05])
+
+
+METHODS = ("cefc", "cefc-ntd", "edmd", "dmd")
+
+
+def reference_lift(om, y, config):
+    """Per-window oracle for `lift`: the features of one (w,) / (w, n_buses) window."""
+    parts = [np.array([om[-1]])]
+    if config.dictionary in ("delay", "delay_rbf"):
+        parts.append(om[:-1])
+        if config.include_voltage:
+            parts.append(y.reshape(-1))
+    elif config.include_voltage:
+        parts.append(y[-1])
+    if config.dictionary in ("rbf", "delay_rbf") and config.rbf_count > 0:
+        z = np.concatenate([om, y.reshape(-1)]) if config.include_voltage else om
+        d2 = np.sum((z[None, :] - config.rbf_centers) ** 2, axis=1)
+        parts.append(np.exp(-d2 / (2.0 * config.rbf_widths**2)))
+    return np.concatenate(parts)
+
+
+def reference_regression_pairs(records, config):
+    """Per-window oracle for `_regression_pairs`: one `reference_lift` per window."""
+    G0, G1, U = [], [], []
+    w = config.window_len
+    for rec in records:
+        lifted = np.array(
+            [reference_lift(rec.omega[k - w + 1 : k + 1], rec.y[k - w + 1 : k + 1], config) for k in range(w - 1, len(rec))]
+        )
+        k = np.arange(w - 1, len(rec) - 1)
+        keep = np.ones(len(k), dtype=bool)
+        if rec.scenario is not None and rec.scenario.trip_set:
+            trip_idx = int(round(rec.scenario.trip_time / rec.dt))
+            keep = (k + 1 < trip_idx) | (k - w + 1 >= trip_idx)
+        G0.append(lifted[:-1][keep])
+        G1.append(lifted[1:][keep])
+        U.append(np.hstack([rec.ul[w - 1 : -1], rec.ud[w - 1 : -1]])[keep])
+    return np.vstack(G0), np.vstack(G1), np.vstack(U)
+
+
+class TestBatchedLift:
+    @pytest.mark.parametrize("name", METHODS)
+    def test_stacked_windows_equal_the_per_window_rows(self, dataset_small, name):
+        records = dataset_small.train[:2]
+        cfg = _resolve_rbf(records, method_config(name))
+        rec = records[0]
+        w = cfg.window_len
+        om = sliding_window_view(rec.omega, w)
+        y = sliding_window_view(rec.y, w, axis=0).swapaxes(-1, -2)
+        # a second batch axis: two copies of every window
+        batched = lift(np.stack([om, om]), np.stack([y, y]), cfg)
+        rows = np.array([reference_lift(om[j], y[j], cfg) for j in range(len(om))])
+        assert batched.shape == (2, len(om), cfg.dim(rec.y.shape[1]))
+        assert np.array_equal(batched[0], rows) and np.array_equal(batched[1], rows)
+        # a single window is the no-batch case of the same function
+        assert np.array_equal(lift(om[7], y[7], cfg), rows[7])
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_regression_pairs_equal_the_per_window_reference(self, dataset_small, name):
+        records = dataset_small.train[:3]
+        cfg = _resolve_rbf(records, method_config(name))
+        for got, want in zip(_regression_pairs(records, cfg), reference_regression_pairs(records, cfg)):
+            assert np.array_equal(got, want)
+
+    def test_short_batched_history_raises(self):
+        cfg = ObservableConfig(dt=0.1, delay_span=0.4)
+        with pytest.raises(InsufficientHistoryError):
+            lift(np.zeros((6, 3)), np.ones((6, 3, 2)), cfg)
 
 
 class TestEvalMetrics:

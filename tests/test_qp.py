@@ -67,3 +67,21 @@ def test_poorly_scaled_problem_still_terminates():
     h = np.concatenate([margin, np.zeros(3), np.full(3, 0.3)])
     x, _ = solve_qp(H, np.zeros(3), G, h, x0=np.full(3, 0.3))
     assert np.all(G @ x <= h + 1e-8)
+
+
+def test_full_step_ends_at_the_working_set_minimizer():
+    # two nearly parallel rows (adjacent prediction steps of a shedding QP)
+    # enter the working set; the KKT solve then keeps returning a nonzero d
+    # after the full step that already reached the minimizer x = 0
+    H = np.diag([697.6666666666667, 598.0, 498.33333333333337])
+    C = np.array(
+        [
+            [-0.02699689604482708, -0.04239591040879763, 0.05617047960567847],
+            [-0.02711178182970026, -0.04218767421713723, 0.05642254877187285],
+        ]
+    )
+    G = np.vstack([C, -np.eye(3), np.eye(3)])
+    h = np.concatenate([[0.01304156817540299, 0.01313437648648823], np.zeros(3), np.full(3, 0.3)])
+    x, _ = solve_qp(H, np.zeros(3), G, h, x0=np.full(3, 0.3))
+    assert np.allclose(x, 0.0, atol=1e-12)
+    assert np.all(G @ x <= h + 1e-12)
