@@ -11,7 +11,9 @@ the test suite.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +162,17 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "trip_set", tuple(self.trip_set))
         object.__setattr__(self, "noise_channels", tuple(self.noise_channels))
+        for i in self.trip_set:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"trip index {i!r} is not an integer")
+        for name in ("inertia_scale", "trip_time", "extra_deficit", "noise_amplitude", "horizon", "dt"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"scenario {name} must be a finite number, got {value!r}")
         if self.inertia_scale <= 0:
             raise ValueError("inertia scale must be > 0")
+        if self.noise_amplitude < 0:
+            raise ValueError("noise amplitude must be >= 0")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("invalid horizon / sample step")
         for ch in self.noise_channels:
@@ -279,14 +290,25 @@ def steady_state_deviation(grid: GridModel, deficit: float) -> float:
     return -deficit / (grid.total_damping() + grid.total_gov_gain())
 
 
+class _Held(NamedTuple):
+    """Terms of one set of held shedding ratios, computed once per new `ul`."""
+
+    ul: np.ndarray
+    key: bytes  # ul.tobytes(), the cache key of its terms, `A` and `W`
+    neg_c: np.ndarray  # -(1 - ul) * c, the voltage proxy's dynamic-load factor
+    shed: float  # ul . Pl, the shed power of the forcing
+
+
 class _Plant:
-    """Precomputed per-unit quantities and the affine ODE right-hand side.
+    """Precomputed per-unit quantities, the affine ODE right-hand side and the
+    integration state of one run.
 
     With z = [x, clip(pg)] the dynamics are ``dx = A @ z + b``: the governor
     clip is the only nonlinearity, `A` depends on the held shedding ratios and
     on the pre/post-trip machine set, and `b` carries the held DC reference,
     the shed, the deficit and the load noise.  State layout:
-    [omega, pg (machines), w (loads), pdc (links)].
+    [omega, pg (machines), w (loads), pdc (links)].  The state `x` is the first
+    half of one buffer ``z = [x, b]``, so a fused sample step is ``W @ z``.
     """
 
     def __init__(self, grid: GridModel, scenario: Scenario, substeps: int):
@@ -318,26 +340,44 @@ class _Plant:
             scenario.inertia_scale * np.sum(self.M[self._active(post)]) for post in (False, True)
         )
         self.vsens = np.asarray(grid.voltage_sensitivity, dtype=float)
-        self.nx = 1 + self.nm + self.p + self.q
+        self.nx = nx = 1 + self.nm + self.p + self.q
         self.pg = slice(1, 1 + self.nm)
         self.w = slice(1 + self.nm, 1 + self.nm + self.p)
-        self.pdc = slice(1 + self.nm + self.p, self.nx)
+        self.pdc = slice(1 + self.nm + self.p, nx)
         self.substeps = substeps
         self.h = scenario.dt / substeps
+        self.z = np.zeros(2 * nx)  # [x, b]; only b[0] and b[pdc] are ever nonzero
+        self.x, self.b = self.z[:nx], self.z[nx:]
+        self._x_w, self._x_pdc = self.x[self.w], self.x[self.pdc]
+        self._held = {}  # ul bytes -> _Held
         self._A = {}  # (ul bytes, post) -> A
         self._W = {}  # (ul bytes, post) -> (W, stage governor limits)
 
     def _active(self, post: bool) -> np.ndarray:
         return self.online if post else np.ones(self.nm, dtype=bool)
 
-    def matrix(self, ul, post: bool) -> np.ndarray:
+    def hold(self, ul) -> _Held:
+        """The terms of held shedding ratios `ul`, cached under ``ul.tobytes()``."""
+        key = ul.tobytes()
+        held = self._held.get(key)
+        if held is None:
+            held = self._held[key] = _Held(ul, key, -(1.0 - ul) * self.c, np.dot(ul, self.Pl))
+        return held
+
+    def sides(self, t, t_end) -> list:
+        """Per sample step, the trip side shared by all its stage times
+        (False before, True after), or None when they straddle the trip."""
+        post = (t >= self.trip_time).tolist()
+        pre = (t_end < self.trip_time).tolist()
+        return [True if a else False if b else None for a, b in zip(post, pre)]
+
+    def matrix(self, held: _Held, post: bool) -> np.ndarray:
         """`A` of ``dx = A @ [x, clip(pg)] + b`` for held `ul`, cached."""
-        key = (ul.tobytes(), post)
-        A = self._A.get(key)
+        A = self._A.get((held.key, post))
         if A is None:
             nx, act = self.nx, self._active(post)
             m_tot = self.m_tot[post]
-            load = (1.0 - ul) * self.c  # frequency-sensitive load still connected
+            load = (1.0 - held.ul) * self.c  # frequency-sensitive load still connected
             A = np.zeros((nx, nx + self.nm))
             A[0, 0] = -(np.sum(load) + np.sum(self.D[act])) / m_tot
             A[0, self.w] = load / m_tot
@@ -349,29 +389,30 @@ class _Plant:
             A[w, 0] = 1.0 / self.Tm
             A[w, w] = -1.0 / self.Tm
             A[pdc, pdc] = -1.0 / self.lag
-            self._A[key] = A
+            self._A[held.key, post] = A
         return A
 
-    def forcing(self, ul, r, load_noise, post: bool) -> np.ndarray:
-        """`b` of ``dx = A @ [x, clip(pg)] + b`` for the held inputs."""
-        deficit = (self.trip_deficit if post else 0.0) + np.sum(load_noise) / self.s_base
-        b = np.zeros(self.nx)
-        b[0] = (np.dot(ul, self.Pl) - deficit) / self.m_tot[post]
-        b[self.pdc] = r / self.lag
-        return b
+    def forcing(self, shed, r, noise_sum, post: bool):
+        """Write `b` of ``dx = A @ [x, clip(pg)] + b`` for the held inputs.
 
-    def fused(self, ul, post: bool):
+        `shed` is ul . Pl and `noise_sum` the summed load noise over s_base;
+        b[0] and b[pdc] are the only nonzero entries, so only they are set.
+        """
+        deficit = (self.trip_deficit if post else 0.0) + noise_sum
+        self.b[0] = (shed - deficit) / self.m_tot[post]
+        self.b[self.pdc] = r / self.lag
+
+    def fused(self, held: _Held, post: bool):
         """One sample step of RK4 with the clip inactive, as a matrix on [x, b].
 
         Returns (W, lim): the first nx rows of ``W @ [x, b]`` are the state
         after all substeps; the rest are the governor outputs of the active
         machines at every stage point, to be checked against `lim`.
         """
-        key = (ul.tobytes(), post)
-        hit = self._W.get(key)
+        hit = self._W.get((held.key, post))
         if hit is None:
             nx, h, act = self.nx, self.h, self._active(post)
-            A = self.matrix(ul, post)
+            A = self.matrix(held, post)
             A_lin = A[:, :nx].copy()
             A_lin[:, self.pg] += A[:, nx:]  # clip(pg) = pg inside the limits
             X = np.hstack([np.eye(nx), np.zeros((nx, nx))])  # x as a map of [x, b]
@@ -390,32 +431,33 @@ class _Plant:
                 X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             W = np.vstack([X, *stages])
             lim = np.tile(self.gov_lim[act], 4 * self.substeps)
-            hit = self._W[key] = (W, lim)
+            hit = self._W[held.key, post] = (W, lim)
         return hit
 
-    def step(self, t, x, ul, r, load_noise):
-        """Advance one sample step; returns (x, t) with t accumulated by t += h.
+    def step(self, t, post, held: _Held, r, noise_sum):
+        """Advance the state `x` one sample step, in place.
 
-        The fused map serves steps whose stage times all lie on one side of
-        the trip and whose stage governor outputs stay inside their limits;
-        other steps are integrated stage by stage.
+        `post` is the trip side of all the step's stage times, None when they
+        straddle the trip.  The fused map serves one-sided steps whose stage
+        governor outputs stay inside their limits; other steps are integrated
+        stage by stage, with t accumulated by t += h.
         """
-        h = self.h
-        t_end = t
-        for _ in range(self.substeps):
-            t_end += h
-        if t >= self.trip_time or t_end < self.trip_time:
-            post = bool(t >= self.trip_time)
-            W, lim = self.fused(ul, post)
-            out = W @ np.concatenate([x, self.forcing(ul, r, load_noise, post)])
-            if np.all(np.abs(out[self.nx :]) <= lim):
-                return out[: self.nx], t_end
+        nx = self.nx
+        if post is not None:
+            self.forcing(held.shed, r, noise_sum, post)
+            W, lim = self.fused(held, post)
+            out = W @ self.z
+            if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
+                self.x[:] = out[:nx]
+                return
 
         def f(t_stage, x_stage):
             post = bool(t_stage >= self.trip_time)
+            self.forcing(held.shed, r, noise_sum, post)
             z = np.concatenate([x_stage, np.clip(x_stage[self.pg], -self.gov_lim, self.gov_lim)])
-            return self.matrix(ul, post) @ z + self.forcing(ul, r, load_noise, post)
+            return self.matrix(held, post) @ z + self.b
 
+        h, x = self.h, self.x
         for _ in range(self.substeps):
             k1 = f(t, x)
             k2 = f(t + h / 2, x + h / 2 * k1)
@@ -423,19 +465,17 @@ class _Plant:
             k4 = f(t + h, x + h * k3)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-        return x, t
+        self.x[:] = x
 
-    def voltages(self, x, ul, load_noise):
-        om = x[0]
-        w = x[self.w]
-        pdc = x[self.pdc]
+    def voltages(self, neg_c, noise_s):
+        """Bus-voltage proxies of the state `x`; `neg_c` is -(1 - ul) * c and
+        `noise_s` the load noise over s_base."""
         # PCC-side proxy: converter injections plus the uncontrolled load
         # variation; feeders disconnected by shedding drop off their own
         # radial branch and do not move the monitored buses.
-        inj_loads = -(1.0 - ul) * self.c * (om - w) - load_noise / self.s_base
-        inj_links = self.sign * pdc / self.s_base
-        inj = np.concatenate([inj_loads, inj_links])
-        return 1.0 + self.vsens @ inj
+        inj_loads = neg_c * (self.x[0] - self._x_w) - noise_s
+        inj_links = self.sign * self._x_pdc / self.s_base
+        return 1.0 + self.vsens @ np.concatenate([inj_loads, inj_links])
 
 
 def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4) -> TrajectoryRecord:
@@ -446,71 +486,90 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     to and including the current sample; controls are applied with zero-order
     hold.  Shedding ratios are monotone (load is not restored within a run)
     and DC commands outside the link limits are rejected.
+
+    Noise is drawn from ``default_rng(noise_seed)`` as one block before the
+    run, in per-step order: row k holds step k's load draws, then its link
+    draws.  So a record is still a function of `noise_seed`.
     """
     scenario.validate(grid)
     if substeps < 4:
         raise ValueError("substeps must be >= 4 (RK4 step <= dt/4)")
     plant = _Plant(grid, scenario, substeps)
+    p, q, s = plant.p, plant.q, plant.s_base
     dt = scenario.dt
     n_steps = int(round(scenario.horizon / dt))
-    rng = np.random.default_rng(scenario.noise_seed)
-    noise_loads = "loads" in scenario.noise_channels and scenario.noise_amplitude > 0
-    noise_dc = "dc" in scenario.noise_channels and scenario.noise_amplitude > 0
+    amp = scenario.noise_amplitude
+    noise_loads = "loads" in scenario.noise_channels and amp > 0
+    noise_dc = "dc" in scenario.noise_channels and amp > 0
+    width = p * noise_loads + q * noise_dc
+    if width:
+        noise = np.random.default_rng(scenario.noise_seed).normal(0.0, amp, (n_steps, width))
+    dc_col = p if noise_loads else 0
 
     ud_lo = np.array([lk.ud_min for lk in grid.hvdc])
     ud_hi = np.array([lk.ud_max for lk in grid.hvdc])
     ramp = np.array([lk.ramp_rate for lk in grid.hvdc])
+    ramp_lo, ramp_hi = -ramp * dt, ramp * dt
+    ud_floor, ud_ceil = ud_lo - 1e-9, ud_hi + 1e-9
+    # np.minimum / np.maximum in place of np.clip give np.clip's bits, signed
+    # zeros included, with these operand orders: a scalar-bound clip keeps the
+    # value on a tie, an array-bound clip takes the bound.
 
-    x = np.zeros(plant.nx)
-    r = np.zeros(plant.q)  # ramp-limited applied DC reference, MW
-    ul = np.zeros(plant.p)
-    load_noise = np.zeros(plant.p)
+    x = plant.x
+    r = np.zeros(q)  # ramp-limited applied DC reference, MW
+    held = plant.hold(np.zeros(p))
+    no_command = np.zeros(q)
+    noise_s, noise_sum = np.zeros(p), 0.0  # load noise / s_base, and its sum / s_base
 
     n = n_steps + 1
     t_arr = np.arange(n) * dt
+    t_end = t_arr.copy()  # each step's last stage time, accumulated by t += h
+    for _ in range(substeps):
+        t_end += plant.h
+    sides = plant.sides(t_arr, t_end)
     omega = np.zeros(n)
     y = np.zeros((n, plant.vsens.shape[0]))
-    ul_arr = np.zeros((n, plant.p))
-    ud_arr = np.zeros((n, plant.q))
-    ud_app = np.zeros((n, plant.q))
+    ul_arr = np.zeros((n, p))
+    ud_arr = np.zeros((n, q))
+    ud_app = np.zeros((n, q))
 
     for k in range(n):
-        t = t_arr[k]
         omega[k] = x[0]
-        y[k] = plant.voltages(x, ul, load_noise)
+        y[k] = plant.voltages(held.neg_c, noise_s)
         if k == n_steps:
-            ul_arr[k] = ul
+            ul_arr[k] = held.ul
             ud_arr[k] = ud_arr[k - 1] if k > 0 else 0.0
             ud_app[k] = r
             break
 
-        ud_cmd = np.zeros(plant.q)
+        ud_cmd = no_command
         if policy is not None:
-            ul_cmd, ud_cmd = policy(t, omega[: k + 1], y[: k + 1])
+            ul_cmd, ud_cmd = policy(t_arr[k], omega[: k + 1], y[: k + 1])
             ul_cmd = np.asarray(ul_cmd, dtype=float)
             ud_cmd = np.asarray(ud_cmd, dtype=float)
-            if np.any(ul_cmd < -1e-12) or np.any(ul_cmd > 1.0 + 1e-12):
+            if np.count_nonzero(ul_cmd < -1e-12) or np.count_nonzero(ul_cmd > 1.0 + 1e-12):
                 raise SimulationError("policy returned shedding ratio outside [0, 1]")
-            if np.any(ud_cmd < ud_lo - 1e-9) or np.any(ud_cmd > ud_hi + 1e-9):
+            if np.count_nonzero(ud_cmd < ud_floor) or np.count_nonzero(ud_cmd > ud_ceil):
                 raise SimulationError("policy returned DC command outside link limits")
-            ul = np.maximum(ul, np.clip(ul_cmd, 0.0, 1.0))
+            ul = np.maximum(held.ul, np.minimum(1.0, np.maximum(0.0, ul_cmd)))
+            if ul.tobytes() != held.key:  # bytes, not values: a -0.0 shed stays -0.0
+                held = plant.hold(ul)
 
         if noise_loads:
-            load_noise = rng.normal(0.0, scenario.noise_amplitude, plant.p)
+            load_noise = noise[k, :p]
+            noise_s, noise_sum = load_noise / s, load_noise.sum() / s
         if noise_dc:
-            ud_cmd = np.clip(
-                ud_cmd + rng.normal(0.0, scenario.noise_amplitude, plant.q), ud_lo, ud_hi
-            )
-        r = r + np.clip(ud_cmd - r, -ramp * dt, ramp * dt)
-        r = np.clip(r, ud_lo, ud_hi)
+            ud_cmd = np.minimum(np.maximum(ud_cmd + noise[k, dc_col:], ud_lo), ud_hi)
+        r = r + np.minimum(np.maximum(ud_cmd - r, ramp_lo), ramp_hi)
+        r = np.minimum(np.maximum(r, ud_lo), ud_hi)
 
-        ul_arr[k] = ul
+        ul_arr[k] = held.ul
         ud_arr[k] = ud_cmd
         ud_app[k] = r
 
-        x, t = plant.step(t, x, ul, r, load_noise)
-        if not np.all(np.isfinite(x)) or abs(x[0]) > 1.0:
-            raise SimulationError(f"integration diverged at t={t:.2f}s")
+        plant.step(t_arr[k], sides[k], held, r, noise_sum)
+        if np.count_nonzero(np.isfinite(x)) < len(x) or abs(x[0]) > 1.0:
+            raise SimulationError(f"integration diverged at t={t_end[k]:.2f}s")
 
     return TrajectoryRecord(
         dt=dt,

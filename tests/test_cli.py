@@ -152,6 +152,24 @@ def test_diverging_scenario_is_a_numerical_error(tmp_path, workspace):
     assert main(["predict", "--config", str(path), "--model", model]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"trip_set": [], "noise_amplitude": -3.0},
+        {"trip_set": [], "noise_amplitude": float("nan")},
+        {"trip_set": [1], "trip_time": float("nan")},
+        {"trip_set": [1], "trip_time": "5"},
+        {"trip_set": [1.5]},
+        {"trip_set": [True]},
+    ],
+)
+def test_invalid_scenario_value_is_a_config_error(tmp_path, workspace, capsys, scenario):
+    path = config_with(tmp_path, workspace, scenario=dict(scenario, horizon=20.0, dt=0.1))
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_horizon_ending_before_the_prediction_start_is_a_config_error(tmp_path, workspace, capsys):
     scenario = {"trip_set": [1], "trip_time": 5.0, "horizon": 5.0, "dt": 0.1}
     path = config_with(tmp_path, workspace, scenario=scenario)

@@ -143,6 +143,14 @@ class TestFusedStepsMatchReference:
         )
         assert_matches_reference(grid, scenario)
 
+    @pytest.mark.parametrize("channel", ["loads", "dc"])
+    def test_noise_on_one_channel(self, grid, channel):
+        # the noise block holds only the drawn channels' columns
+        scenario = trip_scenario(
+            noise_amplitude=4.0, noise_seed=3, noise_channels=(channel,), horizon=30.0
+        )
+        assert_matches_reference(grid, scenario, lambda: shed_and_ramp_policy(grid))
+
     def test_policy_that_sheds_and_ramps_dc(self, grid):
         rec, _ = assert_matches_reference(
             grid, trip_scenario(horizon=30.0), lambda: shed_and_ramp_policy(grid)
@@ -261,6 +269,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(noise_channels=("wind",))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["inertia_scale", "trip_time", "extra_deficit", "noise_amplitude", "horizon", "dt"]
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(trip_set=(1,), **{field: value})
+
+    def test_negative_noise_amplitude_rejected(self):
+        # it used to pass the "needs a trip, an extra deficit or noise" check
+        # and run without any event
+        with pytest.raises(ValueError, match="noise amplitude"):
+            Scenario(noise_amplitude=-3.0)
+
 
 class TestPolicyInterface:
     def test_dc_command_outside_limits_rejected(self, grid):
@@ -276,6 +298,39 @@ class TestPolicyInterface:
 
         with pytest.raises(SimulationError):
             simulate(grid, trip_scenario(), policy)
+
+    def test_simulate_writes_into_nothing_a_policy_returns_or_reads(self, grid):
+        ul = np.array([0.1, 0.0, 0.05])
+        ud = np.array([40.0, -20.0])
+        ul.flags.writeable = ud.flags.writeable = False
+        seen = []
+
+        def policy(t, om, y):
+            seen.append((om, y))
+            return ul, ud
+
+        scenario = trip_scenario(noise_amplitude=3.0, noise_channels=("loads", "dc"), horizon=20.0)
+        rec = simulate(grid, scenario, policy)
+        assert np.array_equal(ul, [0.1, 0.0, 0.05]) and np.array_equal(ud, [40.0, -20.0])
+        assert len(seen) == len(rec) - 1
+        for om, y in seen:
+            assert np.array_equal(om, rec.omega[: len(om)])
+            assert np.array_equal(y, rec.y[: len(y)])
+
+    def test_shed_commands_are_limited_bit_for_bit_as_by_np_clip(self, grid):
+        # signed zeros included: a recorded -0.0 prints as "-0" in a CSV
+        def command(k):
+            return np.array([-0.0, 0.0, 0.1 if k >= 60 else -0.0])
+
+        def policy(t, om, y):
+            return command(len(om) - 1), np.zeros(grid.n_links)
+
+        rec = simulate(grid, trip_scenario(horizon=10.0), policy)
+        ul, expected = np.zeros(grid.n_loads), []
+        for k in range(len(rec) - 1):
+            ul = np.maximum(ul, np.clip(command(k), 0.0, 1.0))
+            expected.append(ul)
+        assert rec.ul[:-1].tobytes() == np.array(expected).tobytes()
 
     def test_shedding_is_monotone(self, grid):
         def policy(t, om, y):
