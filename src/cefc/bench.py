@@ -46,8 +46,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else f"{v:.12g}" for v in row])
+        w.writerows([v if isinstance(v, str) else format(v, ".12g") for v in row] for row in rows)
 
 
 def run_prediction_table(suite: BenchSuite, dataset: Dataset | None = None) -> dict:
@@ -90,8 +89,8 @@ def run_control_subcases(suite: BenchSuite, model: KoopmanModel, weights: LqrWei
     for i, scale in enumerate(suite.inertia_scales):
         scenario = control_scenario(scale)
         trace = coordinate(suite.grid, scenario, model, suite.limits, weights)
-        rows = list(
-            zip(
+        rows = np.column_stack(
+            [
                 trace.record.t,
                 trace.record.omega,
                 np.nan_to_num(trace.omega_pred, nan=0.0)
@@ -99,8 +98,8 @@ def run_control_subcases(suite: BenchSuite, model: KoopmanModel, weights: LqrWei
                 else np.zeros(len(trace.record)),
                 np.sum(trace.ud_commands, axis=1),
                 np.sum(trace.record.ul * [ld.base_power for ld in suite.grid.loads], axis=1),
-            )
-        )
+            ]
+        ).tolist()
         _write_csv(
             os.path.join(subdir, f"subcase_{i + 1}.csv"),
             ["t", "omega", "omega_pred", "ud_total_mw", "shed_total_mw"],
@@ -117,15 +116,15 @@ def run_edcps_comparison(suite: BenchSuite, model: KoopmanModel, weights: LqrWei
     scenario = control_scenario(EDCPS_INERTIA)
     trace_lqr = coordinate(suite.grid, scenario, model, suite.limits, weights, dc_mode="lqr")
     trace_max = coordinate(suite.grid, scenario, model, suite.limits, weights, dc_mode="max")
-    rows = list(
-        zip(
+    rows = np.column_stack(
+        [
             trace_lqr.record.t,
             trace_lqr.record.omega,
             np.sum(trace_lqr.ud_commands, axis=1),
             trace_max.record.omega,
             np.sum(trace_max.ud_commands, axis=1),
-        )
-    )
+        ]
+    ).tolist()
     _write_csv(
         os.path.join(suite.outdir, "edcps_compare.csv"),
         ["t", "omega_lqr", "ud_lqr_mw", "omega_max", "ud_max_mw"],

@@ -327,8 +327,8 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, dis
 
 def lqr_step(g, sol: RiccatiSolution, limits: ControlLimits) -> np.ndarray:
     """Saturated LQR feedback on the lifted state."""
-    u = -sol.K @ np.asarray(g, dtype=float)
-    return np.clip(u, limits.ud_min, limits.ud_max)
+    # with array bounds, np.minimum / np.maximum in this order give np.clip's bits
+    return np.minimum(np.maximum(-sol.K @ g, limits.ud_min), limits.ud_max)
 
 
 def coordinate(
@@ -357,13 +357,18 @@ def coordinate(
     p, q = grid.n_loads, grid.n_links
     node_base = np.array([ld.base_power for ld in grid.loads])
 
+    n_steps = int(round(scenario.horizon / dt))
+    n = n_steps + 1  # samples in the record
+    ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
+    # the policy hands simulate these shared vectors, which it only reads
+    no_shed, no_dc, support = np.zeros(p), np.zeros(q), limits.ud_support
     state = {
         "detect_k": None,
         "activated_k": None,
         "plan": None,
         "shed_k": None,
+        "shed_ul": None,
         "pred": None,
-        "ud_cmds": [],
     }
 
     def policy(t, om_hist, y_hist):
@@ -372,9 +377,9 @@ def coordinate(
         if state["detect_k"] is None and om <= -0.25 * limits.activation_threshold_pu:
             state["detect_k"] = k
 
-        ul = np.zeros(p)
+        ul = no_shed
         if state["shed_k"] is not None and k >= state["shed_k"]:
-            ul = np.minimum(state["plan"].quantized_ratio, 1.0)
+            ul = state["shed_ul"]
 
         if state["activated_k"] is None:
             ready = (
@@ -386,36 +391,33 @@ def coordinate(
                 state["activated_k"] = k
                 om_win = om_hist[k - w + 1 : k + 1]
                 y_win = y_hist[k - w + 1 : k + 1]
-                steps = min(pred_steps, int(round(scenario.horizon / dt)) - k)
+                steps = min(pred_steps, n_steps - k)
                 om_hat = predict_max_dc(model, om_win, y_win, limits, steps)
                 if needs_shedding(om_hat, limits):
                     plan = solve_shedding(model, om_win, y_win, limits, node_base, steps)
                     plan.shed_time = t + dt
                     state["plan"] = plan
                     state["shed_k"] = k + 1
+                    state["shed_ul"] = np.minimum(plan.quantized_ratio, 1.0)
                     # prediction with the executed (quantized) plan
                     ul_seq = np.tile(plan.quantized_ratio, (steps, 1))
                     ul_seq[0] = 0.0
                     ud_seq = np.tile(limits.ud_support, (steps, 1))
                     om_hat = predict_rollout(model, om_win, y_win, ul_seq, ud_seq, steps)
                 state["pred"] = (k, om_hat)
-                ud = limits.ud_support.copy()
+                ud = support
             else:
-                ud = np.zeros(q)
+                ud = no_dc
         elif dc_mode == "max":
-            ud = limits.ud_support.copy()
+            ud = support
         else:
             g = lift(om_hist[k - w + 1 : k + 1], y_hist[k - w + 1 : k + 1], cfg)
             ud = lqr_step(g, sol, limits)
-        state["ud_cmds"].append(ud)
+        ud_cmds[k] = ud
         return ul, ud
 
     rec = gridsim.simulate(grid, scenario, policy)
 
-    n = len(rec)
-    ud_cmds = np.zeros((n, q))
-    for i, u in enumerate(state["ud_cmds"]):
-        ud_cmds[i] = u
     omega_pred = None
     if state["pred"] is not None:
         k0, om_hat = state["pred"]

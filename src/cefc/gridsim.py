@@ -231,12 +231,11 @@ class TrajectoryRecord:
             + [f"ul_{i + 1}" for i in range(p)]
             + [f"ud_{i + 1}" for i in range(q)]
         )
+        rows = np.column_stack([self.t, self.omega, self.y, self.ul, self.ud]).tolist()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for k in range(len(self.t)):
-                row = [self.t[k], self.omega[k], *self.y[k], *self.ul[k], *self.ud[k]]
-                w.writerow([f"{v:.12g}" for v in row])
+            w.writerows([format(v, ".12g") for v in row] for row in rows)
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryRecord":
@@ -547,9 +546,12 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
             ul_cmd, ud_cmd = policy(t_arr[k], omega[: k + 1], y[: k + 1])
             ul_cmd = np.asarray(ul_cmd, dtype=float)
             ud_cmd = np.asarray(ud_cmd, dtype=float)
-            if np.count_nonzero(ul_cmd < -1e-12) or np.count_nonzero(ul_cmd > 1.0 + 1e-12):
+            # count the entries inside the bounds: NaN fails both comparisons
+            inside = (ul_cmd >= -1e-12) & (ul_cmd <= 1.0 + 1e-12)
+            if np.count_nonzero(inside) != inside.size:
                 raise SimulationError("policy returned shedding ratio outside [0, 1]")
-            if np.count_nonzero(ud_cmd < ud_floor) or np.count_nonzero(ud_cmd > ud_ceil):
+            inside = (ud_cmd >= ud_floor) & (ud_cmd <= ud_ceil)
+            if np.count_nonzero(inside) != inside.size:
                 raise SimulationError("policy returned DC command outside link limits")
             ul = np.maximum(held.ul, np.minimum(1.0, np.maximum(0.0, ul_cmd)))
             if ul.tobytes() != held.key:  # bytes, not values: a -0.0 shed stays -0.0

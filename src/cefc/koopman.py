@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,6 +43,8 @@ class ObservableConfig:
     rbf_centers: np.ndarray | None = None  # (count, length of the raw delay vector), set during fit
     rbf_widths: np.ndarray | None = None  # (count,)
     include_voltage: bool = True
+    # -2 w^2, the divisor of the RBF exponent; derived from rbf_widths on construction
+    rbf_divisor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dictionary not in DICTIONARIES:
@@ -52,6 +54,8 @@ class ObservableConfig:
             raise ValueError("delay span must be a nonnegative multiple of dt")
         if self.dictionary == "rbf" and self.rbf_count <= 0:
             raise ValueError("rbf dictionary requires rbf_count > 0")
+        if self.rbf_widths is not None:
+            self.rbf_divisor = -(2.0 * np.asarray(self.rbf_widths, dtype=float) ** 2)
 
     @property
     def n_delays(self) -> int:
@@ -112,19 +116,19 @@ def method_config(name: str, dt: float = 0.1) -> ObservableConfig:
 
 def _base_vector(omega_window, y_window, config):
     """Raw delay vector of each window: omegas, then the flattened voltages."""
-    parts = [omega_window]
-    if config.include_voltage:
-        parts.append(y_window.reshape(*y_window.shape[:-2], -1))
-    return np.concatenate(parts, axis=-1)
+    if not config.include_voltage:
+        return omega_window
+    return np.concatenate((omega_window, y_window.reshape(*y_window.shape[:-2], -1)), axis=-1)
 
 
 def _rbf_features(z, config):
     c = config.rbf_centers
-    w = config.rbf_widths
-    if c is None or w is None:
+    if c is None or config.rbf_divisor is None:
         raise ValueError("rbf centers/widths not set; fit the model first")
-    d2 = np.sum((z[..., None, :] - c) ** 2, axis=-1)
-    return np.exp(-d2 / (2.0 * w**2))
+    d = z[..., None, :] - c
+    # exp(-|d|^2 / (2 w^2)) with the sign folded into the divisor: (-a) / b and
+    # a / (-b) are the same float
+    return np.exp(np.add.reduce(d * d, axis=-1) / config.rbf_divisor)
 
 
 def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
@@ -194,15 +198,13 @@ class KoopmanModel:
     def n_links(self) -> int:
         return self.B_d.shape[1]
 
-    def step(self, g, ul, ud):
-        return self.A @ g + self.B_l @ np.asarray(ul, float) + self.B_d @ np.asarray(ud, float)
-
     def save(self, path):
         doc = {
             "dim": self.dim,
             "n_loads": self.n_loads,
             "n_links": self.n_links,
             "ridge": self.ridge,
+            "spectral_radius": float(np.max(np.abs(np.linalg.eigvals(self.A)))),  # written, not read
             "config": self.config.to_dict(),
             "A": self.A.tolist(),
             "B_l": self.B_l.tolist(),
@@ -415,8 +417,8 @@ def _input_response_fit(records, config, A, B_d, ridge):
     n = A.shape[0]
     p = records[0].ul.shape[1]
     w = config.window_len
-    e0 = np.zeros(n)
-    e0[0] = 1.0
+    AT = A.T  # kept a view: its layout picks the BLAS call, which can change the rounding
+    matmul, add = np.matmul, np.add
     X, Y = [], []
     for rec in records:
         active = np.where(np.any(rec.ul > 0, axis=1))[0]
@@ -431,16 +433,25 @@ def _input_response_fit(records, config, A, B_d, ridge):
         if steps <= 0:
             continue
         g = lift(rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], config)
-        coef = np.zeros((n, p))
-        for t in range(steps):
-            g = A @ g + B_d @ rec.ud[k0 + t]
-            coef = A.T @ coef + np.outer(e0, rec.ul[k0 + t])
-            X.append(coef.reshape(-1))
-            Y.append(rec.omega[k0 + t + 1] - g[0])
+        # rows[t + 1] = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ rows[t] + e0 ulᵀ.
+        # The shed is added to row 0 alone: the BLAS product holds no -0.0 for
+        # the other rows' + 0.0 to turn into +0.0, so the bits are the same.
+        rows = np.zeros((steps + 1, n, p))
+        free = np.empty(steps)  # omega-hat with B_l = 0
+        segment = zip(rows[:-1], rows[1:], rec.ul[k0 : k0 + steps], rec.ud[k0 : k0 + steps])
+        for t, (row, nxt, ul, ud) in enumerate(segment):
+            g = A @ g
+            g += B_d @ ud
+            free[t] = g[0]
+            matmul(AT, row, out=nxt)
+            shed_row = nxt[0]
+            add(shed_row, ul, out=shed_row)
+        X.append(rows[1:].reshape(steps, n * p))
+        Y.append(rec.omega[k0 + 1 : k0 + 1 + steps] - free)
     if not X:
         return np.zeros((n, p))
-    X = np.asarray(X)
-    Y = np.asarray(Y)
+    X = np.concatenate(X)
+    Y = np.concatenate(Y)
     lam = max(ridge, 1e-8)
     theta = np.linalg.solve(X.T @ X + lam * np.eye(n * p), X.T @ Y)
     return theta.reshape(n, p)
@@ -495,11 +506,12 @@ def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq,
     ud_seq = np.atleast_2d(np.asarray(ud_seq, dtype=float))
     if len(ul_seq) < steps or len(ud_seq) < steps:
         raise ValueError(f"control sequences must provide at least {steps} steps")
+    A, B_l, B_d = model.A, model.B_l, model.B_d
     g = lift(omega_window, y_window, model.config)
     out = np.empty(steps + 1)
     out[0] = g[0]
     for t in range(steps):
-        g = model.step(g, ul_seq[t], ud_seq[t])
+        g = A @ g + B_l @ ul_seq[t] + B_d @ ud_seq[t]
         out[t + 1] = g[0]
     return out
 

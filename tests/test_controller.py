@@ -182,6 +182,17 @@ class TestLqrStep:
         u = lqr_step([-0.02], sol, lim)
         assert np.all(u <= lim.ud_max + 1e-12) and np.all(u >= lim.ud_min - 1e-12)
 
+    def test_clips_bit_for_bit_as_np_clip(self):
+        model = scalar_model()
+        sol = solve_dare(model.A, model.B_d, [1e6], [1e-6, 1e-6])
+        lim = scalar_limits()
+        # unsaturated, saturated both ways, and exactly on a bound
+        on_bound = lim.ud_max[0] / -sol.K[0, 0]
+        for g in (1e-6, -1e-6, -0.02, 0.02, on_bound, 0.0, -0.0):
+            g = np.array([g])
+            want = np.clip(-sol.K @ g, lim.ud_min, lim.ud_max)
+            assert lqr_step(g, sol, lim).tobytes() == want.tobytes()
+
 
 class TestSheddingSensitivity:
     def test_first_two_rows_are_zero(self, cefc_model):

@@ -299,6 +299,22 @@ class TestPolicyInterface:
         with pytest.raises(SimulationError):
             simulate(grid, trip_scenario(), policy)
 
+    def test_nan_shed_ratio_rejected_as_out_of_range(self, grid):
+        # NaN fails every comparison, so it must not pass the bound check and
+        # surface one step later as a divergence
+        def policy(t, om, y):
+            return np.array([np.nan, 0.0, 0.0]), np.zeros(grid.n_links)
+
+        with pytest.raises(SimulationError, match="shedding ratio outside"):
+            simulate(grid, trip_scenario(), policy)
+
+    def test_nan_dc_command_rejected_as_out_of_limits(self, grid):
+        def policy(t, om, y):
+            return np.zeros(grid.n_loads), np.array([np.nan, 0.0])
+
+        with pytest.raises(SimulationError, match="DC command outside link limits"):
+            simulate(grid, trip_scenario(), policy)
+
     def test_simulate_writes_into_nothing_a_policy_returns_or_reads(self, grid):
         ul = np.array([0.1, 0.0, 0.05])
         ud = np.array([40.0, -20.0])
@@ -366,6 +382,19 @@ class TestRecordsAndSerialization:
         assert np.allclose(back.omega, rec.omega, atol=1e-12)
         assert np.allclose(back.y, rec.y, atol=1e-12)
         assert np.allclose(back.ud, rec.ud, atol=1e-9)
+
+    def test_csv_text_is_each_value_in_12g(self, grid, tmp_path):
+        rec = simulate(grid, trip_scenario(noise_amplitude=2.0, noise_channels=("dc",), horizon=8.0))
+        rec.ul[3, 1] = -0.0  # a signed zero prints as "-0"
+        path = tmp_path / "traj.csv"
+        rec.write_csv(path)
+        lines = [",".join(["t", "omega", "y_1", "y_2", "ul_1", "ul_2", "ul_3", "ud_1", "ud_2"])]
+        for k in range(len(rec)):
+            row = [rec.t[k], rec.omega[k], *rec.y[k], *rec.ul[k], *rec.ud[k]]
+            lines.append(",".join(f"{v:.12g}" for v in row))
+        with open(path, newline="") as fh:
+            assert fh.read() == "".join(line + "\r\n" for line in lines)
+        assert "-0," in lines[4]
 
     def test_grid_dict_round_trip(self, grid):
         back = GridModel.from_dict(grid.to_dict())

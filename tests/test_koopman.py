@@ -1,9 +1,13 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cefc.gridsim import Scenario, simulate
 from cefc.koopman import (
+    _input_response_fit,
     _regression_pairs,
     _resolve_rbf,
     Dataset,
@@ -136,6 +140,89 @@ class TestBatchedLift:
             lift(np.zeros((6, 3)), np.ones((6, 3, 2)), cfg)
 
 
+def reference_input_response_fit(records, config, A, B_d, ridge):
+    """Per-step oracle for `_input_response_fit`: one appended regressor row per step."""
+    n = A.shape[0]
+    p = records[0].ul.shape[1]
+    w = config.window_len
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    X, Y = [], []
+    for rec in records:
+        active = np.where(np.any(rec.ul > 0, axis=1))[0]
+        if len(active) == 0:
+            continue
+        k0 = max(w - 1, int(active[0]) - 3)
+        if rec.scenario is not None and rec.scenario.trip_set:
+            trip_idx = int(round(rec.scenario.trip_time / rec.dt))
+            if k0 - w + 1 < trip_idx:
+                k0 = max(k0, trip_idx + w - 1)
+        steps = len(rec) - 1 - k0
+        if steps <= 0:
+            continue
+        g = lift(rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], config)
+        coef = np.zeros((n, p))
+        for t in range(steps):
+            g = A @ g + B_d @ rec.ud[k0 + t]
+            coef = A.T @ coef + np.outer(e0, rec.ul[k0 + t])
+            X.append(coef.reshape(-1))
+            Y.append(rec.omega[k0 + t + 1] - g[0])
+    if not X:
+        return np.zeros((n, p))
+    X = np.asarray(X)
+    Y = np.asarray(Y)
+    lam = max(ridge, 1e-8)
+    theta = np.linalg.solve(X.T @ X + lam * np.eye(n * p), X.T @ Y)
+    return theta.reshape(n, p)
+
+
+def reference_rollout(model, omega_window, y_window, ul_seq, ud_seq, steps):
+    """Per-step oracle for `predict_rollout`: g+ = A g + B_l ul + B_d ud."""
+    g = lift(omega_window, y_window, model.config)
+    out = [g[0]]
+    for t in range(steps):
+        g = model.A @ g + model.B_l @ np.asarray(ul_seq[t], float) + model.B_d @ np.asarray(ud_seq[t], float)
+        out.append(g[0])
+    return np.array(out)
+
+
+def same_bits(a, b):
+    """Equal values with equal signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def shed_records(dataset_small):
+    """Training records plus a copy of a shedding record with one shed component zeroed."""
+    records = dataset_small.train[:6]
+    rec = next(r for r in dataset_small.train if np.count_nonzero(r.ul[-1]) >= 2)
+    ul = rec.ul.copy()
+    ul[:, np.flatnonzero(ul[-1])[0]] = 0.0
+    return records + [replace(rec, ul=ul)]
+
+
+@pytest.fixture(scope="module")
+def shed_models(shed_records):
+    return {name: fit(shed_records, method_config(name)) for name in METHODS}
+
+
+class TestInputResponseFit:
+    @pytest.mark.parametrize("name", METHODS)
+    def test_equals_the_per_step_reference(self, shed_records, shed_models, name):
+        assert any(np.any(r.ul[-1] > 0) and np.any(r.ul[-1] == 0) for r in shed_records)
+        model = shed_models[name]
+        got = _input_response_fit(shed_records, model.config, model.A, model.B_d, model.ridge)
+        want = reference_input_response_fit(shed_records, model.config, model.A, model.B_d, model.ridge)
+        assert same_bits(got, want) and same_bits(model.B_l, want)
+
+    def test_no_shedding_record_gives_a_zero_input_matrix(self, dataset_small):
+        rec = dataset_small.train[0]
+        quiet = replace(rec, ul=np.zeros_like(rec.ul))
+        model = fit([quiet], method_config("dmd"))
+        assert np.array_equal(model.B_l, np.zeros((1, rec.ul.shape[1])))
+
+
 class TestEvalMetrics:
     def test_diverged_rollouts_are_counted(self, grid):
         recs = [simulate(grid, Scenario(trip_set=(i,), horizon=30.0)) for i in (1, 2)]
@@ -186,6 +273,16 @@ class TestFit:
         assert np.all(M[0] > 0)
 
 
+def test_cefc_ntd_and_edmd_fit_the_same_model(dataset_small):
+    # delay_rbf at delay span 0 builds the rbf vector, so the ablation row
+    # and the edmd row come from one model
+    records = dataset_small.train[:10]
+    ntd = fit(records, method_config("cefc-ntd"))
+    edmd = fit(records, method_config("edmd"))
+    for a, b in ((ntd.A, edmd.A), (ntd.B_l, edmd.B_l), (ntd.B_d, edmd.B_d)):
+        assert same_bits(a, b)
+
+
 class TestRollout:
     def test_rollout_length_and_start(self, cefc_model, dataset_small):
         rec = dataset_small.test[0]
@@ -201,6 +298,15 @@ class TestRollout:
         )
         assert len(om_hat) == 11
         assert om_hat[0] == rec.omega[k0]
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_equals_the_per_step_reference(self, shed_models, dataset_small, name):
+        model = shed_models[name]
+        w = model.config.window_len
+        for rec in dataset_small.test[:3]:
+            k0 = 60
+            args = (rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], rec.ul[k0:-1], rec.ud[k0:-1], len(rec) - 1 - k0)
+            assert same_bits(predict_rollout(model, *args), reference_rollout(model, *args))
 
     def test_short_control_sequence_rejected(self, cefc_model, dataset_small):
         rec = dataset_small.test[0]
@@ -220,6 +326,22 @@ class TestSerialization:
         assert np.array_equal(back.B_l, cefc_model.B_l)
         assert np.array_equal(back.B_d, cefc_model.B_d)
         assert back.config.rbf_count == cefc_model.config.rbf_count
+
+    def test_model_file_records_the_spectral_radius(self, cefc_model, tmp_path):
+        path = tmp_path / "model.json"
+        cefc_model.save(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["spectral_radius"] == float(np.max(np.abs(np.linalg.eigvals(cefc_model.A))))
+        # loading ignores the key, and a file without it loads the same model
+        del doc["spectral_radius"]
+        old = tmp_path / "old.json"
+        with open(old, "w") as fh:
+            json.dump(doc, fh)
+        for back in (KoopmanModel.load(path), KoopmanModel.load(old)):
+            assert np.array_equal(back.A, cefc_model.A)
+            assert np.array_equal(back.B_l, cefc_model.B_l)
+            assert np.array_equal(back.B_d, cefc_model.B_d)
 
     def test_dataset_save_load_round_trip(self, grid, tmp_path):
         ds = generate_dataset(grid, 2, 1, seed=5, horizon=15.0)
