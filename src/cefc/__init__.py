@@ -1,6 +1,6 @@
 """Coordinated emergency frequency control for hybrid AC/DC grids.
 
-Subpackages:
+Modules:
     gridsim     nonlinear ground-truth frequency simulator
     koopman     lifted-linear model identification and prediction
     controller  activation, one-shot shedding, DC-side LQR coordination

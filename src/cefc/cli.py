@@ -9,7 +9,6 @@ formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -20,8 +19,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import koopman
 from .controller import ControlLimits, LqrWeights, StabilizabilityError, coordinate
-from .gridsim import GridModel, HvdcLink, LoadNode, Machine, Scenario, SimulationError, default_grid, simulate
-from .koopman import Dataset, KoopmanModel, fit, generate_dataset, method_config
+from .gridsim import GridModel, HvdcLink, LoadNode, Machine, Scenario, SimulationError, default_grid, simulate, write_table
+from .koopman import Dataset, InsufficientHistoryError, KoopmanModel, ObservableConfig, fit, generate_dataset, method_config
 from .robustness import FeederSpec, check_prop1
 
 EXIT_OK = 0
@@ -34,64 +33,80 @@ class ConfigError(Exception):
     pass
 
 
-def load_config(path) -> dict:
+def _read_json(path, what):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if "seed" not in cfg:
-        raise ConfigError("config must provide a seed")
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path) -> dict:
+    cfg = _read_json(path, "config")
+    if not isinstance(cfg, dict) or "seed" not in cfg:
+        raise ConfigError("config must be a JSON object that provides a seed")
     return cfg
 
 
 def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
+    return {f.name for f in dataclasses.fields(cls) if f.init}
 
 
 def _check_keys(section: str, given, accepted):
-    """Reject the keys of a config section that its target does not take."""
+    """Reject a config section that is not a JSON object or has a key its target does not take."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {type(given).__name__}")
     unknown = sorted(set(given) - set(accepted))
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
 
 
-def _grid_from_config(cfg) -> GridModel:
-    section = cfg.get("grid")
+def _section(cfg, name, accepted, build, default=None):
+    """`build` applied to the config's `name` section, or `default` when it is absent.
+
+    A section is a JSON object, inline or in the file that a string value
+    names.  A key outside `accepted`, a missing required key or a value of
+    the wrong type is a config error.
+    """
+    section = cfg.get(name)
     if section is None:
-        return default_grid()
+        return default
     if isinstance(section, str):
-        with open(section) as fh:
-            section = json.load(fh)
-    _check_keys("grid", section, _field_names(GridModel))
-    for key, cls in (("machines", Machine), ("loads", LoadNode), ("hvdc", HvdcLink)):
-        for item in section.get(key, ()):
-            _check_keys(f"grid.{key}", item, _field_names(cls))
-    return GridModel.from_dict(section)
+        section = _read_json(section, f"{name} file")
+    _check_keys(name, section, accepted)
+    try:
+        return build(section)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
+def _grid_from_config(cfg) -> GridModel:
+    def build(section):
+        for key, cls in (("machines", Machine), ("loads", LoadNode), ("hvdc", HvdcLink)):
+            for item in section.get(key, ()):
+                _check_keys(f"grid.{key}", item, _field_names(cls))
+        return GridModel.from_dict(section)
+
+    return _section(cfg, "grid", _field_names(GridModel), build, default_grid())
 
 
 def _scenario_from_config(cfg) -> Scenario:
-    section = cfg.get("scenario")
-    if section is None:
+    scenario = _section(cfg, "scenario", _field_names(Scenario), Scenario.from_dict)
+    if scenario is None:
         raise ConfigError("config must provide a scenario section for this command")
-    if isinstance(section, str):
-        with open(section) as fh:
-            section = json.load(fh)
-    _check_keys("scenario", section, _field_names(Scenario))
-    return Scenario.from_dict(section)
+    return scenario
 
 
 def _limits_from_config(cfg, grid) -> ControlLimits:
-    section = cfg.get("limits", {})
     # the link limits and support come from the grid
-    _check_keys("limits", section, _field_names(ControlLimits) - {"ud_min", "ud_max", "ud_support"})
-    return ControlLimits.for_grid(grid, **section)
+    accepted = _field_names(ControlLimits) - {"ud_min", "ud_max", "ud_support"}
+    default = ControlLimits.for_grid(grid)
+    return _section(cfg, "limits", accepted, lambda kw: ControlLimits.for_grid(grid, **kw), default)
 
 
 def _weights_from_config(cfg, model) -> LqrWeights:
-    section = cfg.get("weights", {})
-    _check_keys("weights", section, ("q_omega", "r"))
-    return LqrWeights.for_model(model, **section)
+    default = LqrWeights.for_model(model)
+    return _section(cfg, "weights", ("q_omega", "r"), lambda kw: LqrWeights.for_model(model, **kw), default)
 
 
 def _outdir(cfg) -> str:
@@ -112,12 +127,8 @@ def cmd_gen_data(cfg, args) -> int:
 def cmd_fit(cfg, args) -> int:
     outdir = _outdir(cfg)
     ds = Dataset.load(os.path.join(outdir, "dataset"))
-    obs = cfg.get("observables")
-    config = (
-        koopman.ObservableConfig.from_dict(obs)
-        if obs is not None
-        else method_config(args.method, dt=ds.train[0].dt)
-    )
+    default = method_config(args.method, dt=ds.train[0].dt)
+    config = _section(cfg, "observables", _field_names(ObservableConfig), ObservableConfig.from_dict, default)
     model = fit(ds, config, ridge=cfg.get("ridge", 1e-8))
     path = args.model or os.path.join(outdir, f"model_{args.method}.json")
     model.save(path)
@@ -131,20 +142,10 @@ def cmd_predict(cfg, args) -> int:
     model = KoopmanModel.load(args.model)
     outdir = _outdir(cfg)
     rec = simulate(grid, scenario)
-    try:
-        k0, om_hat = koopman.predict_record(model, rec)
-    except koopman.InsufficientHistoryError as exc:
-        raise ConfigError(
-            f"scenario horizon {scenario.horizon} s ends before the prediction start: {exc}"
-        ) from exc
+    k0, om_hat = koopman.predict_record(model, rec)
     path = os.path.join(outdir, "prediction.csv")
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["t", "omega_true", "omega_pred"])
-        for i in range(len(om_hat)):
-            wtr.writerow(
-                [f"{rec.t[k0 + i]:.12g}", f"{rec.omega[k0 + i]:.12g}", f"{om_hat[i]:.12g}"]
-            )
+    rows = np.column_stack([rec.t[k0:], rec.omega[k0:], om_hat]).tolist()
+    write_table(path, ["t", "omega_true", "omega_pred"], rows)
     print(f"wrote prediction to {path}")
     return EXIT_OK
 
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=int, default=200)
 
     p = add("fit", cmd_fit)
-    p.add_argument("--method", choices=["cefc", "cefc-ntd", "edmd", "dmd"], default="cefc")
+    p.add_argument("--method", choices=bench_mod.METHODS, default="cefc")
     p.add_argument("--model", default=None)
 
     p = add("predict", cmd_predict)
@@ -248,14 +249,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(cfg, args)
+        return args.func(load_config(args.config), args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InsufficientHistoryError as exc:
+        print(f"config error: the scenario horizon ends before the measurement window ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, StabilizabilityError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -362,33 +362,23 @@ def coordinate(
     ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
     # the policy hands simulate these shared vectors, which it only reads
     no_shed, no_dc, support = np.zeros(p), np.zeros(q), limits.ud_support
-    state = {
-        "detect_k": None,
-        "activated_k": None,
-        "plan": None,
-        "shed_k": None,
-        "shed_ul": None,
-        "pred": None,
-    }
+    detect_k = activated_k = plan = shed_k = shed_ul = pred = None
 
     def policy(t, om_hist, y_hist):
+        nonlocal detect_k, activated_k, plan, shed_k, shed_ul, pred
         k = len(om_hist) - 1
         om = om_hist[-1]
-        if state["detect_k"] is None and om <= -0.25 * limits.activation_threshold_pu:
-            state["detect_k"] = k
+        if detect_k is None and om <= -0.25 * limits.activation_threshold_pu:
+            detect_k = k
 
         ul = no_shed
-        if state["shed_k"] is not None and k >= state["shed_k"]:
-            ul = state["shed_ul"]
+        if shed_k is not None and k >= shed_k:
+            ul = shed_ul
 
-        if state["activated_k"] is None:
-            ready = (
-                state["detect_k"] is not None
-                and k - state["detect_k"] >= delay_steps
-                and k >= w - 1
-            )
+        if activated_k is None:
+            ready = detect_k is not None and k - detect_k >= delay_steps and k >= w - 1
             if ready and check_activation(om, limits):
-                state["activated_k"] = k
+                activated_k = k
                 om_win = om_hist[k - w + 1 : k + 1]
                 y_win = y_hist[k - w + 1 : k + 1]
                 steps = min(pred_steps, n_steps - k)
@@ -396,15 +386,14 @@ def coordinate(
                 if needs_shedding(om_hat, limits):
                     plan = solve_shedding(model, om_win, y_win, limits, node_base, steps)
                     plan.shed_time = t + dt
-                    state["plan"] = plan
-                    state["shed_k"] = k + 1
-                    state["shed_ul"] = np.minimum(plan.quantized_ratio, 1.0)
+                    shed_k = k + 1
+                    shed_ul = np.minimum(plan.quantized_ratio, 1.0)
                     # prediction with the executed (quantized) plan
                     ul_seq = np.tile(plan.quantized_ratio, (steps, 1))
                     ul_seq[0] = 0.0
                     ud_seq = np.tile(limits.ud_support, (steps, 1))
                     om_hat = predict_rollout(model, om_win, y_win, ul_seq, ud_seq, steps)
-                state["pred"] = (k, om_hat)
+                pred = (k, om_hat)
                 ud = support
             else:
                 ud = no_dc
@@ -419,14 +408,14 @@ def coordinate(
     rec = gridsim.simulate(grid, scenario, policy)
 
     omega_pred = None
-    if state["pred"] is not None:
-        k0, om_hat = state["pred"]
+    if pred is not None:
+        k0, om_hat = pred
         omega_pred = np.full(n, np.nan)
         omega_pred[k0 : k0 + len(om_hat)] = om_hat[: n - k0]
     return CoordinationTrace(
         record=rec,
-        activation_time=None if state["activated_k"] is None else state["activated_k"] * dt,
-        plan=state["plan"],
+        activation_time=None if activated_k is None else activated_k * dt,
+        plan=plan,
         omega_pred=omega_pred,
         ud_commands=ud_cmds,
         riccati=sol,

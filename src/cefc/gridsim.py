@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -126,13 +126,7 @@ class GridModel:
         return sum(m.gov_gain * m.capacity for m in self.machines) / self.s_base
 
     def to_dict(self) -> dict:
-        return {
-            "machines": [vars(m) for m in self.machines],
-            "loads": [vars(ld) for ld in self.loads],
-            "hvdc": [vars(lk) for lk in self.hvdc],
-            "base_frequency": self.base_frequency,
-            "voltage_sensitivity": [list(r) for r in self.voltage_sensitivity],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridModel":
@@ -197,14 +191,20 @@ class Scenario:
             raise ValueError("scenario needs a trip, an extra deficit or noise")
 
     def to_dict(self) -> dict:
-        d = vars(self).copy()
-        d["trip_set"] = list(self.trip_set)
-        d["noise_channels"] = list(self.noise_channels)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         return cls(**d)
+
+
+def write_table(path, header, rows):
+    """Write a CSV table: the header, then one line per row, with strings as
+    they are and floats to 12 significant digits, so reruns give the same bytes."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([v if isinstance(v, str) else format(v, ".12g") for v in row] for row in rows)
 
 
 @dataclass
@@ -231,11 +231,7 @@ class TrajectoryRecord:
             + [f"ul_{i + 1}" for i in range(p)]
             + [f"ud_{i + 1}" for i in range(q)]
         )
-        rows = np.column_stack([self.t, self.omega, self.y, self.ul, self.ud]).tolist()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([format(v, ".12g") for v in row] for row in rows)
+        write_table(path, header, np.column_stack([self.t, self.omega, self.y, self.ul, self.ud]).tolist())
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryRecord":
@@ -293,9 +289,11 @@ class _Held(NamedTuple):
     """Terms of one set of held shedding ratios, computed once per new `ul`."""
 
     ul: np.ndarray
-    key: bytes  # ul.tobytes(), the cache key of its terms, `A` and `W`
+    key: bytes  # ul.tobytes(), the cache key of these terms
     neg_c: np.ndarray  # -(1 - ul) * c, the voltage proxy's dynamic-load factor
     shed: float  # ul . Pl, the shed power of the forcing
+    A: list  # [pre, post] trip side: `A` of the right-hand side, built on first use
+    W: list  # [pre, post] trip side: (W, stage governor limits), built on first use
 
 
 class _Plant:
@@ -349,8 +347,6 @@ class _Plant:
         self.x, self.b = self.z[:nx], self.z[nx:]
         self._x_w, self._x_pdc = self.x[self.w], self.x[self.pdc]
         self._held = {}  # ul bytes -> _Held
-        self._A = {}  # (ul bytes, post) -> A
-        self._W = {}  # (ul bytes, post) -> (W, stage governor limits)
 
     def _active(self, post: bool) -> np.ndarray:
         return self.online if post else np.ones(self.nm, dtype=bool)
@@ -360,7 +356,9 @@ class _Plant:
         key = ul.tobytes()
         held = self._held.get(key)
         if held is None:
-            held = self._held[key] = _Held(ul, key, -(1.0 - ul) * self.c, np.dot(ul, self.Pl))
+            held = self._held[key] = _Held(
+                ul, key, -(1.0 - ul) * self.c, np.dot(ul, self.Pl), [None, None], [None, None]
+            )
         return held
 
     def sides(self, t, t_end) -> list:
@@ -372,7 +370,7 @@ class _Plant:
 
     def matrix(self, held: _Held, post: bool) -> np.ndarray:
         """`A` of ``dx = A @ [x, clip(pg)] + b`` for held `ul`, cached."""
-        A = self._A.get((held.key, post))
+        A = held.A[post]
         if A is None:
             nx, act = self.nx, self._active(post)
             m_tot = self.m_tot[post]
@@ -388,7 +386,7 @@ class _Plant:
             A[w, 0] = 1.0 / self.Tm
             A[w, w] = -1.0 / self.Tm
             A[pdc, pdc] = -1.0 / self.lag
-            self._A[held.key, post] = A
+            held.A[post] = A
         return A
 
     def forcing(self, shed, r, noise_sum, post: bool):
@@ -408,7 +406,7 @@ class _Plant:
         after all substeps; the rest are the governor outputs of the active
         machines at every stage point, to be checked against `lim`.
         """
-        hit = self._W.get((held.key, post))
+        hit = held.W[post]
         if hit is None:
             nx, h, act = self.nx, self.h, self._active(post)
             A = self.matrix(held, post)
@@ -430,7 +428,7 @@ class _Plant:
                 X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             W = np.vstack([X, *stages])
             lim = np.tile(self.gov_lim[act], 4 * self.substeps)
-            hit = self._W[held.key, post] = (W, lim)
+            hit = held.W[post] = (W, lim)
         return hit
 
     def step(self, t, post, held: _Held, r, noise_sum):

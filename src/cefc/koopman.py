@@ -135,13 +135,10 @@ def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
     """Feature vector of a trailing window; first entry is the raw current omega.
 
     omega (..., L) and y (..., L, n_buses) give features (..., dim): leading
-    axes are a batch of windows, each lifted on its last L samples.  A y
-    without the bus axis is read as (..., L * n_buses).
+    axes are a batch of windows, each lifted on its last L samples.
     """
     om = np.asarray(omega_window, dtype=float)
     yv = np.asarray(y_window, dtype=float)
-    if yv.ndim == om.ndim:
-        yv = yv.reshape(*om.shape, -1)
     w = config.window_len
     if om.shape[-1] < w or yv.shape[-2] < w:
         raise InsufficientHistoryError(f"need {w} samples, got {om.shape[-1]}")
@@ -516,21 +513,20 @@ def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq,
     return out
 
 
-def _prediction_start(rec, config):
-    """First sample index with a full window, at least 400 ms after the event."""
-    trip_idx = 0
-    if rec.scenario is not None:
-        trip_idx = int(round(rec.scenario.trip_time / rec.dt))
-    delay = int(round(MEASUREMENT_DELAY / rec.dt))
-    return max(config.window_len - 1, trip_idx + delay)
+def prediction_start(rec, config) -> int:
+    """Index of the first measured window: the first sample with a full window
+    at or after `MEASUREMENT_DELAY` past the event (the scenario's trip time,
+    0 without a scenario), with 1e-9 of a sample as rounding tolerance."""
+    event = 0.0 if rec.scenario is None else rec.scenario.trip_time
+    return max(config.window_len - 1, int(np.ceil((event + MEASUREMENT_DELAY) / rec.dt - 1e-9)))
 
 
 def predict_record(model: KoopmanModel, rec):
-    """Rollout of a record from `_prediction_start`, driven by its recorded controls.
+    """Rollout of a record from `prediction_start`, driven by its recorded controls.
 
     Returns (start index, omega-hat for every sample from the start on).
     """
-    k0 = _prediction_start(rec, model.config)
+    k0 = prediction_start(rec, model.config)
     w = model.config.window_len
     om_hat = predict_rollout(
         model,
@@ -554,7 +550,7 @@ def eval_metrics(model: KoopmanModel, test_records, base_frequency: float = 50.0
     nadir_err, ssv_err, traj_err = [], [], []
     n_diverged = 0
     for rec in test_records:
-        if len(rec) - 1 - _prediction_start(rec, model.config) <= 1:
+        if len(rec) - 1 - prediction_start(rec, model.config) <= 1:
             continue
         k0, om_hat = predict_record(model, rec)
         om_true = rec.omega[k0:]

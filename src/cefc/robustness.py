@@ -18,7 +18,7 @@ import numpy as np
 from . import gridsim
 from .controller import ControlLimits, shed_weights
 from .gridsim import GridModel, Scenario, SimulationError
-from .koopman import KoopmanModel, lift
+from .koopman import KoopmanModel, lift, prediction_start
 
 MODE_CAP = 4096
 #: steps a one-shot mode is charged over: the 30 s decision horizon at 0.1 s
@@ -142,14 +142,14 @@ class Prop1Report:
 
 
 def _measured_window(grid, scenario, limits, config):
-    """Measurement window at the shedding decision time of an uncontrolled run."""
+    """Measured window of a run without shedding, under full DC support,
+    ending at `prediction_start`."""
 
     def policy(t, om_hist, y_hist):
         return np.zeros(grid.n_loads), limits.ud_support
 
     rec = gridsim.simulate(grid, scenario, policy)
-    w = config.window_len
-    k0 = max(int(round((scenario.trip_time + 0.4) / scenario.dt)), w - 1)
+    k0, w = prediction_start(rec, config), config.window_len
     return rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1]
 
 
@@ -198,14 +198,14 @@ def check_prop1(
     horizon, so each model's Hamiltonian values equal its mode costs.
     """
     node_base = np.array([ld.base_power for ld in grid.loads])
-    modes_l = enumerate_modes(feeders, learned, node_base)
-    modes_o = enumerate_modes(feeders, oracle, node_base)
 
-    g_l = lift(*_measured_window(grid, scenario, limits, learned.config), learned.config)
-    g_o = lift(*_measured_window(grid, scenario, limits, oracle.config), oracle.config)
+    def values(model):
+        modes = enumerate_modes(feeders, model, node_base)
+        g = lift(*_measured_window(grid, scenario, limits, model.config), model.config)
+        return modes, mode_hamiltonian_values(np.zeros(model.dim), g, modes, model.A)
 
-    vals_l = mode_hamiltonian_values(np.zeros(learned.dim), g_l, modes_l, learned.A)
-    vals_o = mode_hamiltonian_values(np.zeros(oracle.dim), g_o, modes_o, oracle.A)
+    modes_l, vals_l = values(learned)
+    _, vals_o = values(oracle)
     k_star = select_mode(vals_l)
     i_star = select_mode(vals_o)
     bf, feasible = brute_force_mode(grid, scenario, limits, modes_l)

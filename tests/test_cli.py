@@ -178,6 +178,33 @@ def test_horizon_ending_before_the_prediction_start_is_a_config_error(tmp_path, 
     assert "config error:" in capsys.readouterr().err
 
 
+def test_prop1_horizon_ending_before_the_measurement_window_is_a_config_error(tmp_path, workspace, capsys):
+    scenario = {"trip_set": [1], "trip_time": 5.0, "horizon": 5.2, "dt": 0.1}
+    path = config_with(tmp_path, workspace, scenario=scenario)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["prop1", "--config", path, "--model", model]) == EXIT_CONFIG
+    assert "horizon ends before the measurement window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"grid": "no-such-grid.json"},
+        {"scenario": "no-such-scenario.json"},
+        {"scenario": [1, 2]},
+        {"grid": {**GRID, "machines": [{"inertia": 5}]}},
+        {"grid": {key: value for key, value in GRID.items() if key != "machines"}},
+        {"limits": {"quantum_mw": "ten"}},
+    ],
+    ids=["grid-file", "scenario-file", "scenario-list", "machine-fields", "grid-machines", "limits-type"],
+)
+def test_malformed_config_section_is_a_config_error(tmp_path, workspace, capsys, changes):
+    path = config_with(tmp_path, workspace, **changes)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_documented_limits_key_is_accepted(tmp_path, workspace):
     path = config_with(tmp_path, workspace, limits={"quantum_mw": 20.0})
     model = os.path.join(workspace["out"], "model_dmd.json")

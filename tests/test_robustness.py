@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cefc.gridsim import Scenario
+from cefc.gridsim import Scenario, simulate
+from cefc.koopman import method_config, prediction_start
 from cefc.robustness import (
     FeederSpec,
+    _measured_window,
     check_prop1,
     enumerate_modes,
     mode_hamiltonian_values,
@@ -102,3 +104,15 @@ class TestCheckProp1:
             assert report.holds is True
         d = report.to_dict()
         assert set(d) >= {"k_star", "i_star", "holds", "modes", "feasible"}
+
+
+@pytest.mark.parametrize("trip_time, start", [(5.0, 54), (5.05, 55), (5.35, 58)])
+def test_measured_window_starts_at_least_the_measurement_delay_after_the_trip(grid, limits, trip_time, start):
+    """Both layers take the first sample at or after trip + 0.4 s."""
+    scenario = Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=trip_time, horizon=8.0)
+    config = method_config("cefc")
+    rec = simulate(grid, scenario, lambda t, om, y: (np.zeros(grid.n_loads), limits.ud_support))
+    assert prediction_start(rec, config) == start
+    om, y = _measured_window(grid, scenario, limits, config)
+    assert np.array_equal(om, rec.omega[start - 4 : start + 1])
+    assert np.array_equal(y, rec.y[start - 4 : start + 1])
