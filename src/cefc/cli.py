@@ -33,16 +33,21 @@ class ConfigError(Exception):
     pass
 
 
-def _read_json(path, what):
+def _json_file(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read(load, path, what):
+    """`load(path)`, with an input file that cannot be read or parsed as a config error."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return load(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_config(path) -> dict:
-    cfg = _read_json(path, "config")
+    cfg = _read(_json_file, path, "config")
     if not isinstance(cfg, dict) or "seed" not in cfg:
         raise ConfigError("config must be a JSON object that provides a seed")
     return cfg
@@ -72,7 +77,7 @@ def _section(cfg, name, accepted, build, default=None):
     if section is None:
         return default
     if isinstance(section, str):
-        section = _read_json(section, f"{name} file")
+        section = _read(_json_file, section, f"{name} file")
     _check_keys(name, section, accepted)
     try:
         return build(section)
@@ -98,8 +103,8 @@ def _scenario_from_config(cfg) -> Scenario:
 
 
 def _limits_from_config(cfg, grid) -> ControlLimits:
-    # the link limits and support come from the grid
-    accepted = _field_names(ControlLimits) - {"ud_min", "ud_max", "ud_support"}
+    # the link limits, the support and the base frequency come from the grid
+    accepted = _field_names(ControlLimits) - {"ud_min", "ud_max", "ud_support", "base_frequency"}
     default = ControlLimits.for_grid(grid)
     return _section(cfg, "limits", accepted, lambda kw: ControlLimits.for_grid(grid, **kw), default)
 
@@ -111,6 +116,8 @@ def _weights_from_config(cfg, model) -> LqrWeights:
 
 def _outdir(cfg) -> str:
     out = cfg.get("output_dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string, got {type(out).__name__}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -126,9 +133,13 @@ def cmd_gen_data(cfg, args) -> int:
 
 def cmd_fit(cfg, args) -> int:
     outdir = _outdir(cfg)
-    ds = Dataset.load(os.path.join(outdir, "dataset"))
-    default = method_config(args.method, dt=ds.train[0].dt)
-    config = _section(cfg, "observables", _field_names(ObservableConfig), ObservableConfig.from_dict, default)
+    ds = _read(Dataset.load, os.path.join(outdir, "dataset"), "dataset")
+    # the data fixes the sample time; a section that states another fails fit's check
+    dt = ds.train[0].dt
+    default = method_config(args.method, dt=dt)
+    config = _section(
+        cfg, "observables", _field_names(ObservableConfig), lambda kw: ObservableConfig.from_dict({"dt": dt, **kw}), default
+    )
     model = fit(ds, config, ridge=cfg.get("ridge", 1e-8))
     path = args.model or os.path.join(outdir, f"model_{args.method}.json")
     model.save(path)
@@ -139,7 +150,7 @@ def cmd_fit(cfg, args) -> int:
 def cmd_predict(cfg, args) -> int:
     grid = _grid_from_config(cfg)
     scenario = _scenario_from_config(cfg)
-    model = KoopmanModel.load(args.model)
+    model = _read(KoopmanModel.load, args.model, "model")
     outdir = _outdir(cfg)
     rec = simulate(grid, scenario)
     k0, om_hat = koopman.predict_record(model, rec)
@@ -153,7 +164,7 @@ def cmd_predict(cfg, args) -> int:
 def cmd_control(cfg, args) -> int:
     grid = _grid_from_config(cfg)
     scenario = _scenario_from_config(cfg)
-    model = KoopmanModel.load(args.model)
+    model = _read(KoopmanModel.load, args.model, "model")
     limits = _limits_from_config(cfg, grid)
     weights = _weights_from_config(cfg, model)
     trace = coordinate(grid, scenario, model, limits, weights)
@@ -168,8 +179,8 @@ def cmd_control(cfg, args) -> int:
 def cmd_prop1(cfg, args) -> int:
     grid = _grid_from_config(cfg)
     scenario = _scenario_from_config(cfg)
-    learned = KoopmanModel.load(args.model)
-    oracle = KoopmanModel.load(args.oracle) if args.oracle else learned
+    learned = _read(KoopmanModel.load, args.model, "model")
+    oracle = _read(KoopmanModel.load, args.oracle, "oracle") if args.oracle else learned
     limits = _limits_from_config(cfg, grid)
     feeders = FeederSpec.uniform(args.feeders, args.quantum, grid.n_loads)
     report = check_prop1(learned, oracle, grid, scenario, feeders, limits)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gridsim
 from .gridsim import GridModel, Scenario
-from .koopman import KoopmanModel, lift, predict_rollout, MEASUREMENT_DELAY
+from .koopman import KoopmanModel, check_sample_time, lift, predict_rollout, steady_state_samples, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
@@ -69,6 +69,7 @@ class ControlLimits:
             ud_min=np.array([lk.ud_min for lk in grid.hvdc]),
             ud_max=np.array([lk.ud_max for lk in grid.hvdc]),
             ul_max=np.full(grid.n_loads, kw.pop("ul_max", 0.3)),
+            base_frequency=grid.base_frequency,
             ud_support=support,
             **kw,
         )
@@ -137,10 +138,10 @@ class CoordinationTrace:
         return float(np.min(self.record.omega))
 
     def steady_state(self) -> float:
-        tail = max(1, int(round(5.0 / self.record.dt)))
+        tail = steady_state_samples(self.record.dt)
         return float(np.mean(self.record.omega[-tail:]))
 
-    def summary(self, base_frequency: float = 50.0) -> dict:
+    def summary(self, base_frequency: float) -> dict:
         return {
             "activation_time": self.activation_time,
             "shed": self.plan.to_dict() if self.plan is not None else None,
@@ -346,6 +347,7 @@ def coordinate(
     """
     if dc_mode not in ("lqr", "max"):
         raise ValueError("dc_mode must be 'lqr' or 'max'")
+    check_sample_time("the scenario", scenario.dt, model.config)
     if weights is None:
         weights = LqrWeights.for_model(model)
     sol = solve_dare(model.A, model.B_d, weights.q_diag, weights.r_diag, discount=0.98) if dc_mode == "lqr" else None

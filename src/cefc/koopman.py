@@ -10,6 +10,8 @@ squares over all consecutive sample pairs.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -112,6 +114,29 @@ def method_config(name: str, dt: float = 0.1) -> ObservableConfig:
         # plain linear fit on the raw frequency measurement alone
         return ObservableConfig(dt=dt, delay_span=0.0, dictionary="identity", include_voltage=False)
     raise ValueError(f"unknown method {name!r}")
+
+
+def check_sample_time(source: str, dt: float, config: ObservableConfig):
+    """Raise ValueError unless `dt` equals the model's sample time `config.dt`.
+
+    A lifted model is a map from one sample to the next, so it only holds at
+    the sample time it was fitted at.  The 1e-9 relative tolerance covers a
+    record's dt read back from its `%.12g` CSV time column.
+    """
+    if not math.isclose(dt, config.dt, rel_tol=1e-9):
+        raise ValueError(f"{source} samples every {dt:g} s but the model runs at {config.dt:g} s")
+
+
+def _trip_sample(rec) -> int | None:
+    """Sample index of the record's disconnection; None without a trip."""
+    if rec.scenario is None or not rec.scenario.trip_set:
+        return None
+    return int(round(rec.scenario.trip_time / rec.dt))
+
+
+def steady_state_samples(dt: float) -> int:
+    """Samples in the 5 s steady-state window that ends a record."""
+    return max(1, int(round(5.0 / dt)))
 
 
 def _base_vector(omega_window, y_window, config):
@@ -378,8 +403,8 @@ def _regression_pairs(records, config):
         lifted = lift(*_windows(rec, w), config)
         k = np.arange(w - 1, len(rec) - 1)
         keep = np.ones(len(k), dtype=bool)
-        if rec.scenario is not None and rec.scenario.trip_set:
-            trip_idx = int(round(rec.scenario.trip_time / rec.dt))
+        trip_idx = _trip_sample(rec)
+        if trip_idx is not None:
             keep = (k + 1 < trip_idx) | (k - w + 1 >= trip_idx)
         G0.append(lifted[:-1][keep])
         G1.append(lifted[1:][keep])
@@ -422,10 +447,9 @@ def _input_response_fit(records, config, A, B_d, ridge):
         if len(active) == 0:
             continue
         k0 = max(w - 1, int(active[0]) - 3)
-        if rec.scenario is not None and rec.scenario.trip_set:
-            trip_idx = int(round(rec.scenario.trip_time / rec.dt))
-            if k0 - w + 1 < trip_idx:
-                k0 = max(k0, trip_idx + w - 1)
+        trip_idx = _trip_sample(rec)
+        if trip_idx is not None and k0 - w + 1 < trip_idx:
+            k0 = max(k0, trip_idx + w - 1)
         steps = len(rec) - 1 - k0
         if steps <= 0:
             continue
@@ -468,6 +492,10 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
     records = data.train if isinstance(data, Dataset) else list(data)
     if not records:
         raise ValueError("empty dataset")
+    if isinstance(ridge, bool) or not isinstance(ridge, numbers.Real) or not 0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge!r}")
+    for rec in records:
+        check_sample_time("a training record", rec.dt, config)
     config = _resolve_rbf(records, config)
 
     G0, G1, U = _regression_pairs(records, config)
@@ -526,6 +554,7 @@ def predict_record(model: KoopmanModel, rec):
 
     Returns (start index, omega-hat for every sample from the start on).
     """
+    check_sample_time("the record", rec.dt, model.config)
     k0 = prediction_start(rec, model.config)
     w = model.config.window_len
     om_hat = predict_rollout(
@@ -539,7 +568,7 @@ def predict_record(model: KoopmanModel, rec):
     return k0, om_hat
 
 
-def eval_metrics(model: KoopmanModel, test_records, base_frequency: float = 50.0) -> dict:
+def eval_metrics(model: KoopmanModel, test_records, base_frequency: float) -> dict:
     """Mean absolute nadir / steady-state / trajectory errors over a test set, in Hz.
 
     Each record is predicted open-loop by `predict_record`; records that end
@@ -557,7 +586,7 @@ def eval_metrics(model: KoopmanModel, test_records, base_frequency: float = 50.0
         if not np.all(np.isfinite(om_hat)):
             n_diverged += 1
             om_hat = np.nan_to_num(om_hat, nan=1e3, posinf=1e3, neginf=-1e3)
-        tail = max(1, int(round(5.0 / rec.dt)))
+        tail = steady_state_samples(rec.dt)
         nadir_err.append(abs(np.min(om_hat) - np.min(om_true)))
         ssv_err.append(abs(np.mean(om_hat[-tail:]) - np.mean(om_true[-tail:])))
         traj_err.append(np.mean(np.abs(om_hat - om_true)))

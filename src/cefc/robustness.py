@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gridsim
-from .controller import ControlLimits, shed_weights
+from .controller import PREDICTION_HORIZON, ControlLimits, shed_weights
 from .gridsim import GridModel, Scenario, SimulationError
-from .koopman import KoopmanModel, lift, prediction_start
+from .koopman import KoopmanModel, check_sample_time, lift, prediction_start
 
 MODE_CAP = 4096
-#: steps a one-shot mode is charged over: the 30 s decision horizon at 0.1 s
-HORIZON_STEPS = 300
 
 
 @dataclass
@@ -79,7 +77,9 @@ def enumerate_modes(feeders: FeederSpec, model: KoopmanModel, node_base_mw) -> M
         shed_ratio[:, feeders.nodes[j]] += modes[:, j] * feeders.quanta_mw[j] / node_base_mw[feeders.nodes[j]]
     B_modes = shed_ratio @ model.B_l.T
     # one-shot timing: the mode vector is held from the second step to the end
-    costs = (HORIZON_STEPS - 1) * np.einsum("ij,j,ij->i", shed_ratio, q1_diag, shed_ratio)
+    # of the decision horizon, at the model's sample time
+    held_steps = int(round(PREDICTION_HORIZON / model.config.dt)) - 1
+    costs = held_steps * np.einsum("ij,j,ij->i", shed_ratio, q1_diag, shed_ratio)
     return ModeSet(
         modes=modes,
         shed_ratio=shed_ratio,
@@ -200,6 +200,7 @@ def check_prop1(
     node_base = np.array([ld.base_power for ld in grid.loads])
 
     def values(model):
+        check_sample_time("the scenario", scenario.dt, model.config)
         modes = enumerate_modes(feeders, model, node_base)
         g = lift(*_measured_window(grid, scenario, limits, model.config), model.config)
         return modes, mode_hamiltonian_values(np.zeros(model.dim), g, modes, model.A)

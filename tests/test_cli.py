@@ -7,7 +7,7 @@ import pytest
 
 from cefc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cefc.gridsim import Scenario, default_grid, simulate
-from cefc.koopman import KoopmanModel, eval_metrics, predict_record
+from cefc.koopman import Dataset, KoopmanModel, eval_metrics, predict_record
 
 GRID = default_grid().to_dict()
 
@@ -220,6 +220,7 @@ def test_documented_limits_key_is_accepted(tmp_path, workspace):
         ("scenario", {"trip_set": [1], "trip_tme": 5.0}, "trip_tme"),
         ("grid", {**GRID, "frequency": 60.0}, "frequency"),
         ("grid", {**GRID, "hvdc": [GRID["hvdc"][0], {**GRID["hvdc"][1], "ramp": 100.0}]}, "ramp"),
+        ("limits", {"base_frequency": 60.0}, "base_frequency"),
     ],
 )
 def test_unknown_config_key_is_a_config_error(tmp_path, workspace, capsys, section, value, key):
@@ -227,3 +228,70 @@ def test_unknown_config_key_is_a_config_error(tmp_path, workspace, capsys, secti
     model = os.path.join(workspace["out"], "model_dmd.json")
     assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"ridge": "x"}, {"ridge": -1.0}, {"ridge": True}, {"ridge": float("inf")}, {"ridge": float("nan")}, {"output_dir": 5}],
+    ids=["ridge-str", "ridge-negative", "ridge-bool", "ridge-inf", "ridge-nan", "output-dir-int"],
+)
+def test_malformed_fit_setting_is_a_config_error(tmp_path, workspace, capsys, changes):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "output_dir": workspace["out"], **changes}))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", str(path), "--method", "dmd", "--model", str(model)]) == EXIT_CONFIG
+    (key,) = changes
+    assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["predict", "--model", "nope.json"], "nope.json"),
+        (["control", "--model", "nope.json"], "nope.json"),
+        (["prop1", "--model", "nope.json"], "nope.json"),
+        (["prop1", "--model", "{model}", "--oracle", "nope.json"], "nope.json"),
+        (["fit", "--method", "dmd"], os.path.join("out", "dataset")),
+    ],
+    ids=["predict-model", "control-model", "prop1-model", "prop1-oracle", "fit-dataset"],
+)
+def test_missing_input_file_is_a_config_error(tmp_path, workspace, capsys, monkeypatch, argv, missing):
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    path = config_with(tmp_path, workspace)
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(model=model) for arg in argv]
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and missing in err
+
+
+@pytest.mark.parametrize("command", ["predict", "control", "prop1"])
+def test_scenario_at_another_sample_time_than_the_model_is_a_config_error(tmp_path, workspace, capsys, command):
+    scenario = {"inertia_scale": 0.85, "trip_set": [1, 2, 3], "trip_time": 5.0, "horizon": 10.0, "dt": 0.05}
+    path = config_with(tmp_path, workspace, scenario=scenario)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main([command, "--config", path, "--model", model]) == EXIT_CONFIG
+    assert "samples every 0.05 s but the model runs at 0.1 s" in capsys.readouterr().err
+
+
+def test_observables_without_dt_fit_at_the_dataset_sample_time(tmp_path, capsys):
+    grid = default_grid()
+    records = [
+        simulate(grid, Scenario(trip_set=(i,), trip_time=2.0, horizon=8.0, dt=0.05, noise_amplitude=3.0,
+                                noise_seed=i, noise_channels=("dc",)))
+        for i in (1, 2)
+    ]
+    out = tmp_path / "out"
+    Dataset(train=records, test=records, grid=grid, seed=0).save(str(out / "dataset"))
+    observables = {"delay_span": 0.2, "dictionary": "delay", "include_voltage": False}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 0, "output_dir": str(out), "observables": observables}))
+    assert main(["fit", "--config", str(path), "--method", "dmd"]) == EXIT_OK
+    config = KoopmanModel.load(out / "model_dmd.json").config
+    assert config.dt == 0.05 and config.window_len == 5
+
+    # a stated dt that contradicts the data fails the fit
+    path.write_text(json.dumps({"seed": 0, "output_dir": str(out), "observables": {**observables, "dt": 0.1}}))
+    assert main(["fit", "--config", str(path), "--method", "dmd", "--model", str(tmp_path / "m.json")]) == EXIT_CONFIG
+    assert "a training record samples every 0.05 s but the model runs at 0.1 s" in capsys.readouterr().err

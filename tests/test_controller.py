@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ class TestControlLimits:
         assert np.array_equal(limits.ud_max, [80.0, 80.0])
         assert np.array_equal(limits.ud_support, [80.0, 80.0])
         assert len(limits.ul_max) == grid.n_loads
+
+    def test_for_grid_takes_the_base_frequency_of_the_grid(self, grid):
+        limits = ControlLimits.for_grid(replace(grid, base_frequency=60.0))
+        assert limits.base_frequency == 60.0
+        assert limits.activation_threshold_pu == 0.2 / 60.0
 
     def test_activation_is_a_dead_zone(self, limits):
         assert not check_activation(0.0, limits)

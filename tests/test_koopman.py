@@ -264,6 +264,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([], method_config("dmd"))
 
+    def test_record_at_another_sample_time_rejected(self, grid):
+        rec = simulate(grid, Scenario(trip_set=(1,), trip_time=2.0, horizon=6.0, dt=0.05))
+        with pytest.raises(ValueError, match="samples every 0.05 s but the model runs at 0.1 s"):
+            fit([rec], method_config("dmd"))
+
     def test_shedding_response_sign(self, cefc_model):
         # a positive shed adds power: the settled frequency response must be up
         n = cefc_model.dim

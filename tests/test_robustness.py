@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cefc.controller import shed_weights
 from cefc.gridsim import Scenario, simulate
-from cefc.koopman import method_config, prediction_start
+from cefc.koopman import KoopmanModel, method_config, prediction_start
 from cefc.robustness import (
     FeederSpec,
     _measured_window,
@@ -50,6 +51,13 @@ class TestEnumerateModes:
     def test_shed_ratio_scales_with_the_quantum(self, feeders, cefc_model, node_base):
         ms = enumerate_modes(feeders, cefc_model, node_base)
         assert np.isclose(ms.shed_ratio[-1, 0], 40.0 / node_base[0])
+
+    @pytest.mark.parametrize("dt, steps", [(0.1, 299), (0.05, 599)])
+    def test_modes_are_charged_over_the_decision_horizon_at_the_model_sample_time(self, feeders, node_base, dt, steps):
+        model = KoopmanModel(np.eye(1), np.ones((1, len(node_base))), np.zeros((1, 2)), method_config("dmd", dt=dt))
+        ms = enumerate_modes(feeders, model, node_base)
+        per_step = np.einsum("ij,j,ij->i", ms.shed_ratio, shed_weights(node_base), ms.shed_ratio)
+        assert np.array_equal(ms.costs, steps * per_step)
 
     def test_mode_cap(self, cefc_model, node_base):
         wide = FeederSpec.uniform(13, 10.0, 3)
