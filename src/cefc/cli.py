@@ -39,11 +39,12 @@ def _json_file(path):
 
 
 def _read(load, path, what):
-    """`load(path)`, with an input file that cannot be read or parsed as a config error."""
+    """`load(path)`, with an input file that cannot be read, parsed or built from as a config error."""
     try:
         return load(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        detail = f"no {exc} entry" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
 
 
 def load_config(path) -> dict:
@@ -137,9 +138,9 @@ def cmd_fit(cfg, args) -> int:
     # the data fixes the sample time; a section that states another fails fit's check
     dt = ds.train[0].dt
     default = method_config(args.method, dt=dt)
-    config = _section(
-        cfg, "observables", _field_names(ObservableConfig), lambda kw: ObservableConfig.from_dict({"dt": dt, **kw}), default
-    )
+    # the fit picks the RBF centres and widths from the data
+    accepted = _field_names(ObservableConfig) - {"rbf_centers", "rbf_widths"}
+    config = _section(cfg, "observables", accepted, lambda kw: ObservableConfig.from_dict({"dt": dt, **kw}), default)
     model = fit(ds, config, ridge=cfg.get("ridge", 1e-8))
     path = args.model or os.path.join(outdir, f"model_{args.method}.json")
     model.save(path)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gridsim
 from .gridsim import GridModel, Scenario
-from .koopman import KoopmanModel, check_sample_time, lift, predict_rollout, steady_state_samples, MEASUREMENT_DELAY
+from .koopman import KoopmanModel, check_sample_time, first_sample_at, lift, predict_rollout, steady_state_samples, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
@@ -354,7 +354,7 @@ def coordinate(
     cfg = model.config
     w = cfg.window_len
     dt = scenario.dt
-    delay_steps = int(round(MEASUREMENT_DELAY / dt))
+    delay_steps = first_sample_at(MEASUREMENT_DELAY, dt)  # arm no sooner than the delay after detection
     pred_steps = int(round(PREDICTION_HORIZON / dt))
     p, q = grid.n_loads, grid.n_links
     node_base = np.array([ld.base_power for ld in grid.loads])

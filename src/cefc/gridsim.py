@@ -131,11 +131,12 @@ class GridModel:
     @classmethod
     def from_dict(cls, d: dict) -> "GridModel":
         return cls(
-            machines=tuple(Machine(**m) for m in d["machines"]),
-            loads=tuple(LoadNode(**ld) for ld in d["loads"]),
-            hvdc=tuple(HvdcLink(**lk) for lk in d["hvdc"]),
-            base_frequency=d.get("base_frequency", 50.0),
-            voltage_sensitivity=d.get("voltage_sensitivity", ()),
+            **{
+                **d,
+                "machines": tuple(Machine(**m) for m in d["machines"]),
+                "loads": tuple(LoadNode(**ld) for ld in d["loads"]),
+                "hvdc": tuple(HvdcLink(**lk) for lk in d["hvdc"]),
+            }
         )
 
 

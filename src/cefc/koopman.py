@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,12 +32,16 @@ class InsufficientHistoryError(Exception):
     """Lift window shorter than the configured delay span."""
 
 
-class SingularFitError(Exception):
-    """Rank-deficient regression with zero ridge."""
-
-
 @dataclass
 class ObservableConfig:
+    """Observable setup of a lifted model.
+
+    The features depend only on `delay_span`, `rbf_count` and
+    `include_voltage` (see `lift`); `dictionary` names the layout and must
+    agree with them: `identity` and `rbf` take no delay span, `identity` and
+    `delay` no RBF features, and `rbf` at least one.
+    """
+
     dt: float = 0.1
     delay_span: float = 0.4  # tau, s; 0 disables delay embedding
     dictionary: str = "delay_rbf"
@@ -49,15 +53,24 @@ class ObservableConfig:
     rbf_divisor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.dt, bool) or not isinstance(self.dt, numbers.Real) or not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
         if self.dictionary not in DICTIONARIES:
             raise ValueError(f"unknown dictionary {self.dictionary!r}")
         n = self.delay_span / self.dt
         if self.delay_span < 0 or abs(n - round(n)) > 1e-9:
             raise ValueError("delay span must be a nonnegative multiple of dt")
+        if self.dictionary in ("identity", "rbf") and self.delay_span != 0:
+            raise ValueError(f"{self.dictionary} dictionary takes no delay span; use delay or delay_rbf")
+        if self.dictionary in ("identity", "delay") and self.rbf_count != 0:
+            raise ValueError(f"{self.dictionary} dictionary takes no rbf features; use rbf or delay_rbf")
         if self.dictionary == "rbf" and self.rbf_count <= 0:
             raise ValueError("rbf dictionary requires rbf_count > 0")
+        if self.rbf_centers is not None:
+            self.rbf_centers = np.asarray(self.rbf_centers, dtype=float)
         if self.rbf_widths is not None:
-            self.rbf_divisor = -(2.0 * np.asarray(self.rbf_widths, dtype=float) ** 2)
+            self.rbf_widths = np.asarray(self.rbf_widths, dtype=float)
+            self.rbf_divisor = -(2.0 * self.rbf_widths**2)
 
     @property
     def n_delays(self) -> int:
@@ -67,35 +80,12 @@ class ObservableConfig:
     def window_len(self) -> int:
         return self.n_delays + 1
 
-    def dim(self, n_buses: int) -> int:
-        d = 1  # current omega
-        if self.dictionary in ("delay", "delay_rbf"):
-            d += self.n_delays  # past omegas
-            if self.include_voltage:
-                d += self.window_len * n_buses
-        elif self.include_voltage:
-            d += n_buses  # current voltages only
-        if self.dictionary in ("rbf", "delay_rbf"):
-            d += self.rbf_count
-        return d
-
     def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "delay_span": self.delay_span,
-            "dictionary": self.dictionary,
-            "rbf_count": self.rbf_count,
-            "rbf_centers": None if self.rbf_centers is None else np.asarray(self.rbf_centers).tolist(),
-            "rbf_widths": None if self.rbf_widths is None else np.asarray(self.rbf_widths).tolist(),
-            "include_voltage": self.include_voltage,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservableConfig":
-        d = dict(d)
-        for key in ("rbf_centers", "rbf_widths"):
-            if d.get(key) is not None:
-                d[key] = np.asarray(d[key], dtype=float)
         return cls(**d)
 
 
@@ -157,7 +147,9 @@ def _rbf_features(z, config):
 
 
 def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
-    """Feature vector of a trailing window; first entry is the raw current omega.
+    """Feature vector of a trailing window of L samples: the current omega, the
+    L - 1 past omegas, the window's voltages if `include_voltage`, and the
+    `rbf_count` RBF features of the raw delay vector.
 
     omega (..., L) and y (..., L, n_buses) give features (..., dim): leading
     axes are a batch of windows, each lifted on its last L samples.
@@ -170,14 +162,10 @@ def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
     om = om[..., -w:]
     yv = yv[..., -w:, :]
 
-    parts = [om[..., -1:]]
-    if config.dictionary in ("delay", "delay_rbf"):
-        parts.append(om[..., :-1])  # oldest first
-        if config.include_voltage:
-            parts.append(yv.reshape(*yv.shape[:-2], -1))
-    elif config.include_voltage:
-        parts.append(yv[..., -1, :])
-    if config.dictionary in ("rbf", "delay_rbf") and config.rbf_count > 0:
+    parts = [om[..., -1:], om[..., :-1]]  # past omegas oldest first, none at span 0
+    if config.include_voltage:
+        parts.append(yv.reshape(*yv.shape[:-2], -1))
+    if config.rbf_count > 0:
         parts.append(_rbf_features(_base_vector(om, yv, config), config))
     return np.concatenate(parts, axis=-1)
 
@@ -363,9 +351,7 @@ def _sample_trajectory(grid, rng, horizon):
 
 def _resolve_rbf(records, config):
     """Pick RBF centers from training-data quantiles of the base delay vectors."""
-    if config.dictionary not in ("rbf", "delay_rbf") or config.rbf_count <= 0:
-        return config
-    if config.rbf_centers is not None and config.rbf_widths is not None:
+    if config.rbf_count <= 0:
         return config
     stride = 5
     samples = []
@@ -413,15 +399,11 @@ def _regression_pairs(records, config):
 
 
 def _ridge_lstsq(Z, Y, ridge):
-    """Ridge least squares; returns (coefficients, rank of the plain system)."""
-    if ridge > 0:
-        m = Z.shape[1]
-        Zr = np.vstack([Z, np.sqrt(ridge) * np.eye(m)])
-        Yr = np.vstack([Y, np.zeros((m, Y.shape[1]))])
-    else:
-        Zr, Yr = Z, Y
-    theta, _, rank, _ = np.linalg.lstsq(Zr, Yr, rcond=None)
-    return theta, rank
+    """Ridge least squares: the plain solution of Z stacked over sqrt(ridge) I, Y over zeros."""
+    m = Z.shape[1]
+    Zr = np.vstack([Z, np.sqrt(ridge) * np.eye(m)])
+    Yr = np.vstack([Y, np.zeros((m, Y.shape[1]))])
+    return np.linalg.lstsq(Zr, Yr, rcond=None)[0]
 
 
 def _input_response_fit(records, config, A, B_d, ridge):
@@ -492,8 +474,8 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
     records = data.train if isinstance(data, Dataset) else list(data)
     if not records:
         raise ValueError("empty dataset")
-    if isinstance(ridge, bool) or not isinstance(ridge, numbers.Real) or not 0 <= ridge < math.inf:
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge!r}")
+    if isinstance(ridge, bool) or not isinstance(ridge, numbers.Real) or not 0 < ridge < math.inf:
+        raise ValueError(f"ridge must be a finite number > 0, got {ridge!r}")
     for rec in records:
         check_sample_time("a training record", rec.dt, config)
     config = _resolve_rbf(records, config)
@@ -507,11 +489,7 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
         noshed = np.ones(len(ul), dtype=bool)
 
     Z = np.hstack([G0[noshed], ud[noshed]])
-    theta, rank = _ridge_lstsq(Z, G1[noshed], ridge)
-    if ridge == 0 and rank < Z.shape[1]:
-        raise SingularFitError(
-            "regressors are rank-deficient; refit with a positive ridge parameter"
-        )
+    theta = _ridge_lstsq(Z, G1[noshed], ridge)
     A = theta.T[:, :n]
     B_d = theta.T[:, n:]
     B_l = _input_response_fit(records, config, A, B_d, ridge)
@@ -541,12 +519,18 @@ def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq,
     return out
 
 
+def first_sample_at(t: float, dt: float) -> int:
+    """Index of the first sample at or after time `t`, with 1e-9 of a sample as
+    rounding tolerance."""
+    return int(np.ceil(t / dt - 1e-9))
+
+
 def prediction_start(rec, config) -> int:
     """Index of the first measured window: the first sample with a full window
     at or after `MEASUREMENT_DELAY` past the event (the scenario's trip time,
-    0 without a scenario), with 1e-9 of a sample as rounding tolerance."""
+    0 without a scenario)."""
     event = 0.0 if rec.scenario is None else rec.scenario.trip_time
-    return max(config.window_len - 1, int(np.ceil((event + MEASUREMENT_DELAY) / rec.dt - 1e-9)))
+    return max(config.window_len - 1, first_sample_at(event + MEASUREMENT_DELAY, rec.dt))
 
 
 def predict_record(model: KoopmanModel, rec):

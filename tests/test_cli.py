@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -221,19 +222,31 @@ def test_documented_limits_key_is_accepted(tmp_path, workspace):
         ("grid", {**GRID, "frequency": 60.0}, "frequency"),
         ("grid", {**GRID, "hvdc": [GRID["hvdc"][0], {**GRID["hvdc"][1], "ramp": 100.0}]}, "ramp"),
         ("limits", {"base_frequency": 60.0}, "base_frequency"),
+        ("observables", {"rbf_count": 5, "rbf_centers": [[0.0]]}, "rbf_centers"),
     ],
 )
 def test_unknown_config_key_is_a_config_error(tmp_path, workspace, capsys, section, value, key):
     path = config_with(tmp_path, workspace, **{section: value})
-    model = os.path.join(workspace["out"], "model_dmd.json")
-    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    argv = ["control", "--model", os.path.join(workspace["out"], "model_dmd.json")]
+    if section == "observables":  # read by fit alone, after the dataset
+        shutil.copytree(os.path.join(workspace["out"], "dataset"), tmp_path / "out" / "dataset")
+        argv = ["fit", "--method", "cefc"]
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "changes",
-    [{"ridge": "x"}, {"ridge": -1.0}, {"ridge": True}, {"ridge": float("inf")}, {"ridge": float("nan")}, {"output_dir": 5}],
-    ids=["ridge-str", "ridge-negative", "ridge-bool", "ridge-inf", "ridge-nan", "output-dir-int"],
+    [
+        {"ridge": "x"},
+        {"ridge": -1.0},
+        {"ridge": True},
+        {"ridge": float("inf")},
+        {"ridge": float("nan")},
+        {"output_dir": 5},
+        {"ridge": 0},
+    ],
+    ids=["ridge-str", "ridge-negative", "ridge-bool", "ridge-inf", "ridge-nan", "output-dir-int", "ridge-zero"],
 )
 def test_malformed_fit_setting_is_a_config_error(tmp_path, workspace, capsys, changes):
     path = tmp_path / "c.json"
@@ -264,6 +277,32 @@ def test_missing_input_file_is_a_config_error(tmp_path, workspace, capsys, monke
     assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read") and missing in err
+
+
+@pytest.mark.parametrize("what", ["model", "dataset"])
+def test_malformed_input_file_is_a_config_error(tmp_path, workspace, capsys, what):
+    path = config_with(tmp_path, workspace)
+    if what == "model":
+        bad = tmp_path / "m.json"
+        bad.write_text("{}")
+        argv, key = ["predict", "--model", str(bad)], "A"
+    else:  # a manifest without its train split
+        bad = tmp_path / "out" / "dataset"
+        bad.mkdir(parents=True)
+        (bad / "manifest.json").write_text(json.dumps({"seed": 1, "test": []}))
+        argv, key = ["fit", "--method", "dmd"], "train"
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {what} {bad}: no '{key}' entry")
+
+
+@pytest.mark.parametrize("dt", [0, -0.1])
+def test_nonpositive_observables_dt_is_a_config_error(tmp_path, workspace, capsys, dt):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "output_dir": workspace["out"], "observables": {"dt": dt}}))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", str(path), "--method", "dmd", "--model", str(model)]) == EXIT_CONFIG
+    assert "config error: dt must be a finite number > 0" in capsys.readouterr().err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "control", "prop1"])

@@ -17,7 +17,7 @@ from cefc.controller import (
     solve_dare,
     solve_shedding,
 )
-from cefc.koopman import KoopmanModel, ObservableConfig
+from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig
 
 
 def scalar_model(a=0.97, bl=0.02, bd=1e-4):
@@ -297,6 +297,22 @@ class TestCoordinate:
         assert 0 < s["riccati"]["iterations"] <= 20
         assert s["riccati"]["residual"] < 1e-10 * max(1.0, np.linalg.norm(lqr.riccati.P))
         assert const.riccati is None and const.summary(grid.base_frequency)["riccati"] is None
+
+    @pytest.mark.parametrize("dt", [0.1, 0.12, 0.3])
+    def test_arms_no_sooner_than_the_measurement_delay_after_detection(self, grid, limits, dt):
+        from cefc.bench import control_scenario
+
+        model = KoopmanModel(
+            A=np.array([[0.97]]),
+            B_l=np.full((1, grid.n_loads), 0.02),
+            B_d=np.full((1, grid.n_links), 1e-4),
+            config=ObservableConfig(dt=dt, delay_span=0.0, dictionary="identity", include_voltage=False),
+        )
+        trace = coordinate(grid, replace(control_scenario(0.85), dt=dt), model, limits)
+        rec = trace.record
+        detected = rec.t[np.argmax(rec.omega <= -0.25 * limits.activation_threshold_pu)]
+        assert trace.activation_time is not None
+        assert trace.activation_time - detected >= MEASUREMENT_DELAY - 1e-9
 
     def test_rejects_unknown_dc_mode(self, grid, cefc_model, limits):
         from cefc.bench import control_scenario

@@ -14,7 +14,6 @@ from cefc.koopman import (
     InsufficientHistoryError,
     KoopmanModel,
     ObservableConfig,
-    SingularFitError,
     eval_metrics,
     fit,
     generate_dataset,
@@ -38,6 +37,25 @@ class TestObservableConfig:
         assert cfg.n_delays == 4
         assert cfg.window_len == 5
 
+    @pytest.mark.parametrize("dt", [0, -0.1, float("nan"), float("inf"), "0.1", True])
+    def test_dt_must_be_a_finite_positive_number(self, dt):
+        with pytest.raises(ValueError, match="dt must be a finite number > 0"):
+            ObservableConfig(dt=dt)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"dictionary": "identity", "delay_span": 0.2},
+            {"dictionary": "rbf", "delay_span": 0.2, "rbf_count": 5},
+            {"dictionary": "identity", "rbf_count": 5, "delay_span": 0.0},
+            {"dictionary": "delay", "rbf_count": 5},
+        ],
+        ids=["identity-span", "rbf-span", "identity-rbf", "delay-rbf"],
+    )
+    def test_dictionary_contradicting_the_span_or_the_rbf_count_rejected(self, kw):
+        with pytest.raises(ValueError, match="dictionary takes no"):
+            ObservableConfig(dt=0.1, **kw)
+
     def test_dict_round_trip(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.2, dictionary="delay", rbf_count=0)
         assert ObservableConfig.from_dict(cfg.to_dict()) == cfg
@@ -59,7 +77,7 @@ class TestLift:
         y = np.ones((3, 2))
         g = lift(om, y, cfg)
         assert g[0] == 0.03
-        assert len(g) == cfg.dim(2)
+        assert len(g) == len(reference_lift(om, y, cfg)) == 1 + 2 + 3 * 2
 
     def test_short_history_raises(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.4)
@@ -70,6 +88,15 @@ class TestLift:
         cfg = method_config("dmd")
         g = lift(np.array([0.05]), np.ones((1, 2)), cfg)
         assert np.array_equal(g, [0.05])
+
+    def test_dictionary_names_are_labels_of_one_layout(self, dataset_small):
+        rec = dataset_small.train[0]
+        om, y = rec.omega[40:44], rec.y[40:44]
+        for include_voltage in (False, True):
+            identity = ObservableConfig(delay_span=0.0, dictionary="identity", include_voltage=include_voltage)
+            assert np.array_equal(lift(om, y, identity), lift(om, y, replace(identity, dictionary="delay")))
+        rbf = _resolve_rbf(dataset_small.train[:2], method_config("edmd"))
+        assert np.array_equal(lift(om, y, rbf), lift(om, y, replace(rbf, dictionary="delay_rbf")))
 
 
 METHODS = ("cefc", "cefc-ntd", "edmd", "dmd")
@@ -122,7 +149,7 @@ class TestBatchedLift:
         # a second batch axis: two copies of every window
         batched = lift(np.stack([om, om]), np.stack([y, y]), cfg)
         rows = np.array([reference_lift(om[j], y[j], cfg) for j in range(len(om))])
-        assert batched.shape == (2, len(om), cfg.dim(rec.y.shape[1]))
+        assert batched.shape == (2, *rows.shape)
         assert np.array_equal(batched[0], rows) and np.array_equal(batched[1], rows)
         # a single window is the no-batch case of the same function
         assert np.array_equal(lift(om[7], y[7], cfg), rows[7])
@@ -241,7 +268,9 @@ class TestEvalMetrics:
 class TestFit:
     def test_model_shapes_and_finiteness(self, grid, dataset_small, cefc_model):
         cfg = cefc_model.config
-        assert cefc_model.dim == cfg.dim(grid.n_buses)
+        rec = dataset_small.test[0]
+        w = cfg.window_len
+        assert cefc_model.dim == len(reference_lift(rec.omega[:w], rec.y[:w], cfg))
         assert cefc_model.n_loads == grid.n_loads
         assert cefc_model.n_links == grid.n_links
         assert np.all(np.isfinite(cefc_model.A))
@@ -251,14 +280,9 @@ class TestFit:
         assert m["n_records"] == len(dataset_small.test)
         assert m["mean_hz"] < 0.1
 
-    def test_zero_ridge_on_rank_deficient_data_raises(self, grid):
-        # no DC excitation anywhere: the ud regressor columns are zero
-        recs = [
-            simulate(grid, Scenario(trip_set=(1,), trip_time=5.0, horizon=20.0))
-            for _ in range(2)
-        ]
-        with pytest.raises(SingularFitError):
-            fit(recs, method_config("dmd"), ridge=0.0)
+    def test_zero_ridge_rejected(self, dataset_small):
+        with pytest.raises(ValueError, match="ridge must be a finite number > 0"):
+            fit(dataset_small.train[:2], method_config("dmd"), ridge=0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
