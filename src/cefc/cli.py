@@ -42,7 +42,7 @@ def _read(load, path, what):
     """`load(path)`, with an input file that cannot be read, parsed or built from as a config error."""
     try:
         return load(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
         detail = f"no {exc} entry" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
 

@@ -11,8 +11,10 @@ the test suite.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import asdict, dataclass
+from operator import truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -291,22 +293,23 @@ class _Held(NamedTuple):
 
     ul: np.ndarray
     key: bytes  # ul.tobytes(), the cache key of these terms
-    neg_c: np.ndarray  # -(1 - ul) * c, the voltage proxy's dynamic-load factor
+    neg_c: list  # -(1 - ul) * c as floats, the voltage proxy's dynamic-load factor
     shed: float  # ul . Pl, the shed power of the forcing
     A: list  # [pre, post] trip side: `A` of the right-hand side, built on first use
     W: list  # [pre, post] trip side: (W, stage governor limits), built on first use
 
 
 class _Plant:
-    """Precomputed per-unit quantities, the affine ODE right-hand side and the
-    integration state of one run.
+    """Precomputed per-unit quantities and the affine ODE right-hand side of
+    one run.
 
     With z = [x, clip(pg)] the dynamics are ``dx = A @ z + b``: the governor
     clip is the only nonlinearity, `A` depends on the held shedding ratios and
     on the pre/post-trip machine set, and `b` carries the held DC reference,
     the shed, the deficit and the load noise.  State layout:
-    [omega, pg (machines), w (loads), pdc (links)].  The state `x` is the first
-    half of one buffer ``z = [x, b]``, so a fused sample step is ``W @ z``.
+    [omega, pg (machines), w (loads), pdc (links)].  Between sample steps the
+    state `x` and the forcing `b` are lists of floats, and a fused sample step
+    is ``W @ (x + b)``, a product with the concatenation [x, b].
     """
 
     def __init__(self, grid: GridModel, scenario: Scenario, substeps: int):
@@ -335,7 +338,7 @@ class _Plant:
         )
         self.trip_time = scenario.trip_time
         self.m_tot = tuple(
-            scenario.inertia_scale * np.sum(self.M[self._active(post)]) for post in (False, True)
+            float(scenario.inertia_scale * np.sum(self.M[self._active(post)])) for post in (False, True)
         )
         self.vsens = np.asarray(grid.voltage_sensitivity, dtype=float)
         self.nx = nx = 1 + self.nm + self.p + self.q
@@ -344,9 +347,9 @@ class _Plant:
         self.pdc = slice(1 + self.nm + self.p, nx)
         self.substeps = substeps
         self.h = scenario.dt / substeps
-        self.z = np.zeros(2 * nx)  # [x, b]; only b[0] and b[pdc] are ever nonzero
-        self.x, self.b = self.z[:nx], self.z[nx:]
-        self._x_w, self._x_pdc = self.x[self.w], self.x[self.pdc]
+        # float copies for the per-step arithmetic
+        self._lags, self._signs = self.lag.tolist(), self.sign.tolist()
+        self._b_mid = [0.0] * (nx - 1 - self.q)  # b[1:pdc], always zero
         self._held = {}  # ul bytes -> _Held
 
     def _active(self, post: bool) -> np.ndarray:
@@ -357,9 +360,8 @@ class _Plant:
         key = ul.tobytes()
         held = self._held.get(key)
         if held is None:
-            held = self._held[key] = _Held(
-                ul, key, -(1.0 - ul) * self.c, np.dot(ul, self.Pl), [None, None], [None, None]
-            )
+            neg_c = (-(1.0 - ul) * self.c).tolist()
+            held = self._held[key] = _Held(ul, key, neg_c, float(np.dot(ul, self.Pl)), [None, None], [None, None])
         return held
 
     def sides(self, t, t_end) -> list:
@@ -390,15 +392,15 @@ class _Plant:
             held.A[post] = A
         return A
 
-    def forcing(self, shed, r, noise_sum, post: bool):
-        """Write `b` of ``dx = A @ [x, clip(pg)] + b`` for the held inputs.
+    def forcing(self, shed, r, noise_sum, post: bool) -> list:
+        """`b` of ``dx = A @ [x, clip(pg)] + b`` for the held inputs, as floats.
 
-        `shed` is ul . Pl and `noise_sum` the summed load noise over s_base;
-        b[0] and b[pdc] are the only nonzero entries, so only they are set.
+        `shed` is ul . Pl, `r` the applied DC references (MW) and `noise_sum`
+        the summed load noise over s_base; b[0] and b[pdc] are the only
+        nonzero entries.
         """
         deficit = (self.trip_deficit if post else 0.0) + noise_sum
-        self.b[0] = (shed - deficit) / self.m_tot[post]
-        self.b[self.pdc] = r / self.lag
+        return [(shed - deficit) / self.m_tot[post], *self._b_mid, *map(truediv, r, self._lags)]
 
     def fused(self, held: _Held, post: bool):
         """One sample step of RK4 with the clip inactive, as a matrix on [x, b].
@@ -432,8 +434,8 @@ class _Plant:
             hit = held.W[post] = (W, lim)
         return hit
 
-    def step(self, t, post, held: _Held, r, noise_sum):
-        """Advance the state `x` one sample step, in place.
+    def step(self, x, t, post, held: _Held, r, noise_sum) -> list:
+        """The state one sample step after the state `x`, both lists of floats.
 
         `post` is the trip side of all the step's stage times, None when they
         straddle the trip.  The fused map serves one-sided steps whose stage
@@ -442,20 +444,18 @@ class _Plant:
         """
         nx = self.nx
         if post is not None:
-            self.forcing(held.shed, r, noise_sum, post)
             W, lim = self.fused(held, post)
-            out = W @ self.z
+            out = W @ (x + self.forcing(held.shed, r, noise_sum, post))
             if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
-                self.x[:] = out[:nx]
-                return
+                return out[:nx].tolist()
 
         def f(t_stage, x_stage):
             post = bool(t_stage >= self.trip_time)
-            self.forcing(held.shed, r, noise_sum, post)
+            b = self.forcing(held.shed, r, noise_sum, post)
             z = np.concatenate([x_stage, np.clip(x_stage[self.pg], -self.gov_lim, self.gov_lim)])
-            return self.matrix(held, post) @ z + self.b
+            return self.matrix(held, post) @ z + b
 
-        h, x = self.h, self.x
+        h, x = self.h, np.array(x)
         for _ in range(self.substeps):
             k1 = f(t, x)
             k2 = f(t + h / 2, x + h / 2 * k1)
@@ -463,17 +463,18 @@ class _Plant:
             k4 = f(t + h, x + h * k3)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-        self.x[:] = x
+        return x.tolist()
 
-    def voltages(self, neg_c, noise_s):
-        """Bus-voltage proxies of the state `x`; `neg_c` is -(1 - ul) * c and
-        `noise_s` the load noise over s_base."""
+    def voltages(self, x, neg_c, noise_s):
+        """Bus-voltage proxies of the state `x` (floats); `neg_c` is
+        -(1 - ul) * c and `noise_s` the load noise over s_base."""
         # PCC-side proxy: converter injections plus the uncontrolled load
         # variation; feeders disconnected by shedding drop off their own
         # radial branch and do not move the monitored buses.
-        inj_loads = neg_c * (self.x[0] - self._x_w) - noise_s
-        inj_links = self.sign * self._x_pdc / self.s_base
-        return 1.0 + self.vsens @ np.concatenate([inj_loads, inj_links])
+        x0, s = x[0], self.s_base
+        inj = [nc * (x0 - w) - ns for nc, w, ns in zip(neg_c, x[self.w], noise_s)]
+        inj += [sg * pdc / s for sg, pdc in zip(self._signs, x[self.pdc])]
+        return 1.0 + self.vsens @ inj
 
 
 def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4) -> TrajectoryRecord:
@@ -483,7 +484,15 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     ``policy(t, omega_hist, y_hist) -> (ul, ud)`` with measurement history up
     to and including the current sample; controls are applied with zero-order
     hold.  Shedding ratios are monotone (load is not restored within a run)
-    and DC commands outside the link limits are rejected.
+    and DC commands outside the link limits are rejected.  A command is
+    checked, clipped and merged only when its shape or bytes differ from the
+    policy's previous one.
+
+    Per step, the arithmetic on the 2- to 3-element vectors (DC reference
+    ramp, noise, forcing, voltage-proxy injections) runs on Python floats; the
+    numpy calls left are the fused step ``W @ [x, b]``, the voltage proxy's
+    ``vsens @ inj``, the governor-limit test and the history writes the
+    policy reads.
 
     Noise is drawn from ``default_rng(noise_seed)`` as one block before the
     run, in per-step order: row k holds step k's load draws, then its link
@@ -502,22 +511,27 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     width = p * noise_loads + q * noise_dc
     if width:
         noise = np.random.default_rng(scenario.noise_seed).normal(0.0, amp, (n_steps, width))
-    dc_col = p if noise_loads else 0
+    if noise_loads:
+        # per step: load noise / s_base, and its sum / s_base (a row sum of the
+        # block has the bits of the row's own .sum())
+        noise_rows = (noise[:, :p] / s).tolist()
+        noise_sums = (noise[:, :p].sum(axis=1) / s).tolist()
+    if noise_dc:
+        noise_links = noise[:, p * noise_loads :].tolist()
 
-    ud_lo = np.array([lk.ud_min for lk in grid.hvdc])
-    ud_hi = np.array([lk.ud_max for lk in grid.hvdc])
-    ramp = np.array([lk.ramp_rate for lk in grid.hvdc])
-    ramp_lo, ramp_hi = -ramp * dt, ramp * dt
-    ud_floor, ud_ceil = ud_lo - 1e-9, ud_hi + 1e-9
-    # np.minimum / np.maximum in place of np.clip give np.clip's bits, signed
-    # zeros included, with these operand orders: a scalar-bound clip keeps the
-    # value on a tie, an array-bound clip takes the bound.
+    ud_floor = np.array([lk.ud_min for lk in grid.hvdc]) - 1e-9
+    ud_ceil = np.array([lk.ud_max for lk in grid.hvdc]) + 1e-9
+    # per link: (ud_min, ud_max, -ramp * dt, ramp * dt); min(hi, max(lo, v))
+    # gives np.clip's bits with array bounds, signed zeros included: on a tie
+    # Python's max and min keep their first argument, the bound, as np.clip does
+    links = [(lk.ud_min, lk.ud_max, -lk.ramp_rate * dt, lk.ramp_rate * dt) for lk in grid.hvdc]
 
-    x = plant.x
-    r = np.zeros(q)  # ramp-limited applied DC reference, MW
+    x = [0.0] * plant.nx
+    r = [0.0] * q  # ramp-limited applied DC reference, MW
     held = plant.hold(np.zeros(p))
-    no_command = np.zeros(q)
-    noise_s, noise_sum = np.zeros(p), 0.0  # load noise / s_base, and its sum / s_base
+    ud = [0.0] * q  # the DC command in force, MW
+    ul_key = ud_key = None  # (shape, bytes) of the policy's last commands
+    noise_s, noise_sum = [0.0] * p, 0.0  # load noise / s_base, and its sum / s_base
 
     n = n_steps + 1
     t_arr = np.arange(n) * dt
@@ -525,51 +539,58 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     for _ in range(substeps):
         t_end += plant.h
     sides = plant.sides(t_arr, t_end)
+    times = list(t_arr)
     omega = np.zeros(n)
     y = np.zeros((n, plant.vsens.shape[0]))
-    ul_arr = np.zeros((n, p))
-    ud_arr = np.zeros((n, q))
-    ud_app = np.zeros((n, q))
+    ul_rows, ud_rows, app_rows = [], [], []
 
     for k in range(n):
         omega[k] = x[0]
-        y[k] = plant.voltages(held.neg_c, noise_s)
+        y[k] = plant.voltages(x, held.neg_c, noise_s)
         if k == n_steps:
-            ul_arr[k] = held.ul
-            ud_arr[k] = ud_arr[k - 1] if k > 0 else 0.0
-            ud_app[k] = r
+            ul_rows.append(held.ul)
+            ud_rows.append(ud_rows[-1])
+            app_rows.append(r)
             break
 
-        ud_cmd = no_command
         if policy is not None:
-            ul_cmd, ud_cmd = policy(t_arr[k], omega[: k + 1], y[: k + 1])
+            ul_cmd, ud_cmd = policy(times[k], omega[: k + 1], y[: k + 1])
             ul_cmd = np.asarray(ul_cmd, dtype=float)
             ud_cmd = np.asarray(ud_cmd, dtype=float)
-            # count the entries inside the bounds: NaN fails both comparisons
-            inside = (ul_cmd >= -1e-12) & (ul_cmd <= 1.0 + 1e-12)
-            if np.count_nonzero(inside) != inside.size:
-                raise SimulationError("policy returned shedding ratio outside [0, 1]")
-            inside = (ud_cmd >= ud_floor) & (ud_cmd <= ud_ceil)
-            if np.count_nonzero(inside) != inside.size:
-                raise SimulationError("policy returned DC command outside link limits")
-            ul = np.maximum(held.ul, np.minimum(1.0, np.maximum(0.0, ul_cmd)))
-            if ul.tobytes() != held.key:  # bytes, not values: a -0.0 shed stays -0.0
-                held = plant.hold(ul)
+            key = (ul_cmd.shape, ul_cmd.tobytes())
+            if key != ul_key:
+                # count the entries inside the bounds: NaN fails both comparisons
+                inside = (ul_cmd >= -1e-12) & (ul_cmd <= 1.0 + 1e-12)
+                if np.count_nonzero(inside) != inside.size:
+                    raise SimulationError("policy returned shedding ratio outside [0, 1]")
+                ul = np.maximum(held.ul, np.minimum(1.0, np.maximum(0.0, ul_cmd))).reshape(p)
+                if ul.tobytes() != held.key:  # bytes, not values: a -0.0 shed stays -0.0
+                    held = plant.hold(ul)
+                ul_key = key
+            key = (ud_cmd.shape, ud_cmd.tobytes())
+            if key != ud_key:
+                inside = (ud_cmd >= ud_floor) & (ud_cmd <= ud_ceil)
+                if np.count_nonzero(inside) != inside.size:
+                    raise SimulationError("policy returned DC command outside link limits")
+                row = np.empty(q)
+                row[:] = ud_cmd  # the shapes a record row takes
+                ud, ud_key = row.tolist(), key
 
         if noise_loads:
-            load_noise = noise[k, :p]
-            noise_s, noise_sum = load_noise / s, load_noise.sum() / s
+            noise_s, noise_sum = noise_rows[k], noise_sums[k]
+        cmd = ud
         if noise_dc:
-            ud_cmd = np.minimum(np.maximum(ud_cmd + noise[k, dc_col:], ud_lo), ud_hi)
-        r = r + np.minimum(np.maximum(ud_cmd - r, ramp_lo), ramp_hi)
-        r = np.minimum(np.maximum(r, ud_lo), ud_hi)
+            cmd = [min(hi, max(lo, u + e)) for u, e, (lo, hi, _, _) in zip(ud, noise_links[k], links)]
+        r = [
+            min(hi, max(lo, ri + min(up, max(down, u - ri))))
+            for ri, u, (lo, hi, down, up) in zip(r, cmd, links)
+        ]
+        ul_rows.append(held.ul)
+        ud_rows.append(cmd)
+        app_rows.append(r)
 
-        ul_arr[k] = held.ul
-        ud_arr[k] = ud_cmd
-        ud_app[k] = r
-
-        plant.step(t_arr[k], sides[k], held, r, noise_sum)
-        if np.count_nonzero(np.isfinite(x)) < len(x) or abs(x[0]) > 1.0:
+        x = plant.step(x, times[k], sides[k], held, r, noise_sum)
+        if not all(map(math.isfinite, x)) or abs(x[0]) > 1.0:
             raise SimulationError(f"integration diverged at t={t_end[k]:.2f}s")
 
     return TrajectoryRecord(
@@ -577,8 +598,8 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
         t=t_arr,
         omega=omega,
         y=y,
-        ul=ul_arr,
-        ud=ud_arr,
-        ud_applied=ud_app,
+        ul=np.array(ul_rows),
+        ud=np.array(ud_rows, dtype=float),
+        ud_applied=np.array(app_rows, dtype=float),
         scenario=scenario,
     )

@@ -57,6 +57,10 @@ class ObservableConfig:
             raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
         if self.dictionary not in DICTIONARIES:
             raise ValueError(f"unknown dictionary {self.dictionary!r}")
+        if isinstance(self.rbf_count, bool) or not isinstance(self.rbf_count, numbers.Integral) or self.rbf_count < 0:
+            raise ValueError(f"rbf_count must be an integer >= 0, got {self.rbf_count!r}")
+        if not isinstance(self.include_voltage, bool):
+            raise ValueError(f"include_voltage must be true or false, got {self.include_voltage!r}")
         n = self.delay_span / self.dt
         if self.delay_span < 0 or abs(n - round(n)) > 1e-9:
             raise ValueError("delay span must be a nonnegative multiple of dt")

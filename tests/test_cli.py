@@ -305,6 +305,36 @@ def test_nonpositive_observables_dt_is_a_config_error(tmp_path, workspace, capsy
     assert not model.exists()
 
 
+@pytest.mark.parametrize(
+    "observables, message",
+    [
+        ({"rbf_count": 5.5}, "rbf_count must be an integer >= 0, got 5.5"),
+        ({"rbf_count": -1}, "rbf_count must be an integer >= 0, got -1"),
+        ({"rbf_count": True}, "rbf_count must be an integer >= 0, got True"),
+        ({"include_voltage": "no", "rbf_count": 3}, "include_voltage must be true or false, got 'no'"),
+    ],
+    ids=["rbf-count-float", "rbf-count-negative", "rbf-count-bool", "include-voltage-str"],
+)
+def test_malformed_observables_value_is_a_config_error(tmp_path, workspace, capsys, observables, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "output_dir": workspace["out"], "observables": observables}))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", str(path), "--method", "cefc", "--model", str(model)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_misshapen_model_matrix_error_names_the_file(tmp_path, workspace, capsys):
+    good = os.path.join(workspace["out"], "model_dmd.json")
+    with open(good) as fh:
+        doc = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "A": [[1.0, 2.0]]}))
+    path = config_with(tmp_path, workspace)
+    assert main(["prop1", "--config", path, "--model", good, "--oracle", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot read oracle {bad}: A must be square")
+
+
 @pytest.mark.parametrize("command", ["predict", "control", "prop1"])
 def test_scenario_at_another_sample_time_than_the_model_is_a_config_error(tmp_path, workspace, capsys, command):
     scenario = {"inertia_scale": 0.85, "trip_set": [1, 2, 3], "trip_time": 5.0, "horizon": 10.0, "dt": 0.05}

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cefc import gridsim
+from cefc.bench import control_scenario
+from cefc.controller import coordinate
 from cefc.gridsim import (
     GOVERNOR_LIMIT,
     MOTOR_FREQ_SENSITIVITY,
@@ -10,10 +15,13 @@ from cefc.gridsim import (
     Scenario,
     SimulationError,
     TrajectoryRecord,
+    _Plant,
     default_grid,
     simulate,
     steady_state_deviation,
 )
+from cefc.koopman import _excitation_policy
+from cefc.robustness import FeederSpec, brute_force_mode, enumerate_modes
 
 
 def trip_scenario(**kw):
@@ -156,6 +164,239 @@ class TestFusedStepsMatchReference:
             grid, trip_scenario(horizon=30.0), lambda: shed_and_ramp_policy(grid)
         )
         assert np.any(rec.ul > 0) and np.any(rec.ud_applied == 70.0)
+
+
+def numpy_loop_simulate(grid, scenario, policy=None, substeps=4):
+    """`simulate`'s sample loop with numpy vector arithmetic at every step.
+
+    The per-step oracle for the float-list loop, which must give the same
+    bits: it shares `_Plant`'s cached matrices (`hold`, `matrix`, `fused`,
+    `sides`), keeps the state and forcing in one numpy buffer z = [x, b], and
+    checks, clips and merges every policy command at every step.
+    """
+    scenario.validate(grid)
+    plant = _Plant(grid, scenario, substeps)
+    p, q, s, nx = plant.p, plant.q, plant.s_base, plant.nx
+    z = np.zeros(2 * nx)
+    x, b = z[:nx], z[nx:]
+    dt = scenario.dt
+    n_steps = int(round(scenario.horizon / dt))
+    amp = scenario.noise_amplitude
+    noise_loads = "loads" in scenario.noise_channels and amp > 0
+    noise_dc = "dc" in scenario.noise_channels and amp > 0
+    width = p * noise_loads + q * noise_dc
+    if width:
+        noise = np.random.default_rng(scenario.noise_seed).normal(0.0, amp, (n_steps, width))
+    dc_col = p if noise_loads else 0
+    ud_lo = np.array([lk.ud_min for lk in grid.hvdc])
+    ud_hi = np.array([lk.ud_max for lk in grid.hvdc])
+    ramp = np.array([lk.ramp_rate for lk in grid.hvdc])
+    ramp_lo, ramp_hi = -ramp * dt, ramp * dt
+
+    def forcing(held, r, noise_sum, post):
+        deficit = (plant.trip_deficit if post else 0.0) + noise_sum
+        b[0] = (np.dot(held.ul, plant.Pl) - deficit) / plant.m_tot[post]
+        b[plant.pdc] = r / plant.lag
+
+    def step(t, post, held, r, noise_sum):
+        if post is not None:
+            forcing(held, r, noise_sum, post)
+            W, lim = plant.fused(held, post)
+            out = W @ z
+            if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
+                x[:] = out[:nx]
+                return
+
+        def f(t_stage, x_stage):
+            post = bool(t_stage >= plant.trip_time)
+            forcing(held, r, noise_sum, post)
+            zs = np.concatenate([x_stage, np.clip(x_stage[plant.pg], -plant.gov_lim, plant.gov_lim)])
+            return plant.matrix(held, post) @ zs + b
+
+        h, xs = plant.h, x.copy()
+        for _ in range(substeps):
+            k1 = f(t, xs)
+            k2 = f(t + h / 2, xs + h / 2 * k1)
+            k3 = f(t + h / 2, xs + h / 2 * k2)
+            k4 = f(t + h, xs + h * k3)
+            xs = xs + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        x[:] = xs
+
+    def voltages(held, noise_s):
+        inj_loads = -(1.0 - held.ul) * plant.c * (x[0] - x[plant.w]) - noise_s
+        inj_links = plant.sign * x[plant.pdc] / s
+        return 1.0 + plant.vsens @ np.concatenate([inj_loads, inj_links])
+
+    r = np.zeros(q)
+    held = plant.hold(np.zeros(p))
+    noise_s, noise_sum = np.zeros(p), 0.0
+    n = n_steps + 1
+    t_arr = np.arange(n) * dt
+    t_end = t_arr.copy()
+    for _ in range(substeps):
+        t_end += plant.h
+    sides = plant.sides(t_arr, t_end)
+    omega, y = np.zeros(n), np.zeros((n, plant.vsens.shape[0]))
+    ul_arr, ud_arr, ud_app = np.zeros((n, p)), np.zeros((n, q)), np.zeros((n, q))
+    for k in range(n):
+        omega[k] = x[0]
+        y[k] = voltages(held, noise_s)
+        if k == n_steps:
+            ul_arr[k], ud_arr[k], ud_app[k] = held.ul, ud_arr[k - 1], r
+            break
+        ud_cmd = np.zeros(q)
+        if policy is not None:
+            ul_cmd, ud_cmd = policy(t_arr[k], omega[: k + 1], y[: k + 1])
+            ul_cmd, ud_cmd = np.asarray(ul_cmd, dtype=float), np.asarray(ud_cmd, dtype=float)
+            if not np.all((ul_cmd >= -1e-12) & (ul_cmd <= 1.0 + 1e-12)):
+                raise SimulationError("policy returned shedding ratio outside [0, 1]")
+            if not np.all((ud_cmd >= ud_lo - 1e-9) & (ud_cmd <= ud_hi + 1e-9)):
+                raise SimulationError("policy returned DC command outside link limits")
+            ul = np.maximum(held.ul, np.clip(ul_cmd, 0.0, 1.0))
+            if ul.tobytes() != held.key:
+                held = plant.hold(ul)
+        if noise_loads:
+            noise_s, noise_sum = noise[k, :p] / s, noise[k, :p].sum() / s
+        if noise_dc:
+            ud_cmd = np.clip(ud_cmd + noise[k, dc_col:], ud_lo, ud_hi)
+        r = np.clip(r + np.clip(ud_cmd - r, ramp_lo, ramp_hi), ud_lo, ud_hi)
+        ul_arr[k], ud_arr[k], ud_app[k] = held.ul, ud_cmd, r
+        step(t_arr[k], sides[k], held, r, noise_sum)
+        if not np.all(np.isfinite(x)) or abs(x[0]) > 1.0:
+            raise SimulationError(f"integration diverged at t={t_end[k]:.2f}s")
+    return TrajectoryRecord(dt=dt, t=t_arr, omega=omega, y=y, ul=ul_arr, ud=ud_arr, ud_applied=ud_app)
+
+
+RECORD_FIELDS = ("omega", "y", "ul", "ud", "ud_applied")
+
+
+def assert_same_bits(a, b):
+    for name in RECORD_FIELDS:
+        va, vb = getattr(a, name), getattr(b, name)
+        assert va.shape == vb.shape and va.tobytes() == vb.tobytes(), name
+
+
+def records_under(monkeypatch, sim, run):
+    """The records of every `gridsim.simulate` call `run()` makes, with `sim`
+    standing in for it."""
+    records = []
+
+    def capture(*args, **kwargs):
+        records.append(sim(*args, **kwargs))
+        return records[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(gridsim, "simulate", capture)
+        run()
+    return records
+
+
+def list_policy(grid):
+    """Returns plain lists, with -0.0 entries until it sheds and ramps DC."""
+
+    def policy(t, om, y):
+        return [0.1 if t >= 7.0 else -0.0, 0.0, -0.0], [60.0 if t >= 5.5 else -0.0, -0.0]
+
+    return policy
+
+
+def signed_zero_policy(grid):
+    """Arrays of signed zeros, switching sign on the DC links from step to step."""
+
+    def policy(t, om, y):
+        k = len(om) - 1
+        ud = np.array([-0.0, 0.0]) if k % 2 else np.array([0.0, -0.0])
+        return np.array([-0.0, 0.0, 0.05 if k >= 70 else -0.0]), ud
+
+    return policy
+
+
+def mutating_policy(grid):
+    """Returns the same two arrays every call, edited in place in between."""
+    ul, ud = np.zeros(grid.n_loads), np.zeros(grid.n_links)
+
+    def policy(t, om, y):
+        k = len(om) - 1
+        if k in (60, 90):
+            ul[k % 3] += 0.04
+        ud[:] = [-40.0 if k // 20 % 2 else 30.0, 10.0 * (k // 25) - 40.0]
+        return ul, ud
+
+    return policy
+
+
+def excitation_policy(grid, seed=4):
+    return _excitation_policy(grid, np.random.default_rng(seed), 0.1)
+
+
+class TestFloatLoopMatchesNumpyLoop:
+    """`simulate` gives the bits of the numpy sample loop, record for record."""
+
+    @pytest.mark.parametrize(
+        "scenario, make_policy, substeps",
+        [
+            (
+                trip_scenario(trip_set=(1, 3), inertia_scale=0.85, noise_amplitude=4.0,
+                              noise_seed=9, noise_channels=("dc",)),
+                excitation_policy,
+                4,
+            ),
+            (
+                trip_scenario(noise_amplitude=4.0, noise_seed=3, noise_channels=("loads", "dc"), horizon=30.0),
+                shed_and_ramp_policy,
+                4,
+            ),
+            (trip_scenario(noise_amplitude=4.0, noise_seed=5, noise_channels=("loads", "dc"), horizon=20.0), None, 4),
+            # the governor clip engages here (see test_deep_event_with_the_governor_clip_engaged)
+            (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), None, 4),
+            (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), shed_and_ramp_policy, 4),
+            (trip_scenario(trip_time=5.03, horizon=20.0), shed_and_ramp_policy, 4),
+            (trip_scenario(noise_amplitude=3.0, noise_channels=("loads",), horizon=20.0), shed_and_ramp_policy, 8),
+            (trip_scenario(noise_amplitude=3.0, noise_channels=("dc",), horizon=20.0), list_policy, 4),
+            (trip_scenario(horizon=20.0), signed_zero_policy, 4),
+            (trip_scenario(noise_amplitude=3.0, noise_channels=("loads", "dc"), horizon=20.0), mutating_policy, 4),
+        ],
+        ids=["excitation", "noise-policy", "noise", "clip", "clip-policy", "trip-between", "substeps8",
+             "lists", "signed-zeros", "mutated-in-place"],
+    )
+    def test_direct_runs(self, grid, scenario, make_policy, substeps):
+        def run(sim):
+            return sim(grid, scenario, make_policy(grid) if make_policy else None, substeps)
+
+        assert_same_bits(run(simulate), run(numpy_loop_simulate))
+
+    def test_zero_bounded_links(self, grid):
+        # a -0.0 limit ties with a 0.0 reference: the clip must return the limit
+        hvdc = (replace(grid.hvdc[0], ud_min=-0.0), replace(grid.hvdc[1], ud_max=-0.0))
+        zero_grid = replace(grid, hvdc=hvdc)
+        for channels in ((), ("dc",)):
+            scenario = trip_scenario(noise_amplitude=3.0 * bool(channels), noise_channels=channels, horizon=15.0)
+            new = simulate(zero_grid, scenario, signed_zero_policy(zero_grid))
+            assert_same_bits(new, numpy_loop_simulate(zero_grid, scenario, signed_zero_policy(zero_grid)))
+            assert np.signbit(new.ud_applied[1:]).any()
+
+    @pytest.mark.parametrize("dc_mode", ["lqr", "max"])
+    def test_coordinate_policies(self, grid, cefc_model, limits, monkeypatch, dc_mode):
+        def run():
+            coordinate(grid, control_scenario(0.85), cefc_model, limits, dc_mode=dc_mode)
+
+        new, old = (records_under(monkeypatch, sim, run) for sim in (simulate, numpy_loop_simulate))
+        assert len(new) == len(old) == 1
+        assert np.any(new[0].ul > 0) and np.any(new[0].ud != 0)
+        assert_same_bits(new[0], old[0])
+
+    def test_brute_force_mode_policies(self, grid, cefc_model, limits, node_base, monkeypatch):
+        modes = enumerate_modes(FeederSpec.uniform(3, 40.0, 3), cefc_model, node_base)
+        scenario = trip_scenario(trip_set=(1, 2), inertia_scale=0.85, horizon=30.0)
+
+        def run():
+            brute_force_mode(grid, scenario, limits, modes)
+
+        new, old = (records_under(monkeypatch, sim, run) for sim in (simulate, numpy_loop_simulate))
+        assert len(new) == len(old) == modes.n_modes
+        for a, b in zip(new, old):
+            assert_same_bits(a, b)
 
 
 @settings(max_examples=8, derandomize=True, deadline=None, database=None)

@@ -56,6 +56,20 @@ class TestObservableConfig:
         with pytest.raises(ValueError, match="dictionary takes no"):
             ObservableConfig(dt=0.1, **kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"rbf_count": 5.5}, "rbf_count must be an integer"),
+            ({"rbf_count": -2}, "rbf_count must be an integer"),
+            ({"rbf_count": False}, "rbf_count must be an integer"),
+            ({"include_voltage": "no"}, "include_voltage must be true or false"),
+            ({"include_voltage": 1}, "include_voltage must be true or false"),
+        ],
+    )
+    def test_rbf_count_and_include_voltage_types_checked(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ObservableConfig(dt=0.1, **kw)
+
     def test_dict_round_trip(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.2, dictionary="delay", rbf_count=0)
         assert ObservableConfig.from_dict(cfg.to_dict()) == cfg
