@@ -12,6 +12,7 @@ Decision pipeline on an under-frequency event:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,32 @@ from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
 PREDICTION_HORIZON = 30.0
+
+#: entries of the memo below; the least recently used one is dropped first
+_MEMO_SIZE = 8
+# Riccati solutions and shedding sensitivities, which depend only on the model:
+# (kind, key of the inputs) -> result.  A result is a pure function of the
+# bytes in its key and its arrays are read-only, so every caller can share it.
+_memo: dict = {}
+
+
+def _input_key(*values) -> tuple:
+    """Exact key of arrays and scalars: the dtype, shape and bytes of each."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, values))
+
+
+def _memoized(kind: str, inputs: tuple, compute):
+    """`compute()`, or the result a call with the same `kind` and input bytes
+    left in the memo.  `compute` looks its solver up by module name, so a
+    miss runs whatever that name is bound to."""
+    key = (kind, _input_key(*inputs))
+    value = _memo.pop(key, None)
+    if value is None:
+        value = compute()
+    _memo[key] = value  # most recent last
+    if len(_memo) > _MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    return value
 
 
 class StabilizabilityError(Exception):
@@ -45,8 +72,14 @@ class ControlLimits:
         self.ud_min = np.asarray(self.ud_min, dtype=float)
         self.ud_max = np.asarray(self.ud_max, dtype=float)
         self.ul_max = np.asarray(self.ul_max, dtype=float)
-        if self.quantum_mw <= 0:
-            raise ValueError("feeder quantum must be > 0")
+        # a NaN, infinite or out-of-range value here would size sheds that
+        # break the floor or exceed the load, so each is a config error
+        if not (math.isfinite(self.quantum_mw) and self.quantum_mw > 0):
+            raise ValueError(f"quantum_mw must be finite and > 0, got {self.quantum_mw!r}")
+        if not (math.isfinite(self.planning_margin_pu) and self.planning_margin_pu >= 0):
+            raise ValueError(f"planning_margin_pu must be finite and >= 0, got {self.planning_margin_pu!r}")
+        if not np.all((self.ul_max >= 0.0) & (self.ul_max <= 1.0)):  # NaN fails both
+            raise ValueError(f"ul_max entries must be finite and in [0, 1], got {self.ul_max.tolist()}")
         if self.omega_min >= 0:
             raise ValueError("nadir floor must be negative (deviation form)")
         if not self.activation_threshold_pu < -self.omega_min:
@@ -189,6 +222,17 @@ def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
     return C
 
 
+def _memoized_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
+    """`shedding_sensitivity`, solved once per (A, B_l, steps); read-only."""
+
+    def solve():
+        C = shedding_sensitivity(model, steps)
+        C.setflags(write=False)
+        return C
+
+    return _memoized("sensitivity", (model.A, model.B_l, steps), solve)
+
+
 def quantize(amounts, d: float):
     """Round each amount to the nearest multiple of the feeder quantum, ties up."""
     amounts = np.asarray(amounts, dtype=float)
@@ -215,20 +259,25 @@ def solve_shedding(
     limits: ControlLimits,
     node_base_mw,
     steps: int,
+    *,
+    om_free=None,
 ) -> SheddingPlan:
     """One-shot shedding amount from the condensed convex QP.
 
     DC support is held at its limit inside the prediction; the decision
     variable is the single vector of shedding ratios held from the second
     step on.  Infeasible problems are clamped to the per-node maximum with
-    the feasibility flag cleared.
+    the feasibility flag cleared.  `om_free` is the full-support rollout of
+    `predict_max_dc` on the same arguments, when the caller already has it;
+    the sensitivity matrix is computed once per (A, B_l, steps).
     """
     node_base_mw = np.asarray(node_base_mw, dtype=float)
     p = model.n_loads
     q1_diag = shed_weights(node_base_mw)
 
-    om_free = predict_max_dc(model, omega_window, y_window, limits, steps)
-    C = shedding_sensitivity(model, steps)
+    if om_free is None:
+        om_free = predict_max_dc(model, omega_window, y_window, limits, steps)
+    C = _memoized_sensitivity(model, steps)
     # size the shed against a floor raised by the planning backoff so that
     # prediction error of a plan sitting exactly on the constraint does not
     # turn into a real violation
@@ -326,6 +375,24 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, dis
     )
 
 
+#: discount of the LQR's Riccati solve, which keeps P bounded under the
+#: marginal modes of an identified A
+RICCATI_DISCOUNT = 0.98
+
+
+def _memoized_riccati(model: KoopmanModel, weights: LqrWeights) -> RiccatiSolution:
+    """The LQR gain's `solve_dare`, solved once per (A, B_d, Q2, R2, discount);
+    `P` and `K` are read-only."""
+
+    def solve():
+        sol = solve_dare(model.A, model.B_d, weights.q_diag, weights.r_diag, discount=RICCATI_DISCOUNT)
+        sol.P.setflags(write=False)
+        sol.K.setflags(write=False)
+        return sol
+
+    return _memoized("riccati", (model.A, model.B_d, weights.q_diag, weights.r_diag, RICCATI_DISCOUNT), solve)
+
+
 def lqr_step(g, sol: RiccatiSolution, limits: ControlLimits) -> np.ndarray:
     """Saturated LQR feedback on the lifted state."""
     # with array bounds, np.minimum / np.maximum in this order give np.clip's bits
@@ -350,7 +417,7 @@ def coordinate(
     check_sample_time("the scenario", scenario.dt, model.config)
     if weights is None:
         weights = LqrWeights.for_model(model)
-    sol = solve_dare(model.A, model.B_d, weights.q_diag, weights.r_diag, discount=0.98) if dc_mode == "lqr" else None
+    sol = _memoized_riccati(model, weights) if dc_mode == "lqr" else None
     cfg = model.config
     w = cfg.window_len
     dt = scenario.dt
@@ -386,7 +453,7 @@ def coordinate(
                 steps = min(pred_steps, n_steps - k)
                 om_hat = predict_max_dc(model, om_win, y_win, limits, steps)
                 if needs_shedding(om_hat, limits):
-                    plan = solve_shedding(model, om_win, y_win, limits, node_base, steps)
+                    plan = solve_shedding(model, om_win, y_win, limits, node_base, steps, om_free=om_hat)
                     plan.shed_time = t + dt
                     shed_k = k + 1
                     shed_ul = np.minimum(plan.quantized_ratio, 1.0)

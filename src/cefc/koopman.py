@@ -508,7 +508,12 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
 
 
 def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq, steps: int) -> np.ndarray:
-    """Iterate the lifted dynamics; returns omega-hat for t = 0..steps (length steps+1)."""
+    """Iterate the lifted dynamics; returns omega-hat for t = 0..steps (length steps+1).
+
+    Step t is ``A @ g + B_l @ ul_seq[t] + B_d @ ud_seq[t]``.  An input row
+    with the bytes of the row before it reuses that row's product, which has
+    the same bits: held inputs are multiplied once.
+    """
     ul_seq = np.atleast_2d(np.asarray(ul_seq, dtype=float))
     ud_seq = np.atleast_2d(np.asarray(ud_seq, dtype=float))
     if len(ul_seq) < steps or len(ud_seq) < steps:
@@ -517,10 +522,24 @@ def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq,
     g = lift(omega_window, y_window, model.config)
     out = np.empty(steps + 1)
     out[0] = g[0]
+    new_ul, new_ud = _new_rows(ul_seq, steps), _new_rows(ud_seq, steps)
     for t in range(steps):
-        g = A @ g + B_l @ ul_seq[t] + B_d @ ud_seq[t]
+        if new_ul[t]:
+            ul_term = B_l @ ul_seq[t]
+        if new_ud[t]:
+            ud_term = B_d @ ud_seq[t]
+        g = A @ g + ul_term + ud_term
         out[t + 1] = g[0]
     return out
+
+
+def _new_rows(seq, steps: int) -> list:
+    """Per row t < steps of a float array: True when its bytes differ from row
+    t - 1's (always for row 0), compared as 64-bit words."""
+    bits = np.ascontiguousarray(seq[:steps]).view(np.uint64)
+    new = np.ones(len(bits), dtype=bool)
+    new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    return new.tolist()
 
 
 def first_sample_at(t: float, dt: float) -> int:
@@ -533,8 +552,14 @@ def prediction_start(rec, config) -> int:
     """Index of the first measured window: the first sample with a full window
     at or after `MEASUREMENT_DELAY` past the event (the scenario's trip time,
     0 without a scenario)."""
-    event = 0.0 if rec.scenario is None else rec.scenario.trip_time
-    return max(config.window_len - 1, first_sample_at(event + MEASUREMENT_DELAY, rec.dt))
+    return scenario_prediction_start(rec.scenario, rec.dt, config)
+
+
+def scenario_prediction_start(scenario, dt: float, config) -> int:
+    """`prediction_start` of any record of `scenario` (None: no scenario)
+    sampled every `dt`, known before the run."""
+    event = 0.0 if scenario is None else scenario.trip_time
+    return max(config.window_len - 1, first_sample_at(event + MEASUREMENT_DELAY, dt))
 
 
 def predict_record(model: KoopmanModel, rec):

@@ -11,14 +11,14 @@ ground-truth simulator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gridsim
 from .controller import PREDICTION_HORIZON, ControlLimits, shed_weights
 from .gridsim import GridModel, Scenario, SimulationError
-from .koopman import KoopmanModel, check_sample_time, lift, prediction_start
+from .koopman import KoopmanModel, check_sample_time, lift, scenario_prediction_start
 
 MODE_CAP = 4096
 
@@ -35,6 +35,10 @@ class FeederSpec:
         self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=int))
         if len(self.quanta_mw) != len(self.nodes):
             raise ValueError("one node per feeder required")
+        if self.n_feeders < 1:
+            raise ValueError("at least one feeder required")
+        if not np.all(np.isfinite(self.quanta_mw) & (self.quanta_mw > 0)):
+            raise ValueError(f"feeder quanta must be finite and > 0, got {self.quanta_mw.tolist()}")
 
     @property
     def n_feeders(self) -> int:
@@ -42,8 +46,9 @@ class FeederSpec:
 
     @classmethod
     def uniform(cls, n_feeders: int, quantum_mw: float, n_nodes: int) -> "FeederSpec":
+        # a count below one gives no feeders, which the checks above reject
         return cls(
-            quanta_mw=np.full(n_feeders, quantum_mw),
+            quanta_mw=[quantum_mw] * n_feeders,
             nodes=np.arange(n_feeders) % n_nodes,
         )
 
@@ -143,13 +148,19 @@ class Prop1Report:
 
 def _measured_window(grid, scenario, limits, config):
     """Measured window of a run without shedding, under full DC support,
-    ending at `prediction_start`."""
+    ending at `prediction_start`.
+
+    The run stops at the window's last sample: a record's prefix does not
+    depend on its horizon.  A horizon that ends sooner is kept, and the short
+    window fails in `lift`.
+    """
 
     def policy(t, om_hist, y_hist):
         return np.zeros(grid.n_loads), limits.ud_support
 
-    rec = gridsim.simulate(grid, scenario, policy)
-    k0, w = prediction_start(rec, config), config.window_len
+    k0, w = scenario_prediction_start(scenario, scenario.dt, config), config.window_len
+    horizon = min(scenario.horizon, max(k0, 1) * scenario.dt)
+    rec = gridsim.simulate(grid, replace(scenario, horizon=horizon), policy)
     return rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1]
 
 
@@ -180,8 +191,9 @@ def brute_force_mode(
         feasible[i] = np.min(rec.omega) >= limits.omega_min
     if not np.any(feasible):
         return None, feasible
-    costs = np.where(feasible, modes.costs, np.inf)
-    return int(np.argmin(costs)), feasible
+    # the cheapest feasible mode, lowest index first on ties
+    candidates = np.flatnonzero(feasible)
+    return int(candidates[np.argmin(modes.costs[candidates])]), feasible
 
 
 def check_prop1(

@@ -206,6 +206,44 @@ def test_malformed_config_section_is_a_config_error(tmp_path, workspace, capsys,
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "limits, key",
+    [
+        ({"planning_margin_pu": float("nan")}, "planning_margin_pu"),
+        ({"planning_margin_pu": -1.0}, "planning_margin_pu"),
+        ({"ul_max": 5.0}, "ul_max"),
+        ({"ul_max": float("nan")}, "ul_max"),
+        ({"ul_max": -0.1}, "ul_max"),
+        ({"quantum_mw": float("nan")}, "quantum_mw"),
+        ({"quantum_mw": float("inf")}, "quantum_mw"),
+        ({"quantum_mw": 0.0}, "quantum_mw"),
+    ],
+    ids=["margin-nan", "margin-negative", "ul-max-5", "ul-max-nan", "ul-max-negative", "quantum-nan", "quantum-inf",
+         "quantum-zero"],
+)
+def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspace, capsys, limits, key):
+    path = config_with(tmp_path, workspace, limits=limits)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out" / "control_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "feeders, quantum",
+    [("2", "inf"), ("2", "nan"), ("2", "-40"), ("2", "0"), ("0", "40"), ("-1", "40")],
+)
+def test_invalid_prop1_feeders_are_a_config_error(tmp_path, workspace, capsys, feeders, quantum):
+    path = config_with(tmp_path, workspace)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    argv = ["prop1", "--config", path, "--model", model, "--feeders", feeders, "--quantum", quantum]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "feeder" in err
+    assert not (tmp_path / "out" / "prop1_report.json").exists()
+
+
 def test_documented_limits_key_is_accepted(tmp_path, workspace):
     path = config_with(tmp_path, workspace, limits={"quantum_mw": 20.0})
     model = os.path.join(workspace["out"], "model_dmd.json")

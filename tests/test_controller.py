@@ -1,9 +1,12 @@
+import copy
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cefc import controller
+from cefc.bench import control_scenario
 from cefc.controller import (
     ControlLimits,
     LqrWeights,
@@ -12,6 +15,7 @@ from cefc.controller import (
     coordinate,
     lqr_step,
     needs_shedding,
+    predict_max_dc,
     quantize,
     shedding_sensitivity,
     solve_dare,
@@ -42,9 +46,31 @@ def scalar_limits(**kw):
 
 
 class TestControlLimits:
-    def test_quantum_must_be_positive(self):
-        with pytest.raises(ValueError):
-            scalar_limits(quantum_mw=0.0)
+    @pytest.mark.parametrize(
+        "kw, key",
+        [
+            ({"quantum_mw": 0.0}, "quantum_mw"),
+            ({"quantum_mw": float("nan")}, "quantum_mw"),
+            ({"quantum_mw": float("inf")}, "quantum_mw"),
+            ({"planning_margin_pu": float("nan")}, "planning_margin_pu"),
+            ({"planning_margin_pu": -1.0}, "planning_margin_pu"),
+            ({"planning_margin_pu": float("inf")}, "planning_margin_pu"),
+            ({"ul_max": np.array([5.0])}, "ul_max"),
+            ({"ul_max": np.array([float("nan")])}, "ul_max"),
+            ({"ul_max": np.array([float("inf")])}, "ul_max"),
+            ({"ul_max": np.array([-0.1])}, "ul_max"),
+        ],
+        ids=["quantum-zero", "quantum-nan", "quantum-inf", "margin-nan", "margin-negative", "margin-inf",
+             "ul-max-above-one", "ul-max-nan", "ul-max-inf", "ul-max-negative"],
+    )
+    def test_value_that_can_break_safety_is_rejected_by_key(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            scalar_limits(**kw)
+
+    def test_limit_edges_are_accepted(self):
+        lim = scalar_limits(planning_margin_pu=0.0, ul_max=np.array([1.0]))
+        assert lim.planning_margin_pu == 0.0 and lim.ul_max[0] == 1.0
+        assert scalar_limits(ul_max=np.array([0.0])).ul_max[0] == 0.0
 
     def test_nadir_floor_must_be_negative(self):
         with pytest.raises(ValueError):
@@ -336,3 +362,85 @@ class TestLqrWeights:
             LqrWeights(q_diag=np.array([1.0]), r_diag=np.array([0.0]))
         w = LqrWeights.for_model(cefc_model)
         assert w.q_diag[0] > 0 and np.all(w.q_diag[1:] == 0)
+
+
+def grid_scalar_model(grid, a=0.97):
+    """One-dimensional lifted model with the default grid's input shapes."""
+    return KoopmanModel(
+        A=np.array([[a]]),
+        B_l=np.full((1, grid.n_loads), 0.02),
+        B_d=np.full((1, grid.n_links), 1e-4),
+        config=ObservableConfig(dt=0.1, delay_span=0.0, dictionary="identity", include_voltage=False),
+    )
+
+
+def record_bytes(trace) -> list:
+    rec = trace.record
+    arrays = (rec.t, rec.omega, rec.y, rec.ul, rec.ud, rec.ud_applied, trace.ud_commands, trace.omega_pred)
+    return [a.tobytes() for a in arrays]
+
+
+class TestComputedOnce:
+    """Model-only results are computed once per model and reused bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(controller, "_memo", {})
+
+    @pytest.fixture
+    def dare_calls(self, monkeypatch):
+        calls = []
+        solve = controller.solve_dare
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(controller, "solve_dare", counted)
+        return calls
+
+    def test_reruns_and_a_deep_copy_give_the_same_bytes(self, grid, cefc_model, limits):
+        scenario = control_scenario(0.85)
+        first, again, copied = (
+            coordinate(grid, scenario, model, limits) for model in (cefc_model, cefc_model, copy.deepcopy(cefc_model))
+        )
+        assert first.plan is not None  # the run takes the shedding path
+        for trace in (again, copied):
+            assert record_bytes(trace) == record_bytes(first)
+            assert json.dumps(trace.summary(50.0)) == json.dumps(first.summary(50.0))
+
+    def test_one_riccati_solve_per_model(self, grid, limits, dare_calls):
+        model = grid_scalar_model(grid)
+        scenario = replace(control_scenario(0.85), horizon=10.0)
+        for _ in range(3):
+            coordinate(grid, scenario, model, limits)
+        coordinate(grid, scenario, copy.deepcopy(model), limits)
+        assert len(dare_calls) == 1
+
+        nudged = copy.deepcopy(model)
+        nudged.A[0, 0] = np.nextafter(model.A[0, 0], 2.0)
+        trace = coordinate(grid, scenario, nudged, limits)
+        assert len(dare_calls) == 2
+        want = solve_dare(nudged.A, nudged.B_d, [2e4], [1e-4, 1e-4], discount=0.98)
+        assert trace.riccati.K.tobytes() == want.K.tobytes()
+
+    def test_cached_arrays_are_read_only(self, grid, limits):
+        model = grid_scalar_model(grid)
+        sol = coordinate(grid, replace(control_scenario(0.85), horizon=10.0), model, limits).riccati
+        C = controller._memoized_sensitivity(model, 50)
+        assert controller._memoized_sensitivity(model, 50) is C
+        for a in (sol.P, sol.K, C):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        assert C.tobytes() == shedding_sensitivity(model, 50).tobytes()
+
+    def test_passed_rollout_gives_the_plan_of_its_own_rollout(self, cefc_model, limits, node_base):
+        w = cefc_model.config.window_len
+        om_win, y_win = np.full(w, -0.018), np.ones((w, 2))
+        om_free = predict_max_dc(cefc_model, om_win, y_win, limits, 200)
+        own = solve_shedding(cefc_model, om_win, y_win, limits, node_base, 200)
+        passed = solve_shedding(cefc_model, om_win, y_win, limits, node_base, 200, om_free=om_free)
+        assert own.total_mw > 0 and passed.feasible == own.feasible
+        for name in ("continuous_ratio", "continuous_mw", "quantized_mw", "quantized_ratio"):
+            assert getattr(passed, name).tobytes() == getattr(own, name).tobytes()

@@ -351,6 +351,29 @@ class TestRollout:
             args = (rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], rec.ul[k0:-1], rec.ud[k0:-1], len(rec) - 1 - k0)
             assert same_bits(predict_rollout(model, *args), reference_rollout(model, *args))
 
+    @pytest.mark.parametrize("pattern", ["held", "changing", "signed-zero", "longer", "steps-0", "steps-1"])
+    def test_held_input_products_keep_the_reference_bits(self, shed_models, dataset_small, pattern):
+        """A row repeating the previous row's bytes reuses its product, with the same bits."""
+        rng = np.random.default_rng(3)
+        rec = dataset_small.test[0]
+        steps = {"steps-0": 0, "steps-1": 1}.get(pattern, 40)
+        p, q = rec.ul.shape[1], rec.ud.shape[1]
+        ul = np.tile(rng.uniform(0.0, 0.3, p), (steps + 5, 1))
+        ud = np.tile(rng.uniform(-80.0, 80.0, q), (steps + 5, 1))
+        ul[:3] = 0.0  # one-shot: nothing shed before the plan
+        if pattern in ("changing", "steps-1"):
+            ul = rng.uniform(0.0, 0.3, ul.shape)
+            ud = rng.uniform(-80.0, 80.0, ud.shape)
+        elif pattern == "signed-zero":
+            ul[::2] = 0.0
+            ul[1::2] = -0.0
+            ud[::3] = -0.0
+        n = steps if pattern != "longer" else steps + 5
+        for model in shed_models.values():
+            w = model.config.window_len
+            args = (rec.omega[60 - w + 1 : 61], rec.y[60 - w + 1 : 61], ul[:n], ud[:n], steps)
+            assert same_bits(predict_rollout(model, *args), reference_rollout(model, *args))
+
     def test_short_control_sequence_rejected(self, cefc_model, dataset_small):
         rec = dataset_small.test[0]
         w = cefc_model.config.window_len

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cefc.controller import shed_weights
 from cefc.gridsim import Scenario, simulate
-from cefc.koopman import KoopmanModel, method_config, prediction_start
+from cefc.koopman import InsufficientHistoryError, KoopmanModel, lift, method_config, prediction_start
 from cefc.robustness import (
     FeederSpec,
     _measured_window,
+    brute_force_mode,
     check_prop1,
     enumerate_modes,
     mode_hamiltonian_values,
@@ -34,6 +37,18 @@ class TestFeederSpec:
     def test_mismatched_nodes_rejected(self):
         with pytest.raises(ValueError):
             FeederSpec(quanta_mw=[40.0, 40.0], nodes=[0])
+
+    @pytest.mark.parametrize(
+        "n_feeders, quantum",
+        [(2, float("inf")), (2, float("nan")), (2, -40.0), (2, 0.0), (0, 40.0), (-1, 40.0)],
+    )
+    def test_invalid_uniform_feeders_rejected(self, n_feeders, quantum):
+        with pytest.raises(ValueError, match="feeder"):
+            FeederSpec.uniform(n_feeders, quantum, 3)
+
+    def test_one_invalid_quantum_rejected(self):
+        with pytest.raises(ValueError, match="quanta"):
+            FeederSpec(quanta_mw=[40.0, float("inf")], nodes=[0, 1])
 
 
 class TestEnumerateModes:
@@ -124,3 +139,37 @@ def test_measured_window_starts_at_least_the_measurement_delay_after_the_trip(gr
     om, y = _measured_window(grid, scenario, limits, config)
     assert np.array_equal(om, rec.omega[start - 4 : start + 1])
     assert np.array_equal(y, rec.y[start - 4 : start + 1])
+
+
+class TestBruteForceMode:
+    def test_never_returns_an_infeasible_mode(self, grid, cefc_model, limits, node_base):
+        scenario = Scenario(inertia_scale=0.85, trip_set=(1, 2, 3), trip_time=5.0, horizon=30.0)
+        modes = enumerate_modes(FeederSpec.uniform(2, 150.0, 3), cefc_model, node_base)
+        bf, feasible = brute_force_mode(grid, scenario, limits, modes)
+        assert not feasible[0] and np.any(feasible)
+        assert feasible[bf] and modes.costs[bf] == np.min(modes.costs[feasible])
+        # with every cost infinite, the choice is still a feasible mode
+        bf_inf, _ = brute_force_mode(grid, scenario, limits, replace(modes, costs=np.full(modes.n_modes, np.inf)))
+        assert feasible[bf_inf]
+
+
+@pytest.mark.parametrize("noise", [0.0, 5.0])
+def test_measured_window_ending_on_the_last_sample_equals_the_full_run(grid, limits, noise):
+    """The window run stops at the window; a run that ends there reads the same bits."""
+    config = method_config("cefc")
+    full = Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.0, horizon=30.0,
+                    noise_amplitude=noise, noise_seed=4, noise_channels=("loads", "dc"))
+    rec = simulate(grid, full, lambda t, om, y: (np.zeros(grid.n_loads), limits.ud_support))
+    k0 = prediction_start(rec, config)
+    short = replace(full, horizon=k0 * full.dt)
+    for scenario in (full, short):
+        om, y = _measured_window(grid, scenario, limits, config)
+        assert om.tobytes() == rec.omega[k0 - 4 : k0 + 1].tobytes()
+        assert y.tobytes() == rec.y[k0 - 4 : k0 + 1].tobytes()
+
+
+def test_measured_window_past_the_horizon_is_insufficient_history(grid, limits):
+    config = method_config("cefc")
+    scenario = Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.0, horizon=5.2)
+    with pytest.raises(InsufficientHistoryError):
+        lift(*_measured_window(grid, scenario, limits, config), config)
