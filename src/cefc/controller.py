@@ -80,8 +80,10 @@ class ControlLimits:
             raise ValueError(f"planning_margin_pu must be finite and >= 0, got {self.planning_margin_pu!r}")
         if not np.all((self.ul_max >= 0.0) & (self.ul_max <= 1.0)):  # NaN fails both
             raise ValueError(f"ul_max entries must be finite and in [0, 1], got {self.ul_max.tolist()}")
-        if self.omega_min >= 0:
-            raise ValueError("nadir floor must be negative (deviation form)")
+        if not (math.isfinite(self.omega_min) and self.omega_min < 0):
+            raise ValueError(f"omega_min (the nadir floor, deviation form) must be finite and < 0, got {self.omega_min!r}")
+        if not (math.isfinite(self.activation_threshold_hz) and self.activation_threshold_hz > 0):
+            raise ValueError(f"activation_threshold_hz must be finite and > 0, got {self.activation_threshold_hz!r}")
         if not self.activation_threshold_pu < -self.omega_min:
             raise ValueError("activation threshold must be less severe than the nadir floor")
         if self.ud_support is None:

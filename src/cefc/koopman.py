@@ -9,6 +9,7 @@ squares over all consecutive sample pairs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -231,10 +232,13 @@ class KoopmanModel:
     def load(cls, path) -> "KoopmanModel":
         with open(path) as fh:
             doc = json.load(fh)
+        # A and B_d in Fortran order, the layout `fit` returns them in: the
+        # layout picks the BLAS call, and a rollout on a C-ordered A rounds
+        # differently
         return cls(
-            A=np.array(doc["A"], dtype=float),
+            A=np.array(doc["A"], dtype=float, order="F"),
             B_l=np.array(doc["B_l"], dtype=float),
-            B_d=np.array(doc["B_d"], dtype=float),
+            B_d=np.array(doc["B_d"], dtype=float, order="F"),
             config=ObservableConfig.from_dict(doc["config"]),
             ridge=doc.get("ridge", 1e-8),
         )
@@ -246,6 +250,8 @@ class Dataset:
     test: list
     grid: GridModel | None = None
     seed: int | None = None
+    # models fitted on `train`, by `_fit_key`; read and filled by `fit`, not saved
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def save(self, outdir):
         os.makedirs(outdir, exist_ok=True)
@@ -474,6 +480,14 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
     modes of the lifted state, and a joint one-step fit trades accuracy of A
     against B_l, which wrecks long rollouts; the staged fit keeps A anchored
     to the drift data.
+
+    A Dataset keeps the models fitted on it, keyed by a SHA-256 of its
+    training records, the feature layout `(dt, delay_span, rbf_count,
+    include_voltage)` and `ridge`.  The `dictionary` label is not in the key,
+    because it does not change the model.  A repeated fit returns copies of
+    the kept matrices in their fitted memory layout (A and B_d are
+    Fortran-ordered, and a C-ordered A rolls out different bits) under the
+    caller's config, with the kept RBF centres and widths.
     """
     records = data.train if isinstance(data, Dataset) else list(data)
     if not records:
@@ -482,6 +496,46 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
         raise ValueError(f"ridge must be a finite number > 0, got {ridge!r}")
     for rec in records:
         check_sample_time("a training record", rec.dt, config)
+    if not isinstance(data, Dataset):
+        return _fit_records(records, config, ridge)
+    key = _fit_key(records, config, ridge)
+    kept = data._fits.get(key)
+    if kept is None:
+        model = _fit_records(records, config, ridge)
+        data._fits[key] = _copy_model(model, model.config, ridge)
+        return model
+    return _copy_model(kept, config, ridge)
+
+
+def _fit_key(records, config, ridge) -> tuple:
+    """What a fit reads: the training records' bytes, the feature layout and the ridge."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(repr((len(rec), rec.dt, rec.scenario)).encode())
+        for values in (rec.omega, rec.y, rec.ul, rec.ud):
+            values = np.ascontiguousarray(values)
+            h.update(repr((values.dtype.str, values.shape)).encode())
+            h.update(values)
+    layout = (config.dt, config.delay_span, config.rbf_count, config.include_voltage)
+    return h.digest(), layout, float(ridge)
+
+
+def _copy_model(model, config, ridge) -> KoopmanModel:
+    """`model`'s matrices copied in their own memory layout, under `config`
+    with copies of `model`'s RBF centres and widths."""
+    if config.rbf_count > 0:
+        rbf = model.config
+        config = replace(config, rbf_centers=rbf.rbf_centers.copy(), rbf_widths=rbf.rbf_widths.copy())
+    return KoopmanModel(
+        A=model.A.copy(order="K"),
+        B_l=model.B_l.copy(order="K"),
+        B_d=model.B_d.copy(order="K"),
+        config=config,
+        ridge=ridge,
+    )
+
+
+def _fit_records(records, config, ridge) -> KoopmanModel:
     config = _resolve_rbf(records, config)
 
     G0, G1, U = _regression_pairs(records, config)

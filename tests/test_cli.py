@@ -217,9 +217,13 @@ def test_malformed_config_section_is_a_config_error(tmp_path, workspace, capsys,
         ({"quantum_mw": float("nan")}, "quantum_mw"),
         ({"quantum_mw": float("inf")}, "quantum_mw"),
         ({"quantum_mw": 0.0}, "quantum_mw"),
+        ({"activation_threshold_hz": -1.0}, "activation_threshold_hz"),
+        ({"activation_threshold_hz": float("inf")}, "activation_threshold_hz"),
+        ({"omega_min": float("-inf")}, "omega_min"),
+        ({"omega_min": float("nan")}, "omega_min"),
     ],
     ids=["margin-nan", "margin-negative", "ul-max-5", "ul-max-nan", "ul-max-negative", "quantum-nan", "quantum-inf",
-         "quantum-zero"],
+         "quantum-zero", "threshold-negative", "threshold-inf", "floor-minus-inf", "floor-nan"],
 )
 def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspace, capsys, limits, key):
     path = config_with(tmp_path, workspace, limits=limits)

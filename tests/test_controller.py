@@ -59,9 +59,16 @@ class TestControlLimits:
             ({"ul_max": np.array([float("nan")])}, "ul_max"),
             ({"ul_max": np.array([float("inf")])}, "ul_max"),
             ({"ul_max": np.array([-0.1])}, "ul_max"),
+            ({"activation_threshold_hz": -1.0}, "activation_threshold_hz"),
+            ({"activation_threshold_hz": 0.0}, "activation_threshold_hz"),
+            ({"activation_threshold_hz": float("nan")}, "activation_threshold_hz"),
+            ({"activation_threshold_hz": float("inf")}, "activation_threshold_hz"),
+            ({"omega_min": float("-inf")}, "omega_min"),
+            ({"omega_min": float("nan")}, "omega_min"),
         ],
         ids=["quantum-zero", "quantum-nan", "quantum-inf", "margin-nan", "margin-negative", "margin-inf",
-             "ul-max-above-one", "ul-max-nan", "ul-max-inf", "ul-max-negative"],
+             "ul-max-above-one", "ul-max-nan", "ul-max-inf", "ul-max-negative", "threshold-negative",
+             "threshold-zero", "threshold-nan", "threshold-inf", "floor-minus-inf", "floor-nan"],
     )
     def test_value_that_can_break_safety_is_rejected_by_key(self, kw, key):
         with pytest.raises(ValueError, match=key):

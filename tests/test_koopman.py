@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cefc import koopman
 from cefc.gridsim import Scenario, simulate
 from cefc.koopman import (
     _input_response_fit,
@@ -19,6 +20,7 @@ from cefc.koopman import (
     generate_dataset,
     lift,
     method_config,
+    predict_record,
     predict_rollout,
 )
 
@@ -326,6 +328,104 @@ def test_cefc_ntd_and_edmd_fit_the_same_model(dataset_small):
         assert same_bits(a, b)
 
 
+def same_layout(a, b):
+    """Same bits and the same memory layout: a rollout's BLAS call follows the layout."""
+    return same_bits(a, b) and (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+def same_model(a, b):
+    rbf = (a.config.rbf_centers, b.config.rbf_centers), (a.config.rbf_widths, b.config.rbf_widths)
+    return all(same_layout(x, y) for x, y in ((a.A, b.A), (a.B_l, b.B_l), (a.B_d, b.B_d))) and all(
+        x is None and y is None or same_bits(x, y) for x, y in rbf
+    )
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Runs of the two fit stages, counted by wrapping them in `koopman`."""
+    calls = {"_regression_pairs": 0, "_input_response_fit": 0}
+    for name in calls:
+        stage = getattr(koopman, name)
+
+        def counted(*args, _stage=stage, _name=name, **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(koopman, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def memo_records(dataset_small):
+    """Training records of the memo tests; each test fits them in its own Dataset."""
+    return dataset_small.train[:8]
+
+
+def own_copies(records):
+    """Records with their own arrays, safe to edit in place."""
+    return [replace(r, omega=r.omega.copy(), y=r.y.copy(), ul=r.ul.copy(), ud=r.ud.copy()) for r in records]
+
+
+class TestFitMemo:
+    def test_alias_pair_runs_each_stage_once(self, memo_records, stage_calls):
+        ds = Dataset(train=list(memo_records), test=[])
+        ntd = fit(ds, method_config("cefc-ntd"))
+        edmd = fit(ds, method_config("edmd"))
+        assert stage_calls == {"_regression_pairs": 1, "_input_response_fit": 1}
+        assert same_model(ntd, edmd)
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_hit_equals_a_fresh_fit_of_the_records(self, memo_records, dataset_small, stage_calls, name):
+        cfg = method_config(name)
+        ds = Dataset(train=list(memo_records), test=[])
+        first = fit(ds, cfg)
+        hit = fit(ds, cfg)
+        assert stage_calls["_regression_pairs"] == 1
+        fresh = fit(list(memo_records), cfg)
+        assert same_model(hit, fresh) and same_model(first, fresh)
+        assert hit.A is not first.A
+        test = dataset_small.test[:4]
+        assert repr(eval_metrics(hit, test, 50.0)) == repr(eval_metrics(fresh, test, 50.0))
+
+    def test_hit_keeps_the_callers_label_through_save(self, memo_records, tmp_path):
+        ds = Dataset(train=list(memo_records), test=[])
+        fit(ds, method_config("cefc-ntd"))
+        hit = fit(ds, method_config("edmd"))
+        assert hit.config.dictionary == "rbf"
+        hit.save(tmp_path / "edmd.json")
+        with open(tmp_path / "edmd.json") as fh:
+            assert json.load(fh)["config"]["dictionary"] == "rbf"
+        assert KoopmanModel.load(tmp_path / "edmd.json").config.dictionary == "rbf"
+
+    @pytest.mark.parametrize("change", ["ridge", "layout", "edited-sample"])
+    def test_each_input_of_the_fit_misses(self, memo_records, stage_calls, change):
+        records = own_copies(memo_records)
+        ds = Dataset(train=records, test=[])
+        cfg, ridge = method_config("dmd"), 1e-8
+        fit(ds, cfg, ridge)
+        if change == "ridge":
+            ridge = 1e-6
+        elif change == "layout":
+            cfg = ObservableConfig(dt=0.1, delay_span=0.2, dictionary="delay", include_voltage=False)
+        else:
+            records[3].omega[100] = np.nextafter(records[3].omega[100], 1.0)
+        again = fit(ds, cfg, ridge)
+        assert stage_calls["_regression_pairs"] == 2
+        assert same_model(again, fit(own_copies(records), cfg, ridge))
+
+    def test_editing_a_returned_model_leaves_later_hits_unchanged(self, memo_records):
+        cfg = ObservableConfig(dt=0.1, delay_span=0.0, dictionary="rbf", rbf_count=5)
+        ds = Dataset(train=list(memo_records), test=[])
+        first = fit(ds, cfg)
+        fresh = fit(list(memo_records), cfg)
+        for model in (first, fit(ds, cfg)):
+            model.A[0, 0] += 1.0
+            model.B_l[0] += 1.0
+            model.B_d[0] += 1.0
+            model.config.rbf_centers[0] += 1.0
+            assert same_model(fit(ds, cfg), fresh)
+
+
 class TestRollout:
     def test_rollout_length_and_start(self, cefc_model, dataset_small):
         rec = dataset_small.test[0]
@@ -392,6 +492,15 @@ class TestSerialization:
         assert np.array_equal(back.B_l, cefc_model.B_l)
         assert np.array_equal(back.B_d, cefc_model.B_d)
         assert back.config.rbf_count == cefc_model.config.rbf_count
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_reloaded_model_rolls_out_the_fitted_bits(self, shed_models, dataset_small, tmp_path, name):
+        model = shed_models[name]
+        model.save(tmp_path / "model.json")
+        back = KoopmanModel.load(tmp_path / "model.json")
+        assert same_model(back, model)
+        for rec in dataset_small.test[:4]:
+            assert same_bits(predict_record(back, rec)[1], predict_record(model, rec)[1])
 
     def test_model_file_records_the_spectral_radius(self, cefc_model, tmp_path):
         path = tmp_path / "model.json"
