@@ -19,38 +19,11 @@ import numpy as np
 
 from . import gridsim
 from .gridsim import GridModel, Scenario
-from .koopman import KoopmanModel, check_sample_time, first_sample_at, lift, predict_rollout, steady_state_samples, MEASUREMENT_DELAY
+from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, predict_rollout, steady_state_samples, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
 PREDICTION_HORIZON = 30.0
-
-#: entries of the memo below; the least recently used one is dropped first
-_MEMO_SIZE = 8
-# Riccati solutions and shedding sensitivities, which depend only on the model:
-# (kind, key of the inputs) -> result.  A result is a pure function of the
-# bytes in its key and its arrays are read-only, so every caller can share it.
-_memo: dict = {}
-
-
-def _input_key(*values) -> tuple:
-    """Exact key of arrays and scalars: the dtype, shape and bytes of each."""
-    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, values))
-
-
-def _memoized(kind: str, inputs: tuple, compute):
-    """`compute()`, or the result a call with the same `kind` and input bytes
-    left in the memo.  `compute` looks its solver up by module name, so a
-    miss runs whatever that name is bound to."""
-    key = (kind, _input_key(*inputs))
-    value = _memo.pop(key, None)
-    if value is None:
-        value = compute()
-    _memo[key] = value  # most recent last
-    if len(_memo) > _MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    return value
-
 
 class StabilizabilityError(Exception):
     """Riccati iteration failed to converge."""
@@ -140,10 +113,13 @@ class LqrWeights:
     def __post_init__(self):
         self.q_diag = np.asarray(self.q_diag, dtype=float)
         self.r_diag = np.asarray(self.r_diag, dtype=float)
-        if np.any(self.q_diag < 0):
-            raise ValueError("Q2 diagonal must be nonnegative")
-        if np.any(self.r_diag <= 0):
-            raise ValueError("R2 diagonal must be strictly positive")
+        # NaN fails both comparisons; an infinite r gives K = 0, an LQR that never acts
+        q_ok = (self.q_diag >= 0) & (self.q_diag < math.inf)
+        if not np.all(q_ok):
+            raise ValueError(f"Q2 diagonal (q_omega) must be finite and >= 0, got {self.q_diag[~q_ok].tolist()}")
+        r_ok = (self.r_diag > 0) & (self.r_diag < math.inf)
+        if not np.all(r_ok):
+            raise ValueError(f"R2 diagonal (r) must be finite and > 0, got {self.r_diag[~r_ok].tolist()}")
 
     @classmethod
     def for_model(cls, model: KoopmanModel, q_omega: float = 2e4, r: float = 1e-4) -> "LqrWeights":
@@ -225,14 +201,14 @@ def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
 
 
 def _memoized_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
-    """`shedding_sensitivity`, solved once per (A, B_l, steps); read-only."""
+    """`shedding_sensitivity`, solved once per model and `steps`; read-only."""
 
     def solve():
         C = shedding_sensitivity(model, steps)
         C.setflags(write=False)
         return C
 
-    return _memoized("sensitivity", (model.A, model.B_l, steps), solve)
+    return _memoized(model._memo, ("sensitivity", model.A, model.B_l, steps), solve)
 
 
 def quantize(amounts, d: float):
@@ -271,7 +247,7 @@ def solve_shedding(
     step on.  Infeasible problems are clamped to the per-node maximum with
     the feasibility flag cleared.  `om_free` is the full-support rollout of
     `predict_max_dc` on the same arguments, when the caller already has it;
-    the sensitivity matrix is computed once per (A, B_l, steps).
+    the sensitivity matrix is computed once per model and `steps`.
     """
     node_base_mw = np.asarray(node_base_mw, dtype=float)
     p = model.n_loads
@@ -383,8 +359,8 @@ RICCATI_DISCOUNT = 0.98
 
 
 def _memoized_riccati(model: KoopmanModel, weights: LqrWeights) -> RiccatiSolution:
-    """The LQR gain's `solve_dare`, solved once per (A, B_d, Q2, R2, discount);
-    `P` and `K` are read-only."""
+    """The LQR gain's `solve_dare`, solved once per model and weights; `P` and
+    `K` are read-only.  A miss calls `solve_dare` by module name."""
 
     def solve():
         sol = solve_dare(model.A, model.B_d, weights.q_diag, weights.r_diag, discount=RICCATI_DISCOUNT)
@@ -392,7 +368,7 @@ def _memoized_riccati(model: KoopmanModel, weights: LqrWeights) -> RiccatiSoluti
         sol.K.setflags(write=False)
         return sol
 
-    return _memoized("riccati", (model.A, model.B_d, weights.q_diag, weights.r_diag, RICCATI_DISCOUNT), solve)
+    return _memoized(model._memo, ("riccati", model.A, model.B_d, weights.q_diag, weights.r_diag, RICCATI_DISCOUNT), solve)
 
 
 def lqr_step(g, sol: RiccatiSolution, limits: ControlLimits) -> np.ndarray:

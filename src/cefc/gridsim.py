@@ -162,6 +162,11 @@ class Scenario:
         for i in self.trip_set:
             if isinstance(i, bool) or not isinstance(i, numbers.Integral):
                 raise ValueError(f"trip index {i!r} is not an integer")
+        # a repeat would count the machine's power twice but its inertia once
+        if len(set(self.trip_set)) != len(self.trip_set):
+            raise ValueError(f"scenario trip_set repeats a machine: {list(self.trip_set)}")
+        if isinstance(self.noise_seed, bool) or not isinstance(self.noise_seed, numbers.Integral) or self.noise_seed < 0:
+            raise ValueError(f"scenario noise_seed must be an integer >= 0, got {self.noise_seed!r}")
         for name in ("inertia_scale", "trip_time", "extra_deficit", "noise_amplitude", "horizon", "dt"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not np.isfinite(value):

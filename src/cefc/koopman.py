@@ -72,9 +72,9 @@ class ObservableConfig:
         if self.dictionary == "rbf" and self.rbf_count <= 0:
             raise ValueError("rbf dictionary requires rbf_count > 0")
         if self.rbf_centers is not None:
-            self.rbf_centers = np.asarray(self.rbf_centers, dtype=float)
+            self.rbf_centers = _read_only(self.rbf_centers)
         if self.rbf_widths is not None:
-            self.rbf_widths = np.asarray(self.rbf_widths, dtype=float)
+            self.rbf_widths = _read_only(self.rbf_widths)
             self.rbf_divisor = -(2.0 * self.rbf_widths**2)
 
     @property
@@ -175,6 +175,13 @@ def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _read_only(values, order="K") -> np.ndarray:
+    """A read-only float view of `values` in the given memory layout."""
+    view = np.asarray(values, dtype=float, order=order).view()
+    view.setflags(write=False)
+    return view
+
+
 def _windows(rec, w):
     """Every trailing window of a record: omega (n - w + 1, w), y (n - w + 1, w, n_buses)."""
     return (
@@ -190,8 +197,17 @@ class KoopmanModel:
     B_d: np.ndarray
     config: ObservableConfig
     ridge: float = 1e-8
+    # results that depend on the model alone, filled through `_memoized` by
+    # the controller; not saved
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # A and B_d Fortran-ordered, the layout `fit` returns them in: the
+        # layout picks the BLAS call, and a rollout on a C-ordered A rounds
+        # differently.  B_l is C-ordered as `fit` and `load` build it.
+        self.A = _read_only(self.A, order="F")
+        self.B_l = _read_only(self.B_l)
+        self.B_d = _read_only(self.B_d, order="F")
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
@@ -232,13 +248,10 @@ class KoopmanModel:
     def load(cls, path) -> "KoopmanModel":
         with open(path) as fh:
             doc = json.load(fh)
-        # A and B_d in Fortran order, the layout `fit` returns them in: the
-        # layout picks the BLAS call, and a rollout on a C-ordered A rounds
-        # differently
         return cls(
-            A=np.array(doc["A"], dtype=float, order="F"),
-            B_l=np.array(doc["B_l"], dtype=float),
-            B_d=np.array(doc["B_d"], dtype=float, order="F"),
+            A=doc["A"],
+            B_l=doc["B_l"],
+            B_d=doc["B_d"],
             config=ObservableConfig.from_dict(doc["config"]),
             ridge=doc.get("ridge", 1e-8),
         )
@@ -250,7 +263,7 @@ class Dataset:
     test: list
     grid: GridModel | None = None
     seed: int | None = None
-    # models fitted on `train`, by `_fit_key`; read and filled by `fit`, not saved
+    # models fitted on `train`, filled through `_memoized` by `fit`; not saved
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def save(self, outdir):
@@ -481,58 +494,45 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
     against B_l, which wrecks long rollouts; the staged fit keeps A anchored
     to the drift data.
 
-    A Dataset keeps the models fitted on it, keyed by a SHA-256 of its
-    training records, the feature layout `(dt, delay_span, rbf_count,
-    include_voltage)` and `ridge`.  The `dictionary` label is not in the key,
-    because it does not change the model.  A repeated fit returns copies of
-    the kept matrices in their fitted memory layout (A and B_d are
-    Fortran-ordered, and a C-ordered A rolls out different bits) under the
-    caller's config, with the kept RBF centres and widths.
+    A Dataset keeps the models fitted on it (a list of records is fitted in
+    a Dataset of its own), keyed by its training records, the feature layout
+    `(dt, delay_span, rbf_count, include_voltage)` and `ridge`.  The
+    `dictionary` label is not in the key, because it does not change the
+    model.  Every fit returns a model under the caller's config that shares
+    the kept read-only matrices, RBF centres and widths.
     """
-    records = data.train if isinstance(data, Dataset) else list(data)
+    ds = data if isinstance(data, Dataset) else Dataset(train=list(data), test=[])
+    records = ds.train
     if not records:
         raise ValueError("empty dataset")
     if isinstance(ridge, bool) or not isinstance(ridge, numbers.Real) or not 0 < ridge < math.inf:
         raise ValueError(f"ridge must be a finite number > 0, got {ridge!r}")
+    inputs = [float(config.dt), float(config.delay_span), config.rbf_count, config.include_voltage, float(ridge)]
     for rec in records:
         check_sample_time("a training record", rec.dt, config)
-    if not isinstance(data, Dataset):
-        return _fit_records(records, config, ridge)
-    key = _fit_key(records, config, ridge)
-    kept = data._fits.get(key)
-    if kept is None:
-        model = _fit_records(records, config, ridge)
-        data._fits[key] = _copy_model(model, model.config, ridge)
-        return model
-    return _copy_model(kept, config, ridge)
-
-
-def _fit_key(records, config, ridge) -> tuple:
-    """What a fit reads: the training records' bytes, the feature layout and the ridge."""
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(repr((len(rec), rec.dt, rec.scenario)).encode())
-        for values in (rec.omega, rec.y, rec.ul, rec.ud):
-            values = np.ascontiguousarray(values)
-            h.update(repr((values.dtype.str, values.shape)).encode())
-            h.update(values)
-    layout = (config.dt, config.delay_span, config.rbf_count, config.include_voltage)
-    return h.digest(), layout, float(ridge)
-
-
-def _copy_model(model, config, ridge) -> KoopmanModel:
-    """`model`'s matrices copied in their own memory layout, under `config`
-    with copies of `model`'s RBF centres and widths."""
+        inputs += [repr(rec.scenario), rec.dt, rec.omega, rec.y, rec.ul, rec.ud]
+    kept = _memoized(ds._fits, inputs, lambda: _fit_records(records, config, ridge))
     if config.rbf_count > 0:
-        rbf = model.config
-        config = replace(config, rbf_centers=rbf.rbf_centers.copy(), rbf_widths=rbf.rbf_widths.copy())
-    return KoopmanModel(
-        A=model.A.copy(order="K"),
-        B_l=model.B_l.copy(order="K"),
-        B_d=model.B_d.copy(order="K"),
-        config=config,
-        ridge=ridge,
-    )
+        config = replace(config, rbf_centers=kept.config.rbf_centers, rbf_widths=kept.config.rbf_widths)
+    return KoopmanModel(A=kept.A, B_l=kept.B_l, B_d=kept.B_d, config=config, ridge=ridge)
+
+
+def _memoized(store: dict, inputs, compute):
+    """`compute()`, kept in `store` under a SHA-256 of `inputs`: the dtype,
+    shape, memory layout (strides) and bytes of each, taken as an array.
+
+    Equal values in another layout are another key, because the layout picks
+    the BLAS call and so the rounding.  A call with the same inputs gets the
+    kept value itself, so a kept value holds read-only arrays.
+    """
+    h = hashlib.sha256()
+    for value in map(np.asarray, inputs):
+        h.update(repr((value.dtype.str, value.shape, value.strides)).encode())
+        h.update(value.tobytes())
+    key = h.digest()
+    if key not in store:
+        store[key] = compute()
+    return store[key]
 
 
 def _fit_records(records, config, ridge) -> KoopmanModel:

@@ -235,6 +235,31 @@ def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspac
 
 
 @pytest.mark.parametrize(
+    "section, value, named",
+    [
+        ("scenario", {"trip_set": [1, 1]}, "trip_set"),
+        ("scenario", {"trip_set": [1], "noise_amplitude": 2.0, "noise_seed": 1.5}, "noise_seed"),
+        ("scenario", {"trip_set": [1], "noise_seed": -1}, "noise_seed"),
+        ("scenario", {"trip_set": [1], "noise_seed": True}, "noise_seed"),
+        ("weights", {"r": float("inf")}, "(r)"),
+        ("weights", {"r": float("nan")}, "(r)"),
+        ("weights", {"q_omega": float("inf")}, "(q_omega)"),
+        ("weights", {"q_omega": float("nan")}, "(q_omega)"),
+    ],
+    ids=["trip-repeated", "seed-float", "seed-negative", "seed-bool", "r-inf", "r-nan", "q-inf", "q-nan"],
+)
+def test_scenario_or_weights_value_is_a_config_error_that_names_the_key(tmp_path, workspace, capsys, section, value, named):
+    if section == "scenario":
+        value = dict(value, horizon=20.0, dt=0.1)
+    path = config_with(tmp_path, workspace, **{section: value})
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "out" / "control_summary.json").exists()
+
+
+@pytest.mark.parametrize(
     "feeders, quantum",
     [("2", "inf"), ("2", "nan"), ("2", "-40"), ("2", "0"), ("0", "40"), ("-1", "40")],
 )

@@ -21,7 +21,7 @@ from cefc.controller import (
     solve_dare,
     solve_shedding,
 )
-from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig
+from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig, fit, method_config
 
 
 def scalar_model(a=0.97, bl=0.02, bd=1e-4):
@@ -370,6 +370,13 @@ class TestLqrWeights:
         w = LqrWeights.for_model(cefc_model)
         assert w.q_diag[0] > 0 and np.all(w.q_diag[1:] == 0)
 
+    @pytest.mark.parametrize("key", ["q_omega", "r"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, cefc_model, key, value):
+        # an infinite r gives K = 0: an LQR that commands nothing
+        with pytest.raises(ValueError, match=f"[(]{key}[)] must be finite"):
+            LqrWeights.for_model(cefc_model, **{key: value})
+
 
 def grid_scalar_model(grid, a=0.97):
     """One-dimensional lifted model with the default grid's input shapes."""
@@ -389,10 +396,6 @@ def record_bytes(trace) -> list:
 
 class TestComputedOnce:
     """Model-only results are computed once per model and reused bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(controller, "_memo", {})
 
     @pytest.fixture
     def dare_calls(self, monkeypatch):
@@ -424,8 +427,7 @@ class TestComputedOnce:
         coordinate(grid, scenario, copy.deepcopy(model), limits)
         assert len(dare_calls) == 1
 
-        nudged = copy.deepcopy(model)
-        nudged.A[0, 0] = np.nextafter(model.A[0, 0], 2.0)
+        nudged = grid_scalar_model(grid, a=np.nextafter(0.97, 2.0))
         trace = coordinate(grid, scenario, nudged, limits)
         assert len(dare_calls) == 2
         want = solve_dare(nudged.A, nudged.B_d, [2e4], [1e-4, 1e-4], discount=0.98)
@@ -441,6 +443,22 @@ class TestComputedOnce:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
         assert C.tobytes() == shedding_sensitivity(model, 50).tobytes()
+
+    @pytest.mark.parametrize("fitted_first", [True, False], ids=["fitted-first", "rebuilt-first"])
+    def test_c_ordered_copies_give_the_fitted_bytes(self, grid, dataset_small, limits, fitted_first):
+        # a fit-memo hit: the fitted matrices in a new model with its own memo
+        fitted = fit(dataset_small, method_config("cefc"))
+        rebuilt = KoopmanModel(
+            A=np.ascontiguousarray(fitted.A),
+            B_l=fitted.B_l.copy(),
+            B_d=np.ascontiguousarray(fitted.B_d),
+            config=fitted.config,
+        )
+        scenario = control_scenario(0.85)
+        order = (fitted, rebuilt) if fitted_first else (rebuilt, fitted)
+        traces = [coordinate(grid, scenario, model, limits) for model in order]
+        assert traces[0].plan is not None  # the run takes the shedding path
+        assert record_bytes(traces[1]) == record_bytes(traces[0])
 
     def test_passed_rollout_gives_the_plan_of_its_own_rollout(self, cefc_model, limits, node_base):
         w = cefc_model.config.window_len

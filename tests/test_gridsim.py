@@ -518,6 +518,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             Scenario(trip_set=(1,), **{field: value})
 
+    def test_repeated_trip_rejected(self):
+        # (1, 1) would count machine 1's power twice but its inertia once
+        with pytest.raises(ValueError, match="trip_set"):
+            Scenario(trip_set=(1, 1))
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_noise_seed_must_be_an_integer_of_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match="noise_seed"):
+            Scenario(trip_set=(1,), noise_amplitude=2.0, noise_seed=seed)
+
     def test_negative_noise_amplitude_rejected(self):
         # it used to pass the "needs a trip, an extra deficit or noise" check
         # and run without any event

@@ -383,7 +383,6 @@ class TestFitMemo:
         assert stage_calls["_regression_pairs"] == 1
         fresh = fit(list(memo_records), cfg)
         assert same_model(hit, fresh) and same_model(first, fresh)
-        assert hit.A is not first.A
         test = dataset_small.test[:4]
         assert repr(eval_metrics(hit, test, 50.0)) == repr(eval_metrics(fresh, test, 50.0))
 
@@ -413,17 +412,20 @@ class TestFitMemo:
         assert stage_calls["_regression_pairs"] == 2
         assert same_model(again, fit(own_copies(records), cfg, ridge))
 
-    def test_editing_a_returned_model_leaves_later_hits_unchanged(self, memo_records):
+    def test_hits_share_the_kept_read_only_arrays(self, memo_records):
         cfg = ObservableConfig(dt=0.1, delay_span=0.0, dictionary="rbf", rbf_count=5)
         ds = Dataset(train=list(memo_records), test=[])
-        first = fit(ds, cfg)
+        first, hit = fit(ds, cfg), fit(ds, cfg)
         fresh = fit(list(memo_records), cfg)
-        for model in (first, fit(ds, cfg)):
-            model.A[0, 0] += 1.0
-            model.B_l[0] += 1.0
-            model.B_d[0] += 1.0
-            model.config.rbf_centers[0] += 1.0
-            assert same_model(fit(ds, cfg), fresh)
+        for model in (first, hit):
+            for a in (model.A, model.B_l, model.B_d, model.config.rbf_centers, model.config.rbf_widths):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] += 1.0
+        for name in ("A", "B_l", "B_d"):
+            assert np.shares_memory(getattr(hit, name), getattr(first, name))
+        assert np.shares_memory(hit.config.rbf_centers, first.config.rbf_centers)
+        assert same_model(fit(ds, cfg), fresh)
 
 
 class TestRollout:
@@ -501,6 +503,15 @@ class TestSerialization:
         assert same_model(back, model)
         for rec in dataset_small.test[:4]:
             assert same_bits(predict_record(back, rec)[1], predict_record(model, rec)[1])
+
+    def test_model_matrices_are_read_only_in_the_fitted_layout(self):
+        # built from C-ordered arrays, as a hand-made or edited model would be
+        A, B_l, B_d = np.arange(9.0).reshape(3, 3) / 10, np.ones((3, 2)), np.ones((3, 2))
+        model = KoopmanModel(A=A, B_l=B_l, B_d=B_d, config=method_config("dmd"))
+        assert model.A.flags.f_contiguous and model.B_d.flags.f_contiguous and model.B_l.flags.c_contiguous
+        assert same_bits(model.A, A) and same_bits(model.B_d, B_d)
+        for a in (model.A, model.B_l, model.B_d):
+            assert not a.flags.writeable
 
     def test_model_file_records_the_spectral_radius(self, cefc_model, tmp_path):
         path = tmp_path / "model.json"
