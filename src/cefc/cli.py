@@ -171,9 +171,10 @@ def cmd_control(cfg, args) -> int:
     trace = coordinate(grid, scenario, model, limits, weights)
     outdir = _outdir(cfg)
     trace.record.write_csv(os.path.join(outdir, "control_trace.csv"))
+    summary = trace.summary(grid.base_frequency)
     with open(os.path.join(outdir, "control_summary.json"), "w") as fh:
-        json.dump(trace.summary(grid.base_frequency), fh, indent=2)
-    print(json.dumps(trace.summary(grid.base_frequency), indent=2))
+        json.dump(summary, fh, indent=2)
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 

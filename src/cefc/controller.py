@@ -24,6 +24,8 @@ from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
 PREDICTION_HORIZON = 30.0
+#: doubling steps before `solve_dare` gives up
+DARE_MAX_ITER = 64
 
 class StabilizabilityError(Exception):
     """Riccati iteration failed to converge."""
@@ -141,7 +143,7 @@ class CoordinationTrace:
     record: gridsim.TrajectoryRecord
     activation_time: float | None
     plan: SheddingPlan | None
-    omega_pred: np.ndarray | None  # model prediction from activation, padded with nan
+    omega_pred: np.ndarray | None  # model prediction from activation, nan-padded; om_free + C x under shed x
     ud_commands: np.ndarray  # (n, q) as issued by the controller
     riccati: RiccatiSolution | None  # the LQR gain's solve; None under constant support
 
@@ -190,7 +192,9 @@ def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
     """Per-step effect of a unit one-shot shedding ratio on predicted omega.
 
     Row t gives d(omega_t)/d(x) for the shedding vector x applied from the
-    second control step onward; rows 0 and 1 are zero.
+    second control step onward; rows 0 and 1 are zero.  The lifted model is
+    linear in its inputs, so a one-shot shed x predicts `om_free + C @ x`,
+    with `om_free` the full-support rollout of `predict_max_dc`.
     """
     C = np.zeros((steps + 1, model.n_loads))
     M = np.zeros((model.dim, model.n_loads))
@@ -300,7 +304,7 @@ def solve_shedding(
     return make_plan(x, True)
 
 
-def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, discount: float = 1.0) -> RiccatiSolution:
+def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, discount: float = 1.0) -> RiccatiSolution:
     """Structure-preserving doubling for the discrete algebraic Riccati equation.
 
     Q2 = diag(q_diag) and R2 = diag(r_diag).  Writes the equation as
@@ -309,10 +313,10 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, dis
     Control 77, 2004): H_k equals 2^k steps of the Riccati recursion and A_k
     the closed-loop map squared k times, so a few steps converge.  Stops when
     the equation residual (Frobenius norm) of P = H_k and the last doubling
-    increment both drop below `tol` scaled by max(1, ||P||); `max_iter` counts
-    doubling steps.  Raises StabilizabilityError on a non-finite value or
-    without convergence: a mode that no input reaches and that does not decay
-    keeps P growing, however small its residual is relative to ||P||.
+    increment both drop below `tol` scaled by max(1, ||P||), within
+    `DARE_MAX_ITER` doubling steps.  Raises StabilizabilityError on a non-finite
+    value or without convergence: a mode that no input reaches and that does
+    not decay keeps P growing, however small its residual is relative to ||P||.
     `discount` < 1 solves the discounted problem (A, B scaled by the
     discount), which keeps P bounded when the identified A carries marginal
     modes that the DC inputs cannot move.
@@ -333,7 +337,7 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, dis
     res = float("inf")
     # overflow before the finiteness check is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, DARE_MAX_ITER + 1):
             W = np.eye(n) + G @ P
             WA, WG = np.split(np.linalg.solve(W, np.hstack([Ak, G])), 2, axis=1)
             step = Ak.T @ P @ WA
@@ -349,7 +353,7 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, max_iter: int = 64, dis
                 K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
                 return RiccatiSolution(P=P, K=K, residual=res, iterations=it)
     raise StabilizabilityError(
-        f"Riccati iteration did not converge in {max_iter} doubling steps (residual {res:.3e})"
+        f"Riccati iteration did not converge in {DARE_MAX_ITER} doubling steps (residual {res:.3e})"
     )
 
 
@@ -409,10 +413,10 @@ def coordinate(
     ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
     # the policy hands simulate these shared vectors, which it only reads
     no_shed, no_dc, support = np.zeros(p), np.zeros(q), limits.ud_support
-    detect_k = activated_k = plan = shed_k = shed_ul = pred = None
+    detect_k = activated_k = plan = shed_k = shed_ul = omega_pred = None
 
     def policy(t, om_hist, y_hist):
-        nonlocal detect_k, activated_k, plan, shed_k, shed_ul, pred
+        nonlocal detect_k, activated_k, plan, shed_k, shed_ul, omega_pred
         k = len(om_hist) - 1
         om = om_hist[-1]
         if detect_k is None and om <= -0.25 * limits.activation_threshold_pu:
@@ -435,12 +439,9 @@ def coordinate(
                     plan.shed_time = t + dt
                     shed_k = k + 1
                     shed_ul = np.minimum(plan.quantized_ratio, 1.0)
-                    # prediction with the executed (quantized) plan
-                    ul_seq = np.tile(plan.quantized_ratio, (steps, 1))
-                    ul_seq[0] = 0.0
-                    ud_seq = np.tile(limits.ud_support, (steps, 1))
-                    om_hat = predict_rollout(model, om_win, y_win, ul_seq, ud_seq, steps)
-                pred = (k, om_hat)
+                    om_hat = om_hat + _memoized_sensitivity(model, steps) @ plan.quantized_ratio
+                omega_pred = np.full(n, np.nan)
+                omega_pred[k : k + steps + 1] = om_hat
                 ud = support
             else:
                 ud = no_dc
@@ -453,12 +454,6 @@ def coordinate(
         return ul, ud
 
     rec = gridsim.simulate(grid, scenario, policy)
-
-    omega_pred = None
-    if pred is not None:
-        k0, om_hat = pred
-        omega_pred = np.full(n, np.nan)
-        omega_pred[k0 : k0 + len(om_hat)] = om_hat[: n - k0]
     return CoordinationTrace(
         record=rec,
         activation_time=None if activated_k is None else activated_k * dt,

@@ -117,10 +117,6 @@ class GridModel:
     def n_links(self) -> int:
         return len(self.hvdc)
 
-    @property
-    def n_buses(self) -> int:
-        return len(self.voltage_sensitivity)
-
     def total_damping(self) -> float:
         return sum(m.damping * m.capacity for m in self.machines) / self.s_base
 

@@ -208,14 +208,16 @@ class KoopmanModel:
         self.A = _read_only(self.A, order="F")
         self.B_l = _read_only(self.B_l)
         self.B_d = _read_only(self.B_d, order="F")
+        for name, mat in (("A", self.A), ("B_l", self.B_l), ("B_d", self.B_d)):
+            if mat.ndim != 2:
+                raise ValueError(f"{name} must be a 2-D matrix, got {mat.ndim}-D")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("model matrices must be finite")
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
         if self.B_l.shape[0] != n or self.B_d.shape[0] != n:
             raise ValueError("B blocks must match dim(g) rows")
-        for mat in (self.A, self.B_l, self.B_d):
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("model matrices must be finite")
 
     @property
     def dim(self) -> int:

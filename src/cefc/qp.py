@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
+TOL = 1e-10  # stationarity, multiplier and blocking-step tolerance
+MAX_ITER = 200  # active-set iterations before QPError
+
 
 class QPError(Exception):
     pass
 
 
-def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
+def solve_qp(H, c, G, h, x0):
     """Primal active-set QP from a feasible start.
 
     Returns (x, active) where `active` is the final working set of row
@@ -35,7 +38,7 @@ def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
     work = _independent_subset(G, work, n)
 
     full_step = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         Gw = G[work] if work else np.zeros((0, n))
         kkt = np.block(
             [[H, Gw.T], [Gw, np.zeros((len(work), len(work)))]]
@@ -50,12 +53,12 @@ def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
         # size, so the stationarity test must scale with it; after a full
         # unblocked step x already minimizes over the working set, however
         # large a d the solve of a nearly dependent working set returns
-        if full_step or np.linalg.norm(d) < tol * max(1.0, np.linalg.norm(grad)):
+        if full_step or np.linalg.norm(d) < TOL * max(1.0, np.linalg.norm(grad)):
             full_step = False
-            if len(mu) == 0 or np.min(mu) >= -tol:
+            if len(mu) == 0 or np.min(mu) >= -TOL:
                 return x, list(work)
             # drop the lowest-index violating row (Bland's rule, avoids cycling)
-            work.pop(int(np.flatnonzero(mu < -tol)[0]))
+            work.pop(int(np.flatnonzero(mu < -TOL)[0]))
             continue
 
         # step to the nearest blocking constraint
@@ -65,7 +68,7 @@ def solve_qp(H, c, G, h, x0, tol: float = 1e-10, max_iter: int = 200):
             if i in work:
                 continue
             gi_d = G[i] @ d
-            if gi_d > tol:
+            if gi_d > TOL:
                 a = (h[i] - G[i] @ x) / gi_d
                 if a < alpha - 1e-14:
                     alpha = max(a, 0.0)

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from cefc.bench import METHODS, SUBCASE_INERTIA
 from cefc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cefc.gridsim import Scenario, default_grid, simulate
 from cefc.koopman import Dataset, KoopmanModel, eval_metrics, predict_record
@@ -402,6 +403,18 @@ def test_misshapen_model_matrix_error_names_the_file(tmp_path, workspace, capsys
     assert capsys.readouterr().err.startswith(f"config error: cannot read oracle {bad}: A must be square")
 
 
+@pytest.mark.parametrize("key, value", [("A", 5), ("B_l", [0.1, 0.2]), ("B_d", 5)], ids=["A-scalar", "B_l-vector", "B_d-scalar"])
+def test_model_matrix_that_is_not_2d_is_a_config_error(tmp_path, workspace, capsys, key, value):
+    with open(os.path.join(workspace["out"], "model_dmd.json")) as fh:
+        doc = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, key: value}))
+    path = config_with(tmp_path, workspace)
+    assert main(["predict", "--config", path, "--model", str(bad)]) == EXIT_CONFIG
+    ndim = np.ndim(value)
+    assert capsys.readouterr().err.startswith(f"config error: cannot read model {bad}: {key} must be a 2-D matrix, got {ndim}-D")
+
+
 @pytest.mark.parametrize("command", ["predict", "control", "prop1"])
 def test_scenario_at_another_sample_time_than_the_model_is_a_config_error(tmp_path, workspace, capsys, command):
     scenario = {"inertia_scale": 0.85, "trip_set": [1, 2, 3], "trip_time": 5.0, "horizon": 10.0, "dt": 0.05}
@@ -431,3 +444,36 @@ def test_observables_without_dt_fit_at_the_dataset_sample_time(tmp_path, capsys)
     path.write_text(json.dumps({"seed": 0, "output_dir": str(out), "observables": {**observables, "dt": 0.1}}))
     assert main(["fit", "--config", str(path), "--method", "dmd", "--model", str(tmp_path / "m.json")]) == EXIT_CONFIG
     assert "a training record samples every 0.05 s but the model runs at 0.1 s" in capsys.readouterr().err
+
+
+def test_bench_writes_every_output(tmp_path):
+    # At 2 training trajectories the `cefc` fit has rho(A) > 1 and its Table-1
+    # mean error reads about 3e6 Hz on this seed.  So this checks that every
+    # output is written, complete and finite, not how good the numbers are.
+    out = tmp_path / "out"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "output_dir": str(out)}))
+    assert main(["bench", "--config", str(path), "--train", "2", "--test", "1"]) == EXIT_OK
+
+    def read_csv(name):
+        with open(out / name) as fh:
+            return list(csv.DictReader(fh))
+
+    table = read_csv("table1.csv")
+    assert [r["method"] for r in table] == list(METHODS)
+    assert all(np.isfinite(float(r[k])) for r in table for k in ("nadir_hz", "ssv_hz", "mean_hz"))
+    for i in range(1, len(SUBCASE_INERTIA) + 1):
+        rows = read_csv(f"subcases/subcase_{i}.csv")
+        assert list(rows[0]) == ["t", "omega", "omega_pred", "ud_total_mw", "shed_total_mw"]
+        assert len(rows) == 601 and all(np.isfinite(float(v)) for r in rows for v in r.values())
+    with open(out / "subcases" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert [r["inertia_scale"] for r in summary] == list(SUBCASE_INERTIA)
+    assert all(np.isfinite(r["nadir_hz"]) and np.isfinite(r["steady_state_hz"]) for r in summary)
+    rows = read_csv("edcps_compare.csv")
+    assert list(rows[0]) == ["t", "omega_lqr", "ud_lqr_mw", "omega_max", "ud_max_mw"]
+    assert all(np.isfinite(float(v)) for r in rows for v in r.values())
+    with open(out / "edcps_compare.json") as fh:
+        compare = json.load(fh)
+    assert set(compare) == {"lqr", "max"}
+    assert all(np.isfinite(compare[mode]["cumulative_abs_ud_mw_s"]) for mode in compare)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cefc import controller
-from cefc.bench import control_scenario
+from cefc.bench import SUBCASE_INERTIA, control_scenario
 from cefc.controller import (
     ControlLimits,
     LqrWeights,
@@ -21,7 +21,7 @@ from cefc.controller import (
     solve_dare,
     solve_shedding,
 )
-from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig, fit, method_config
+from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig, fit, method_config, predict_rollout
 
 
 def scalar_model(a=0.97, bl=0.02, bd=1e-4):
@@ -346,6 +346,27 @@ class TestCoordinate:
         detected = rec.t[np.argmax(rec.omega <= -0.25 * limits.activation_threshold_pu)]
         assert trace.activation_time is not None
         assert trace.activation_time - detected >= MEASUREMENT_DELAY - 1e-9
+
+    @pytest.mark.parametrize("dc_mode", ["lqr", "max"])
+    def test_prediction_is_the_rollout_of_the_executed_plan(self, grid, cefc_model, limits, dc_mode):
+        # omega_pred is om_free + C x; the lifted model is linear in its inputs,
+        # so that is a rollout under the quantized shed, held from the second step
+        w = cefc_model.config.window_len
+        shed = 0
+        for scale in SUBCASE_INERTIA:
+            trace = coordinate(grid, control_scenario(scale), cefc_model, limits, dc_mode=dc_mode)
+            rec, n = trace.record, len(trace.record)
+            k = int(round(trace.activation_time / rec.dt))
+            steps = min(int(round(controller.PREDICTION_HORIZON / rec.dt)), n - 1 - k)
+            x = trace.plan.quantized_ratio if trace.plan is not None else np.zeros(grid.n_loads)
+            ul_seq = np.tile(x, (steps, 1))
+            ul_seq[0] = 0.0
+            ud_seq = np.tile(limits.ud_support, (steps, 1))
+            om_hat = predict_rollout(cefc_model, rec.omega[k - w + 1 : k + 1], rec.y[k - w + 1 : k + 1], ul_seq, ud_seq, steps)
+            assert np.all(np.isnan(trace.omega_pred[:k])) and np.all(np.isnan(trace.omega_pred[k + steps + 1 :]))
+            assert np.max(np.abs(trace.omega_pred[k : k + steps + 1] - om_hat)) <= 1e-10
+            shed += np.any(x > 0)
+        assert shed > 0  # some runs take the shedding path
 
     def test_rejects_unknown_dc_mode(self, grid, cefc_model, limits):
         from cefc.bench import control_scenario
