@@ -134,7 +134,10 @@ def cmd_gen_data(cfg, args) -> int:
 
 def cmd_fit(cfg, args) -> int:
     outdir = _outdir(cfg)
-    ds = _read(Dataset.load, os.path.join(outdir, "dataset"), "dataset")
+    data_dir = os.path.join(outdir, "dataset")
+    ds = _read(Dataset.load, data_dir, "dataset")
+    if not ds.train:
+        raise ConfigError(f"dataset {data_dir} has no training trajectories")
     # the data fixes the sample time; a section that states another fails fit's check
     dt = ds.train[0].dt
     default = method_config(args.method, dt=dt)
@@ -199,23 +202,17 @@ def cmd_prop1(cfg, args) -> int:
 
 def cmd_bench(cfg, args) -> int:
     grid = _grid_from_config(cfg)
-    suite = bench_mod.BenchSuite(
-        grid=grid,
-        n_train=args.train,
-        n_test=args.test,
-        seed=cfg["seed"],
-        outdir=_outdir(cfg),
-        limits=_limits_from_config(cfg, grid),
-    )
-    dataset = generate_dataset(grid, suite.n_train, suite.n_test, suite.seed)
-    table = bench_mod.run_prediction_table(suite, dataset)
+    outdir = _outdir(cfg)
+    limits = _limits_from_config(cfg, grid)
+    dataset = generate_dataset(grid, args.train, args.test, cfg["seed"])
+    table = bench_mod.run_prediction_table(grid, dataset, outdir)
     model = fit(dataset, method_config("cefc", dt=dataset.train[0].dt))
     weights = _weights_from_config(cfg, model)
-    bench_mod.run_control_subcases(suite, model, weights)
-    bench_mod.run_edcps_comparison(suite, model, weights)
+    bench_mod.run_control_subcases(grid, limits, model, weights, outdir)
+    bench_mod.run_edcps_comparison(grid, limits, model, weights, outdir)
     for name, m in table.items():
         print(f"{name:9s} nadir {m['nadir_hz']:.3f} Hz  ssv {m['ssv_hz']:.3f} Hz  mean {m['mean_hz']:.3f} Hz")
-    print(f"outputs in {suite.outdir}")
+    print(f"outputs in {outdir}")
     return EXIT_OK
 
 

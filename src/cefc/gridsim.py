@@ -21,6 +21,7 @@ import numpy as np
 
 MOTOR_FREQ_SENSITIVITY = 1.5  # p.u. load change per p.u. frequency, dynamic share
 GOVERNOR_LIMIT = 0.25  # governor output cap, p.u. on machine base
+SUBSTEPS = 4  # RK4 steps per sample step
 
 
 class SimulationError(Exception):
@@ -313,7 +314,7 @@ class _Plant:
     is ``W @ (x + b)``, a product with the concatenation [x, b].
     """
 
-    def __init__(self, grid: GridModel, scenario: Scenario, substeps: int):
+    def __init__(self, grid: GridModel, scenario: Scenario):
         s = grid.s_base
         self.nm = len(grid.machines)
         self.p = grid.n_loads
@@ -346,8 +347,7 @@ class _Plant:
         self.pg = slice(1, 1 + self.nm)
         self.w = slice(1 + self.nm, 1 + self.nm + self.p)
         self.pdc = slice(1 + self.nm + self.p, nx)
-        self.substeps = substeps
-        self.h = scenario.dt / substeps
+        self.h = scenario.dt / SUBSTEPS
         # float copies for the per-step arithmetic
         self._lags, self._signs = self.lag.tolist(), self.sign.tolist()
         self._b_mid = [0.0] * (nx - 1 - self.q)  # b[1:pdc], always zero
@@ -420,7 +420,7 @@ class _Plant:
             B = np.hstack([np.zeros((nx, nx)), np.eye(nx)])
             gov = np.arange(nx)[self.pg][act]
             stages = []
-            for _ in range(self.substeps):
+            for _ in range(SUBSTEPS):
                 k1 = A_lin @ X + B
                 s2 = X + h / 2 * k1
                 k2 = A_lin @ s2 + B
@@ -431,7 +431,7 @@ class _Plant:
                 stages += [X[gov], s2[gov], s3[gov], s4[gov]]
                 X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             W = np.vstack([X, *stages])
-            lim = np.tile(self.gov_lim[act], 4 * self.substeps)
+            lim = np.tile(self.gov_lim[act], 4 * SUBSTEPS)
             hit = held.W[post] = (W, lim)
         return hit
 
@@ -457,7 +457,7 @@ class _Plant:
             return self.matrix(held, post) @ z + b
 
         h, x = self.h, np.array(x)
-        for _ in range(self.substeps):
+        for _ in range(SUBSTEPS):
             k1 = f(t, x)
             k2 = f(t + h / 2, x + h / 2 * k1)
             k3 = f(t + h / 2, x + h / 2 * k2)
@@ -478,7 +478,7 @@ class _Plant:
         return 1.0 + self.vsens @ inj
 
 
-def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4) -> TrajectoryRecord:
+def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryRecord:
     """Fixed-step RK4 run of one scenario, optionally under a control policy.
 
     The policy, if given, is called once per sample step as
@@ -500,9 +500,7 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     draws.  So a record is still a function of `noise_seed`.
     """
     scenario.validate(grid)
-    if substeps < 4:
-        raise ValueError("substeps must be >= 4 (RK4 step <= dt/4)")
-    plant = _Plant(grid, scenario, substeps)
+    plant = _Plant(grid, scenario)
     p, q, s = plant.p, plant.q, plant.s_base
     dt = scenario.dt
     n_steps = int(round(scenario.horizon / dt))
@@ -537,7 +535,7 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None, substeps: int = 4
     n = n_steps + 1
     t_arr = np.arange(n) * dt
     t_end = t_arr.copy()  # each step's last stage time, accumulated by t += h
-    for _ in range(substeps):
+    for _ in range(SUBSTEPS):
         t_end += plant.h
     sides = plant.sides(t_arr, t_end)
     times = list(t_arr)

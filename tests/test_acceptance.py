@@ -10,8 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from cefc.bench import SUBCASE_INERTIA, BenchSuite, control_scenario, run_prediction_table
-from cefc.controller import ControlLimits, coordinate, solve_dare, solve_shedding, quantize
+from cefc.bench import (
+    SUBCASE_INERTIA,
+    control_scenario,
+    run_control_subcases,
+    run_edcps_comparison,
+    run_prediction_table,
+)
+from cefc.controller import ControlLimits, LqrWeights, coordinate, solve_dare, solve_shedding, quantize
 from cefc.gridsim import Scenario
 from cefc.koopman import (
     KoopmanModel,
@@ -212,23 +218,14 @@ def test_criterion_7_coordination_safety(grid, protocol, limits):
 
 def test_criterion_8_byte_identical_reruns(grid, cefc_model, limits, tmp_path):
     outputs = {"a": {}, "b": {}}
+    weights = LqrWeights.for_model(cefc_model)
     for run in outputs:
-        suite = BenchSuite(
-            grid=grid,
-            methods=("dmd",),
-            n_train=5,
-            n_test=2,
-            seed=13,
-            inertia_scales=(0.85,),
-            outdir=str(tmp_path / run),
-            limits=limits,
-        )
-        run_prediction_table(suite)
-        from cefc.bench import run_control_subcases, run_edcps_comparison
-
-        run_control_subcases(suite, cefc_model)
-        run_edcps_comparison(suite, cefc_model)
+        outdir = tmp_path / run
+        outdir.mkdir()
+        run_prediction_table(grid, generate_dataset(grid, 5, 2, seed=13), outdir)
+        run_control_subcases(grid, limits, cefc_model, weights, outdir)
+        run_edcps_comparison(grid, limits, cefc_model, weights, outdir)
         for name in ("table1.csv", "subcases/subcase_1.csv", "edcps_compare.csv"):
-            with open(f"{suite.outdir}/{name}", "rb") as fh:
+            with open(f"{outdir}/{name}", "rb") as fh:
                 outputs[run][name] = fh.read()
     assert outputs["a"] == outputs["b"]

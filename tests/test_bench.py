@@ -1,31 +1,46 @@
+import csv
 import json
 import os
 
-import numpy as np
 import pytest
 
 from cefc.bench import (
+    EDCPS_INERTIA,
+    METHODS,
     SUBCASE_INERTIA,
-    BenchSuite,
     control_scenario,
     run_control_subcases,
     run_edcps_comparison,
     run_prediction_table,
 )
+from cefc.controller import LqrWeights
+from cefc.koopman import generate_dataset
 
 
 @pytest.fixture(scope="module")
-def suite(grid, tmp_path_factory, limits):
-    return BenchSuite(
-        grid=grid,
-        methods=("cefc", "dmd"),
-        n_train=8,
-        n_test=4,
-        seed=21,
-        inertia_scales=(0.85, 0.94),
-        outdir=str(tmp_path_factory.mktemp("bench")),
-        limits=limits,
-    )
+def outdir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("bench"))
+
+
+@pytest.fixture(scope="module")
+def weights(cefc_model):
+    return LqrWeights.for_model(cefc_model)
+
+
+@pytest.fixture(scope="module")
+def subcases(grid, limits, cefc_model, weights, outdir):
+    return run_control_subcases(grid, limits, cefc_model, weights, outdir)
+
+
+@pytest.fixture(scope="module")
+def edcps(grid, limits, cefc_model, weights, outdir):
+    return run_edcps_comparison(grid, limits, cefc_model, weights, outdir)
+
+
+def read_columns(path):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {k: [r[k] for r in rows] for k in rows[0]}
 
 
 def test_subcase_inertia_values():
@@ -40,48 +55,53 @@ def test_control_scenario_layout():
     assert sc.noise_amplitude == 0.0
 
 
-def test_prediction_table_outputs(suite, dataset_small):
-    table = run_prediction_table(suite, dataset_small)
-    assert set(table) == {"cefc", "dmd"}
-    path = os.path.join(suite.outdir, "table1.csv")
+def test_prediction_table_outputs(grid, dataset_small, outdir):
+    table = run_prediction_table(grid, dataset_small, outdir)
+    assert tuple(table) == METHODS
+    path = os.path.join(outdir, "table1.csv")
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "method,nadir_hz,ssv_hz,mean_hz"
-    assert len(lines) == 3
+    assert len(lines) == len(METHODS) + 1
 
 
-def test_control_subcases_outputs(suite, cefc_model, grid):
-    results = run_control_subcases(suite, cefc_model)
-    assert len(results) == len(suite.inertia_scales)
-    for i in range(len(results)):
-        assert os.path.exists(os.path.join(suite.outdir, "subcases", f"subcase_{i + 1}.csv"))
-    with open(os.path.join(suite.outdir, "subcases", "summary.json")) as fh:
+def test_control_subcases_outputs(subcases, outdir):
+    assert len(subcases) == len(SUBCASE_INERTIA)
+    for i in range(len(subcases)):
+        assert os.path.exists(os.path.join(outdir, "subcases", f"subcase_{i + 1}.csv"))
+    with open(os.path.join(outdir, "subcases", "summary.json")) as fh:
         summary = json.load(fh)
-    assert [r["inertia_scale"] for r in summary] == list(suite.inertia_scales)
+    assert [r["inertia_scale"] for r in summary] == list(SUBCASE_INERTIA)
     for r in summary:
         assert r["nadir_hz"] > 48.0  # arrested decline in every subcase
 
 
-def test_edcps_comparison_outputs(suite, cefc_model):
-    out = run_edcps_comparison(suite, cefc_model)
-    assert out["lqr"]["cumulative_abs_ud_mw_s"] < out["max"]["cumulative_abs_ud_mw_s"]
-    assert os.path.exists(os.path.join(suite.outdir, "edcps_compare.csv"))
-    assert os.path.exists(os.path.join(suite.outdir, "edcps_compare.json"))
+def test_edcps_comparison_outputs(edcps, outdir):
+    assert edcps["lqr"]["cumulative_abs_ud_mw_s"] < edcps["max"]["cumulative_abs_ud_mw_s"]
+    assert os.path.exists(os.path.join(outdir, "edcps_compare.csv"))
+    assert os.path.exists(os.path.join(outdir, "edcps_compare.json"))
 
 
-def test_prediction_table_is_deterministic(grid, limits, tmp_path):
+def test_edcps_lqr_run_is_the_subcase_at_its_inertia(subcases, edcps, outdir):
+    # the LQR side of the comparison repeats the subcase at the same inertia,
+    # with the same model, limits and weights
+    i = SUBCASE_INERTIA.index(EDCPS_INERTIA)
+    summary = dict(subcases[i])
+    assert summary.pop("inertia_scale") == EDCPS_INERTIA
+    assert summary == edcps["lqr"]
+    subcase = read_columns(os.path.join(outdir, "subcases", f"subcase_{i + 1}.csv"))
+    compare = read_columns(os.path.join(outdir, "edcps_compare.csv"))
+    assert compare["t"] == subcase["t"]
+    assert compare["omega_lqr"] == subcase["omega"]
+    assert compare["ud_lqr_mw"] == subcase["ud_total_mw"]
+
+
+def test_prediction_table_is_deterministic(grid, tmp_path):
     outputs = []
     for run in ("a", "b"):
-        suite = BenchSuite(
-            grid=grid,
-            methods=("dmd",),
-            n_train=4,
-            n_test=2,
-            seed=33,
-            outdir=str(tmp_path / run),
-            limits=limits,
-        )
-        run_prediction_table(suite)
-        with open(os.path.join(suite.outdir, "table1.csv"), "rb") as fh:
+        outdir = str(tmp_path / run)
+        os.makedirs(outdir)
+        run_prediction_table(grid, generate_dataset(grid, 4, 2, seed=33), outdir)
+        with open(os.path.join(outdir, "table1.csv"), "rb") as fh:
             outputs.append(fh.read())
     assert outputs[0] == outputs[1]

@@ -347,6 +347,15 @@ def test_missing_input_file_is_a_config_error(tmp_path, workspace, capsys, monke
     assert err.startswith("config error: cannot read") and missing in err
 
 
+def test_dataset_without_training_trajectories_is_a_config_error(tmp_path, workspace, capsys):
+    path = config_with(tmp_path, workspace)
+    data_dir = tmp_path / "out" / "dataset"
+    data_dir.mkdir(parents=True)
+    (data_dir / "manifest.json").write_text(json.dumps({"seed": 1, "train": [], "test": []}))
+    assert main(["fit", "--config", path, "--method", "dmd"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: dataset {data_dir} has no training trajectories\n"
+
+
 @pytest.mark.parametrize("what", ["model", "dataset"])
 def test_malformed_input_file_is_a_config_error(tmp_path, workspace, capsys, what):
     path = config_with(tmp_path, workspace)
@@ -462,13 +471,22 @@ def test_bench_writes_every_output(tmp_path):
     table = read_csv("table1.csv")
     assert [r["method"] for r in table] == list(METHODS)
     assert all(np.isfinite(float(r[k])) for r in table for k in ("nadir_hz", "ssv_hz", "mean_hz"))
-    for i in range(1, len(SUBCASE_INERTIA) + 1):
-        rows = read_csv(f"subcases/subcase_{i}.csv")
-        assert list(rows[0]) == ["t", "omega", "omega_pred", "ud_total_mw", "shed_total_mw"]
-        assert len(rows) == 601 and all(np.isfinite(float(v)) for r in rows for v in r.values())
     with open(out / "subcases" / "summary.json") as fh:
         summary = json.load(fh)
     assert [r["inertia_scale"] for r in summary] == list(SUBCASE_INERTIA)
+    for i, s in enumerate(summary, start=1):
+        rows = read_csv(f"subcases/subcase_{i}.csv")
+        assert list(rows[0]) == ["t", "omega", "omega_pred", "ud_total_mw", "shed_total_mw"]
+        assert len(rows) == 601
+        assert all(np.isfinite(float(r[k])) for r in rows for k in r if k != "omega_pred")
+        # the prediction covers the activation sample through the 30 s horizon, and is nan elsewhere
+        predicted = np.isfinite([float(r["omega_pred"]) for r in rows])
+        window = np.zeros(len(rows), dtype=bool)
+        if s["activation_time"] is not None:
+            k = round(s["activation_time"] / 0.1)
+            window[k : k + 301] = True
+        assert np.array_equal(predicted, window), f"subcase {i}"
+        assert all(r["omega_pred"] == "nan" for r, w in zip(rows, window) if not w)
     assert all(np.isfinite(r["nadir_hz"]) and np.isfinite(r["steady_state_hz"]) for r in summary)
     rows = read_csv("edcps_compare.csv")
     assert list(rows[0]) == ["t", "omega_lqr", "ud_lqr_mw", "omega_max", "ud_max_mw"]

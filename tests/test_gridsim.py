@@ -11,6 +11,7 @@ from cefc.controller import coordinate
 from cefc.gridsim import (
     GOVERNOR_LIMIT,
     MOTOR_FREQ_SENSITIVITY,
+    SUBSTEPS,
     GridModel,
     Scenario,
     SimulationError,
@@ -166,7 +167,7 @@ class TestFusedStepsMatchReference:
         assert np.any(rec.ul > 0) and np.any(rec.ud_applied == 70.0)
 
 
-def numpy_loop_simulate(grid, scenario, policy=None, substeps=4):
+def numpy_loop_simulate(grid, scenario, policy=None):
     """`simulate`'s sample loop with numpy vector arithmetic at every step.
 
     The per-step oracle for the float-list loop, which must give the same
@@ -175,7 +176,7 @@ def numpy_loop_simulate(grid, scenario, policy=None, substeps=4):
     checks, clips and merges every policy command at every step.
     """
     scenario.validate(grid)
-    plant = _Plant(grid, scenario, substeps)
+    plant = _Plant(grid, scenario)
     p, q, s, nx = plant.p, plant.q, plant.s_base, plant.nx
     z = np.zeros(2 * nx)
     x, b = z[:nx], z[nx:]
@@ -214,7 +215,7 @@ def numpy_loop_simulate(grid, scenario, policy=None, substeps=4):
             return plant.matrix(held, post) @ zs + b
 
         h, xs = plant.h, x.copy()
-        for _ in range(substeps):
+        for _ in range(SUBSTEPS):
             k1 = f(t, xs)
             k2 = f(t + h / 2, xs + h / 2 * k1)
             k3 = f(t + h / 2, xs + h / 2 * k2)
@@ -234,7 +235,7 @@ def numpy_loop_simulate(grid, scenario, policy=None, substeps=4):
     n = n_steps + 1
     t_arr = np.arange(n) * dt
     t_end = t_arr.copy()
-    for _ in range(substeps):
+    for _ in range(SUBSTEPS):
         t_end += plant.h
     sides = plant.sides(t_arr, t_end)
     omega, y = np.zeros(n), np.zeros((n, plant.vsens.shape[0]))
@@ -334,35 +335,33 @@ class TestFloatLoopMatchesNumpyLoop:
     """`simulate` gives the bits of the numpy sample loop, record for record."""
 
     @pytest.mark.parametrize(
-        "scenario, make_policy, substeps",
+        "scenario, make_policy",
         [
             (
                 trip_scenario(trip_set=(1, 3), inertia_scale=0.85, noise_amplitude=4.0,
                               noise_seed=9, noise_channels=("dc",)),
                 excitation_policy,
-                4,
             ),
             (
                 trip_scenario(noise_amplitude=4.0, noise_seed=3, noise_channels=("loads", "dc"), horizon=30.0),
                 shed_and_ramp_policy,
-                4,
             ),
-            (trip_scenario(noise_amplitude=4.0, noise_seed=5, noise_channels=("loads", "dc"), horizon=20.0), None, 4),
+            (trip_scenario(noise_amplitude=4.0, noise_seed=5, noise_channels=("loads", "dc"), horizon=20.0), None),
             # the governor clip engages here (see test_deep_event_with_the_governor_clip_engaged)
-            (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), None, 4),
-            (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), shed_and_ramp_policy, 4),
-            (trip_scenario(trip_time=5.03, horizon=20.0), shed_and_ramp_policy, 4),
-            (trip_scenario(noise_amplitude=3.0, noise_channels=("loads",), horizon=20.0), shed_and_ramp_policy, 8),
-            (trip_scenario(noise_amplitude=3.0, noise_channels=("dc",), horizon=20.0), list_policy, 4),
-            (trip_scenario(horizon=20.0), signed_zero_policy, 4),
-            (trip_scenario(noise_amplitude=3.0, noise_channels=("loads", "dc"), horizon=20.0), mutating_policy, 4),
+            (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), None),
+            (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), shed_and_ramp_policy),
+            (trip_scenario(trip_time=5.03, horizon=20.0), shed_and_ramp_policy),
+            (trip_scenario(noise_amplitude=3.0, noise_channels=("loads",), horizon=20.0), shed_and_ramp_policy),
+            (trip_scenario(noise_amplitude=3.0, noise_channels=("dc",), horizon=20.0), list_policy),
+            (trip_scenario(horizon=20.0), signed_zero_policy),
+            (trip_scenario(noise_amplitude=3.0, noise_channels=("loads", "dc"), horizon=20.0), mutating_policy),
         ],
-        ids=["excitation", "noise-policy", "noise", "clip", "clip-policy", "trip-between", "substeps8",
-             "lists", "signed-zeros", "mutated-in-place"],
+        ids=["excitation", "noise-policy", "noise", "clip", "clip-policy", "trip-between",
+             "loads-noise-policy", "lists", "signed-zeros", "mutated-in-place"],
     )
-    def test_direct_runs(self, grid, scenario, make_policy, substeps):
+    def test_direct_runs(self, grid, scenario, make_policy):
         def run(sim):
-            return sim(grid, scenario, make_policy(grid) if make_policy else None, substeps)
+            return sim(grid, scenario, make_policy(grid) if make_policy else None)
 
         assert_same_bits(run(simulate), run(numpy_loop_simulate))
 
@@ -452,18 +451,14 @@ class TestSteadyState:
 
 class TestIntegration:
     def test_rk4_agrees_across_substep_counts(self, grid):
-        rec4 = simulate(grid, trip_scenario(), substeps=4)
-        rec8 = simulate(grid, trip_scenario(), substeps=8)
-        diff = np.abs(rec4.omega - rec8.omega)
+        rec4 = simulate(grid, trip_scenario())
+        omega8, *_ = reference_simulate(grid, trip_scenario(), substeps=8)
+        diff = np.abs(rec4.omega - omega8)
         # the smooth segments agree to machine precision; the residual comes
         # from RK4 stages straddling the switching instant of the trip
         trip_idx = int(round(5.0 / 0.1))
         assert np.max(diff[:trip_idx]) == 0.0
         assert np.max(diff) < 1e-4
-
-    def test_substep_floor_enforced(self, grid):
-        with pytest.raises(ValueError):
-            simulate(grid, trip_scenario(), substeps=2)
 
     def test_trip_pulls_frequency_down(self, grid):
         rec = simulate(grid, trip_scenario())
