@@ -20,13 +20,17 @@ from . import bench as bench_mod
 from . import koopman
 from .controller import ControlLimits, LqrWeights, StabilizabilityError, coordinate
 from .gridsim import GridModel, HvdcLink, LoadNode, Machine, Scenario, SimulationError, default_grid, simulate, write_table
-from .koopman import Dataset, InsufficientHistoryError, KoopmanModel, ObservableConfig, fit, generate_dataset, method_config
+from .koopman import Dataset, InsufficientHistoryError, KoopmanModel, fit, generate_dataset, method_config
 from .robustness import FeederSpec, check_prop1
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+
+#: every key a config may hold; the sections are read by the commands that need them
+CONFIG_KEYS = ("seed", "output_dir", "grid", "scenario", "limits", "weights")
 
 
 class ConfigError(Exception):
@@ -47,10 +51,22 @@ def _read(load, path, what):
         raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
 
 
+def _load_model(path, what, grid) -> KoopmanModel:
+    """The model file at `path`, checked against the grid it is to run on."""
+
+    def load(path):
+        model = KoopmanModel.load(path)
+        koopman.check_grid(model, grid)
+        return model
+
+    return _read(load, path, what)
+
+
 def load_config(path) -> dict:
     cfg = _read(_json_file, path, "config")
     if not isinstance(cfg, dict) or "seed" not in cfg:
         raise ConfigError("config must be a JSON object that provides a seed")
+    _check_keys("config", cfg, CONFIG_KEYS)
     return cfg
 
 
@@ -138,13 +154,8 @@ def cmd_fit(cfg, args) -> int:
     ds = _read(Dataset.load, data_dir, "dataset")
     if not ds.train:
         raise ConfigError(f"dataset {data_dir} has no training trajectories")
-    # the data fixes the sample time; a section that states another fails fit's check
-    dt = ds.train[0].dt
-    default = method_config(args.method, dt=dt)
-    # the fit picks the RBF centres and widths from the data
-    accepted = _field_names(ObservableConfig) - {"rbf_centers", "rbf_widths"}
-    config = _section(cfg, "observables", accepted, lambda kw: ObservableConfig.from_dict({"dt": dt, **kw}), default)
-    model = fit(ds, config, ridge=cfg.get("ridge", 1e-8))
+    # the method's standard configuration at the data's sample time: the model `bench` fits
+    model = fit(ds, method_config(args.method, dt=ds.train[0].dt))
     path = args.model or os.path.join(outdir, f"model_{args.method}.json")
     model.save(path)
     print(f"fitted {args.method} model (dim {model.dim}) -> {path}")
@@ -154,7 +165,7 @@ def cmd_fit(cfg, args) -> int:
 def cmd_predict(cfg, args) -> int:
     grid = _grid_from_config(cfg)
     scenario = _scenario_from_config(cfg)
-    model = _read(KoopmanModel.load, args.model, "model")
+    model = _load_model(args.model, "model", grid)
     outdir = _outdir(cfg)
     rec = simulate(grid, scenario)
     k0, om_hat = koopman.predict_record(model, rec)
@@ -168,7 +179,7 @@ def cmd_predict(cfg, args) -> int:
 def cmd_control(cfg, args) -> int:
     grid = _grid_from_config(cfg)
     scenario = _scenario_from_config(cfg)
-    model = _read(KoopmanModel.load, args.model, "model")
+    model = _load_model(args.model, "model", grid)
     limits = _limits_from_config(cfg, grid)
     weights = _weights_from_config(cfg, model)
     trace = coordinate(grid, scenario, model, limits, weights)
@@ -184,8 +195,8 @@ def cmd_control(cfg, args) -> int:
 def cmd_prop1(cfg, args) -> int:
     grid = _grid_from_config(cfg)
     scenario = _scenario_from_config(cfg)
-    learned = _read(KoopmanModel.load, args.model, "model")
-    oracle = _read(KoopmanModel.load, args.oracle, "oracle") if args.oracle else learned
+    learned = _load_model(args.model, "model", grid)
+    oracle = _load_model(args.oracle, "oracle", grid) if args.oracle else learned
     limits = _limits_from_config(cfg, grid)
     feeders = FeederSpec.uniform(args.feeders, args.quantum, grid.n_loads)
     report = check_prop1(learned, oracle, grid, scenario, feeders, limits)

@@ -27,6 +27,8 @@ DICTIONARIES = ("identity", "delay", "rbf", "delay_rbf")
 MEASUREMENT_DELAY = 0.4
 #: draws of a training trajectory before a diverging simulation is an error
 MAX_RETRIES = 5
+#: Tikhonov weight of both fit stages
+RIDGE = 1e-8
 
 
 class InsufficientHistoryError(Exception):
@@ -122,6 +124,33 @@ def check_sample_time(source: str, dt: float, config: ObservableConfig):
         raise ValueError(f"{source} samples every {dt:g} s but the model runs at {config.dt:g} s")
 
 
+def check_grid(model: "KoopmanModel", grid: GridModel):
+    """Raise ValueError unless `model` takes `grid`'s shed and link inputs and
+    lifts the voltages of its monitored buses.
+
+    A model file does not record the bus count, so only the grid tells a
+    model with an edited `delay_span` from one fitted on more buses.
+    """
+    if (model.n_loads, model.n_links) != (grid.n_loads, grid.n_links):
+        raise ValueError(
+            f"the model takes {model.n_loads} shed and {model.n_links} link inputs "
+            f"but the grid has {grid.n_loads} loads and {grid.n_links} links"
+        )
+    n_buses = len(grid.voltage_sensitivity)
+    config = model.config
+    voltages = config.window_len * n_buses if config.include_voltage else 0
+    features = 1 + config.n_delays + voltages + config.rbf_count
+    if features != model.dim:
+        raise ValueError(f"{_layout(config)} gives {features} features on a grid of {n_buses} monitored buses, not {model.dim}")
+
+
+def _layout(config) -> str:
+    return (
+        f"config (delay_span {config.delay_span:g}, rbf_count {config.rbf_count}, "
+        f"include_voltage {str(config.include_voltage).lower()})"
+    )
+
+
 def _trip_sample(rec) -> int | None:
     """Sample index of the record's disconnection; None without a trip."""
     if rec.scenario is None or not rec.scenario.trip_set:
@@ -196,7 +225,6 @@ class KoopmanModel:
     B_l: np.ndarray
     B_d: np.ndarray
     config: ObservableConfig
-    ridge: float = 1e-8
     # results that depend on the model alone, filled through `_memoized` by
     # the controller; not saved
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -236,7 +264,6 @@ class KoopmanModel:
             "dim": self.dim,
             "n_loads": self.n_loads,
             "n_links": self.n_links,
-            "ridge": self.ridge,
             "spectral_radius": float(np.max(np.abs(np.linalg.eigvals(self.A)))),  # written, not read
             "config": self.config.to_dict(),
             "A": self.A.tolist(),
@@ -248,15 +275,36 @@ class KoopmanModel:
 
     @classmethod
     def load(cls, path) -> "KoopmanModel":
+        """The model a file holds, whose config must describe its matrices.
+
+        Keys other than the matrices and the config (`ridge` in older files
+        among them) are ignored.
+        """
         with open(path) as fh:
             doc = json.load(fh)
-        return cls(
-            A=doc["A"],
-            B_l=doc["B_l"],
-            B_d=doc["B_d"],
-            config=ObservableConfig.from_dict(doc["config"]),
-            ridge=doc.get("ridge", 1e-8),
-        )
+        model = cls(A=doc["A"], B_l=doc["B_l"], B_d=doc["B_d"], config=ObservableConfig.from_dict(doc["config"]))
+        _check_layout(model.dim, model.config)
+        return model
+
+
+def _check_layout(dim: int, config: ObservableConfig):
+    """Raise ValueError unless `lift` under `config` can give `dim` features
+    and finds RBF centres and widths that fit its raw delay vector.
+
+    The features are the current omega, `n_delays` past omegas, one voltage
+    block of `window_len` samples per bus and `rbf_count` RBF values; the raw
+    delay vector is all but the RBF values.
+    """
+    voltages = dim - 1 - config.n_delays - config.rbf_count
+    if voltages < 0 or voltages % config.window_len or (voltages and not config.include_voltage):
+        raise ValueError(f"{_layout(config)} does not give {dim} features")
+    if config.rbf_count > 0:
+        want = {"rbf_centers": (config.rbf_count, dim - config.rbf_count), "rbf_widths": (config.rbf_count,)}
+        for name, shape in want.items():
+            value = getattr(config, name)
+            if value is None or value.shape != shape:
+                got = "none" if value is None else f"shape {value.shape}"
+                raise ValueError(f"{name} must have shape {shape}, got {got}")
 
 
 @dataclass
@@ -330,14 +378,8 @@ def _excitation_policy(grid, rng, dt):
     return policy
 
 
-def generate_dataset(
-    grid: GridModel,
-    n_train: int,
-    n_test: int,
-    seed: int,
-    horizon: float = 60.0,
-) -> Dataset:
-    """Randomized trips, inertia scales and excitation; train/test seed-disjoint."""
+def generate_dataset(grid: GridModel, n_train: int, n_test: int, seed: int) -> Dataset:
+    """Randomized trips, inertia scales and excitation over 60 s records; train/test seed-disjoint."""
     if n_train <= 0 or n_test <= 0:
         raise ValueError("n_train and n_test must be > 0")
     root = np.random.SeedSequence(seed)
@@ -349,7 +391,7 @@ def generate_dataset(
             rng = np.random.default_rng(child)
             for attempt in range(MAX_RETRIES):
                 try:
-                    records.append(_sample_trajectory(grid, rng, horizon))
+                    records.append(_sample_trajectory(grid, rng))
                     break
                 except SimulationError:
                     if attempt == MAX_RETRIES - 1:
@@ -357,7 +399,7 @@ def generate_dataset(
     return ds
 
 
-def _sample_trajectory(grid, rng, horizon):
+def _sample_trajectory(grid, rng):
     trippable = [i for i, m in enumerate(grid.machines) if m.can_trip]
     n_trip = int(rng.integers(1, min(3, len(trippable)) + 1))
     trip_set = tuple(sorted(rng.choice(trippable, size=n_trip, replace=False).tolist()))
@@ -368,7 +410,7 @@ def _sample_trajectory(grid, rng, horizon):
         noise_amplitude=float(rng.uniform(2.0, 6.0)),
         noise_seed=int(rng.integers(0, 2**31 - 1)),
         noise_channels=("dc",),
-        horizon=horizon,
+        horizon=60.0,
     )
     policy = _excitation_policy(grid, rng, scenario.dt)
     return simulate(grid, scenario, policy)
@@ -423,15 +465,15 @@ def _regression_pairs(records, config):
     return np.vstack(G0), np.vstack(G1), np.vstack(U)
 
 
-def _ridge_lstsq(Z, Y, ridge):
-    """Ridge least squares: the plain solution of Z stacked over sqrt(ridge) I, Y over zeros."""
+def _ridge_lstsq(Z, Y):
+    """Ridge least squares: the plain solution of Z stacked over sqrt(RIDGE) I, Y over zeros."""
     m = Z.shape[1]
-    Zr = np.vstack([Z, np.sqrt(ridge) * np.eye(m)])
+    Zr = np.vstack([Z, np.sqrt(RIDGE) * np.eye(m)])
     Yr = np.vstack([Y, np.zeros((m, Y.shape[1]))])
     return np.linalg.lstsq(Zr, Yr, rcond=None)[0]
 
 
-def _input_response_fit(records, config, A, B_d, ridge):
+def _input_response_fit(records, config, A, B_d):
     """Shedding input matrix by simulation-error least squares, A and B_d fixed.
 
     The rolled-out frequency component is linear in the entries of B_l, so
@@ -480,12 +522,11 @@ def _input_response_fit(records, config, A, B_d, ridge):
         return np.zeros((n, p))
     X = np.concatenate(X)
     Y = np.concatenate(Y)
-    lam = max(ridge, 1e-8)
-    theta = np.linalg.solve(X.T @ X + lam * np.eye(n * p), X.T @ Y)
+    theta = np.linalg.solve(X.T @ X + RIDGE * np.eye(n * p), X.T @ Y)
     return theta.reshape(n, p)
 
 
-def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
+def fit(data, config: ObservableConfig) -> KoopmanModel:
     """Ridge least-squares fit of (A, B_l, B_d) over consecutive lifted pairs.
 
     `data` is a Dataset or a list of TrajectoryRecord.  The fit runs in two
@@ -498,7 +539,7 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
 
     A Dataset keeps the models fitted on it (a list of records is fitted in
     a Dataset of its own), keyed by its training records, the feature layout
-    `(dt, delay_span, rbf_count, include_voltage)` and `ridge`.  The
+    `(dt, delay_span, rbf_count, include_voltage)`.  The
     `dictionary` label is not in the key, because it does not change the
     model.  Every fit returns a model under the caller's config that shares
     the kept read-only matrices, RBF centres and widths.
@@ -507,16 +548,14 @@ def fit(data, config: ObservableConfig, ridge: float = 1e-8) -> KoopmanModel:
     records = ds.train
     if not records:
         raise ValueError("empty dataset")
-    if isinstance(ridge, bool) or not isinstance(ridge, numbers.Real) or not 0 < ridge < math.inf:
-        raise ValueError(f"ridge must be a finite number > 0, got {ridge!r}")
-    inputs = [float(config.dt), float(config.delay_span), config.rbf_count, config.include_voltage, float(ridge)]
+    inputs = [float(config.dt), float(config.delay_span), config.rbf_count, config.include_voltage]
     for rec in records:
         check_sample_time("a training record", rec.dt, config)
         inputs += [repr(rec.scenario), rec.dt, rec.omega, rec.y, rec.ul, rec.ud]
-    kept = _memoized(ds._fits, inputs, lambda: _fit_records(records, config, ridge))
+    kept = _memoized(ds._fits, inputs, lambda: _fit_records(records, config))
     if config.rbf_count > 0:
         config = replace(config, rbf_centers=kept.config.rbf_centers, rbf_widths=kept.config.rbf_widths)
-    return KoopmanModel(A=kept.A, B_l=kept.B_l, B_d=kept.B_d, config=config, ridge=ridge)
+    return KoopmanModel(A=kept.A, B_l=kept.B_l, B_d=kept.B_d, config=config)
 
 
 def _memoized(store: dict, inputs, compute):
@@ -537,7 +576,7 @@ def _memoized(store: dict, inputs, compute):
     return store[key]
 
 
-def _fit_records(records, config, ridge) -> KoopmanModel:
+def _fit_records(records, config) -> KoopmanModel:
     config = _resolve_rbf(records, config)
 
     G0, G1, U = _regression_pairs(records, config)
@@ -549,18 +588,12 @@ def _fit_records(records, config, ridge) -> KoopmanModel:
         noshed = np.ones(len(ul), dtype=bool)
 
     Z = np.hstack([G0[noshed], ud[noshed]])
-    theta = _ridge_lstsq(Z, G1[noshed], ridge)
+    theta = _ridge_lstsq(Z, G1[noshed])
     A = theta.T[:, :n]
     B_d = theta.T[:, n:]
-    B_l = _input_response_fit(records, config, A, B_d, ridge)
+    B_l = _input_response_fit(records, config, A, B_d)
 
-    return KoopmanModel(
-        A=A,
-        B_l=B_l,
-        B_d=B_d,
-        config=config,
-        ridge=ridge,
-    )
+    return KoopmanModel(A=A, B_l=B_l, B_d=B_d, config=config)
 
 
 def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq, steps: int) -> np.ndarray:

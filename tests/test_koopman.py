@@ -183,7 +183,7 @@ class TestBatchedLift:
             lift(np.zeros((6, 3)), np.ones((6, 3, 2)), cfg)
 
 
-def reference_input_response_fit(records, config, A, B_d, ridge):
+def reference_input_response_fit(records, config, A, B_d):
     """Per-step oracle for `_input_response_fit`: one appended regressor row per step."""
     n = A.shape[0]
     p = records[0].ul.shape[1]
@@ -214,8 +214,7 @@ def reference_input_response_fit(records, config, A, B_d, ridge):
         return np.zeros((n, p))
     X = np.asarray(X)
     Y = np.asarray(Y)
-    lam = max(ridge, 1e-8)
-    theta = np.linalg.solve(X.T @ X + lam * np.eye(n * p), X.T @ Y)
+    theta = np.linalg.solve(X.T @ X + koopman.RIDGE * np.eye(n * p), X.T @ Y)
     return theta.reshape(n, p)
 
 
@@ -255,8 +254,8 @@ class TestInputResponseFit:
     def test_equals_the_per_step_reference(self, shed_records, shed_models, name):
         assert any(np.any(r.ul[-1] > 0) and np.any(r.ul[-1] == 0) for r in shed_records)
         model = shed_models[name]
-        got = _input_response_fit(shed_records, model.config, model.A, model.B_d, model.ridge)
-        want = reference_input_response_fit(shed_records, model.config, model.A, model.B_d, model.ridge)
+        got = _input_response_fit(shed_records, model.config, model.A, model.B_d)
+        want = reference_input_response_fit(shed_records, model.config, model.A, model.B_d)
         assert same_bits(got, want) and same_bits(model.B_l, want)
 
     def test_no_shedding_record_gives_a_zero_input_matrix(self, dataset_small):
@@ -295,10 +294,6 @@ class TestFit:
         m = eval_metrics(cefc_model, dataset_small.test, grid.base_frequency)
         assert m["n_records"] == len(dataset_small.test)
         assert m["mean_hz"] < 0.1
-
-    def test_zero_ridge_rejected(self, dataset_small):
-        with pytest.raises(ValueError, match="ridge must be a finite number > 0"):
-            fit(dataset_small.train[:2], method_config("dmd"), ridge=0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -396,21 +391,19 @@ class TestFitMemo:
             assert json.load(fh)["config"]["dictionary"] == "rbf"
         assert KoopmanModel.load(tmp_path / "edmd.json").config.dictionary == "rbf"
 
-    @pytest.mark.parametrize("change", ["ridge", "layout", "edited-sample"])
+    @pytest.mark.parametrize("change", ["layout", "edited-sample"])
     def test_each_input_of_the_fit_misses(self, memo_records, stage_calls, change):
         records = own_copies(memo_records)
         ds = Dataset(train=records, test=[])
-        cfg, ridge = method_config("dmd"), 1e-8
-        fit(ds, cfg, ridge)
-        if change == "ridge":
-            ridge = 1e-6
-        elif change == "layout":
+        cfg = method_config("dmd")
+        fit(ds, cfg)
+        if change == "layout":
             cfg = ObservableConfig(dt=0.1, delay_span=0.2, dictionary="delay", include_voltage=False)
         else:
             records[3].omega[100] = np.nextafter(records[3].omega[100], 1.0)
-        again = fit(ds, cfg, ridge)
+        again = fit(ds, cfg)
         assert stage_calls["_regression_pairs"] == 2
-        assert same_model(again, fit(own_copies(records), cfg, ridge))
+        assert same_model(again, fit(own_copies(records), cfg))
 
     def test_hits_share_the_kept_read_only_arrays(self, memo_records):
         cfg = ObservableConfig(dt=0.1, delay_span=0.0, dictionary="rbf", rbf_count=5)
@@ -529,8 +522,20 @@ class TestSerialization:
             assert np.array_equal(back.B_l, cefc_model.B_l)
             assert np.array_equal(back.B_d, cefc_model.B_d)
 
+    def test_model_file_with_a_ridge_entry_loads_the_same_model(self, cefc_model, tmp_path):
+        # files written before the ridge became a constant carry it; loading ignores it
+        path = tmp_path / "model.json"
+        cefc_model.save(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert "ridge" not in doc
+        with open(path, "w") as fh:
+            json.dump({**doc, "ridge": 1e-3}, fh)
+        back = KoopmanModel.load(path)
+        assert same_model(back, cefc_model)
+
     def test_dataset_save_load_round_trip(self, grid, tmp_path):
-        ds = generate_dataset(grid, 2, 1, seed=5, horizon=15.0)
+        ds = generate_dataset(grid, 2, 1, seed=5)
         ds.save(tmp_path / "ds")
         back = Dataset.load(tmp_path / "ds")
         assert len(back.train) == 2 and len(back.test) == 1
@@ -540,14 +545,14 @@ class TestSerialization:
 
 class TestGeneration:
     def test_same_seed_reproduces_the_dataset(self, grid):
-        a = generate_dataset(grid, 2, 1, seed=9, horizon=15.0)
-        b = generate_dataset(grid, 2, 1, seed=9, horizon=15.0)
+        a = generate_dataset(grid, 2, 1, seed=9)
+        b = generate_dataset(grid, 2, 1, seed=9)
         for ra, rb in zip(a.train + a.test, b.train + b.test):
             assert np.array_equal(ra.omega, rb.omega)
             assert np.array_equal(ra.ud, rb.ud)
 
     def test_train_and_test_draws_differ(self, grid):
-        ds = generate_dataset(grid, 1, 1, seed=9, horizon=15.0)
+        ds = generate_dataset(grid, 1, 1, seed=9)
         assert not np.array_equal(ds.train[0].omega, ds.test[0].omega)
 
     def test_counts_must_be_positive(self, grid):
