@@ -249,7 +249,9 @@ def solve_shedding(
     DC support is held at its limit inside the prediction; the decision
     variable is the single vector of shedding ratios held from the second
     step on.  Infeasible problems are clamped to the per-node maximum with
-    the feasibility flag cleared.  `om_free` is the full-support rollout of
+    the feasibility flag cleared.  The quantized shed of a node is a whole
+    number of quanta, at most its maximum rounded down to a whole quantum.
+    `om_free` is the full-support rollout of
     `predict_max_dc` on the same arguments, when the caller already has it;
     the sensitivity matrix is computed once per model and `steps`.
     """
@@ -266,11 +268,15 @@ def solve_shedding(
     floor = limits.omega_min + limits.planning_margin_pu
     margin = om_free - floor  # must stay >= -C x
 
+    # each node's cap, rounded down to a whole quantum (within 1e-9 quantum,
+    # so that a cap of 210 MW stays 21 quanta of 10 MW)
+    d = limits.quantum_mw
+    cap_mw = np.floor(limits.ul_max * node_base_mw / d + 1e-9) * d
+
     def make_plan(x, feasible):
         x = np.clip(x, 0.0, limits.ul_max)
         mw = x * node_base_mw
-        qmw = quantize(mw, limits.quantum_mw)
-        qmw = np.minimum(qmw, limits.ul_max * node_base_mw)
+        qmw = np.minimum(quantize(mw, limits.quantum_mw), cap_mw)
         return SheddingPlan(
             continuous_ratio=x,
             continuous_mw=mw,
@@ -413,18 +419,17 @@ def coordinate(
     ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
     # the policy hands simulate these shared vectors, which it only reads
     no_shed, no_dc, support = np.zeros(p), np.zeros(q), limits.ud_support
-    detect_k = activated_k = plan = shed_k = shed_ul = omega_pred = None
+    detect_k = activated_k = plan = omega_pred = None
 
     def policy(t, om_hist, y_hist):
-        nonlocal detect_k, activated_k, plan, shed_k, shed_ul, omega_pred
+        nonlocal detect_k, activated_k, plan, omega_pred
         k = len(om_hist) - 1
         om = om_hist[-1]
         if detect_k is None and om <= -0.25 * limits.activation_threshold_pu:
             detect_k = k
 
-        ul = no_shed
-        if shed_k is not None and k >= shed_k:
-            ul = shed_ul
+        # activation (below) sets the plan; it is applied from the next step on
+        ul = no_shed if plan is None else plan.quantized_ratio
 
         if activated_k is None:
             ready = detect_k is not None and k - detect_k >= delay_steps and k >= w - 1
@@ -437,8 +442,6 @@ def coordinate(
                 if needs_shedding(om_hat, limits):
                     plan = solve_shedding(model, om_win, y_win, limits, node_base, steps, om_free=om_hat)
                     plan.shed_time = t + dt
-                    shed_k = k + 1
-                    shed_ul = np.minimum(plan.quantized_ratio, 1.0)
                     om_hat = om_hat + _memoized_sensitivity(model, steps) @ plan.quantized_ratio
                 omega_pred = np.full(n, np.nan)
                 omega_pred[k : k + steps + 1] = om_hat

@@ -290,11 +290,21 @@ def steady_state_deviation(grid: GridModel, deficit: float) -> float:
     return -deficit / (grid.total_damping() + grid.total_gov_gain())
 
 
+def _rk4_substep(f, t, x, h):
+    """One RK4 step of ``dx/dt = f(t, x)`` from (t, x) over h: the next state
+    and the stage points (x, s2, s3, s4) that f is evaluated at."""
+    k1 = f(t, x)
+    k2 = f(t + h / 2, s2 := x + h / 2 * k1)
+    k3 = f(t + h / 2, s3 := x + h / 2 * k2)
+    k4 = f(t + h, s4 := x + h * k3)
+    return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), (x, s2, s3, s4)
+
+
 class _Held(NamedTuple):
     """Terms of one set of held shedding ratios, computed once per new `ul`."""
 
     ul: np.ndarray
-    key: bytes  # ul.tobytes(), the cache key of these terms
+    key: bytes  # ul.tobytes(), against which a new command is compared
     neg_c: list  # -(1 - ul) * c as floats, the voltage proxy's dynamic-load factor
     shed: float  # ul . Pl, the shed power of the forcing
     A: list  # [pre, post] trip side: `A` of the right-hand side, built on first use
@@ -311,7 +321,8 @@ class _Plant:
     the shed, the deficit and the load noise.  State layout:
     [omega, pg (machines), w (loads), pdc (links)].  Between sample steps the
     state `x` and the forcing `b` are lists of floats, and a fused sample step
-    is ``W @ (x + b)``, a product with the concatenation [x, b].
+    is ``W @ (x + b)``, a product with the concatenation [x, b].  `fused`
+    builds W with the `_rk4_substep` that `step` takes on numbers.
     """
 
     def __init__(self, grid: GridModel, scenario: Scenario):
@@ -351,19 +362,15 @@ class _Plant:
         # float copies for the per-step arithmetic
         self._lags, self._signs = self.lag.tolist(), self.sign.tolist()
         self._b_mid = [0.0] * (nx - 1 - self.q)  # b[1:pdc], always zero
-        self._held = {}  # ul bytes -> _Held
 
     def _active(self, post: bool) -> np.ndarray:
         return self.online if post else np.ones(self.nm, dtype=bool)
 
     def hold(self, ul) -> _Held:
-        """The terms of held shedding ratios `ul`, cached under ``ul.tobytes()``."""
-        key = ul.tobytes()
-        held = self._held.get(key)
-        if held is None:
-            neg_c = (-(1.0 - ul) * self.c).tolist()
-            held = self._held[key] = _Held(ul, key, neg_c, float(np.dot(ul, self.Pl)), [None, None], [None, None])
-        return held
+        """The terms of held shedding ratios `ul`, built once per run and `ul`:
+        the shed only grows.  `matrix` and `fused` fill in their parts."""
+        neg_c = (-(1.0 - ul) * self.c).tolist()
+        return _Held(ul, ul.tobytes(), neg_c, float(np.dot(ul, self.Pl)), [None, None], [None, None])
 
     def sides(self, t, t_end) -> list:
         """Per sample step, the trip side shared by all its stage times
@@ -421,15 +428,8 @@ class _Plant:
             gov = np.arange(nx)[self.pg][act]
             stages = []
             for _ in range(SUBSTEPS):
-                k1 = A_lin @ X + B
-                s2 = X + h / 2 * k1
-                k2 = A_lin @ s2 + B
-                s3 = X + h / 2 * k2
-                k3 = A_lin @ s3 + B
-                s4 = X + h * k3
-                k4 = A_lin @ s4 + B
-                stages += [X[gov], s2[gov], s3[gov], s4[gov]]
-                X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                X, points = _rk4_substep(lambda _, S: A_lin @ S + B, 0.0, X, h)
+                stages += [S[gov] for S in points]
             W = np.vstack([X, *stages])
             lim = np.tile(self.gov_lim[act], 4 * SUBSTEPS)
             hit = held.W[post] = (W, lim)
@@ -458,11 +458,7 @@ class _Plant:
 
         h, x = self.h, np.array(x)
         for _ in range(SUBSTEPS):
-            k1 = f(t, x)
-            k2 = f(t + h / 2, x + h / 2 * k1)
-            k3 = f(t + h / 2, x + h / 2 * k2)
-            k4 = f(t + h, x + h * k3)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x, _ = _rk4_substep(f, t, x, h)
             t += h
         return x.tolist()
 

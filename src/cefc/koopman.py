@@ -526,33 +526,31 @@ def _input_response_fit(records, config, A, B_d):
     return theta.reshape(n, p)
 
 
-def fit(data, config: ObservableConfig) -> KoopmanModel:
+def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
     """Ridge least-squares fit of (A, B_l, B_d) over consecutive lifted pairs.
 
-    `data` is a Dataset or a list of TrajectoryRecord.  The fit runs in two
-    stages: A and B_d come from the shedding-free pairs, then B_l from a
-    simulation-error fit over the post-onset segments with A and B_d held
+    `data` is a Dataset, and the fit uses its training records.  The fit runs
+    in two stages: A and B_d come from the shedding-free pairs, then B_l from
+    a simulation-error fit over the post-onset segments with A and B_d held
     fixed.  A persistent shedding step is nearly collinear with the slow
     modes of the lifted state, and a joint one-step fit trades accuracy of A
     against B_l, which wrecks long rollouts; the staged fit keeps A anchored
     to the drift data.
 
-    A Dataset keeps the models fitted on it (a list of records is fitted in
-    a Dataset of its own), keyed by its training records, the feature layout
-    `(dt, delay_span, rbf_count, include_voltage)`.  The
-    `dictionary` label is not in the key, because it does not change the
+    The Dataset keeps the models fitted on it, keyed by its training records
+    and the feature layout `(dt, delay_span, rbf_count, include_voltage)`.
+    The `dictionary` label is not in the key, because it does not change the
     model.  Every fit returns a model under the caller's config that shares
     the kept read-only matrices, RBF centres and widths.
     """
-    ds = data if isinstance(data, Dataset) else Dataset(train=list(data), test=[])
-    records = ds.train
+    records = data.train
     if not records:
         raise ValueError("empty dataset")
     inputs = [float(config.dt), float(config.delay_span), config.rbf_count, config.include_voltage]
     for rec in records:
         check_sample_time("a training record", rec.dt, config)
         inputs += [repr(rec.scenario), rec.dt, rec.omega, rec.y, rec.ul, rec.ud]
-    kept = _memoized(ds._fits, inputs, lambda: _fit_records(records, config))
+    kept = _memoized(data._fits, inputs, lambda: _fit_records(records, config))
     if config.rbf_count > 0:
         config = replace(config, rbf_centers=kept.config.rbf_centers, rbf_widths=kept.config.rbf_widths)
     return KoopmanModel(A=kept.A, B_l=kept.B_l, B_d=kept.B_d, config=config)

@@ -61,18 +61,18 @@ def solve_qp(H, c, G, h, x0):
             work.pop(int(np.flatnonzero(mu < -TOL)[0]))
             continue
 
-        # step to the nearest blocking constraint
+        # step to the nearest blocking row outside the working set, lowest
+        # index first; a stack of (1, n) @ (n, 1) items rounds as each G[i] @ d
+        # does, which G @ d does not
+        Gd = np.matmul(G[:, None, :], d[:, None])[:, 0, 0]
+        cand = [i for i in np.flatnonzero(Gd > TOL).tolist() if i not in work]
+        Gx = np.matmul(G[cand][:, None, :], x[:, None])[:, 0, 0]
         alpha = 1.0
         blocking = None
-        for i in range(len(h)):
-            if i in work:
-                continue
-            gi_d = G[i] @ d
-            if gi_d > TOL:
-                a = (h[i] - G[i] @ x) / gi_d
-                if a < alpha - 1e-14:
-                    alpha = max(a, 0.0)
-                    blocking = i
+        for i, a in zip(cand, ((h[cand] - Gx) / Gd[cand]).tolist()):
+            if a < alpha - 1e-14:
+                alpha = max(a, 0.0)
+                blocking = i
         x = x + alpha * d
         full_step = blocking is None
         if blocking is not None:

@@ -305,6 +305,23 @@ class TestSolveShedding:
         assert np.all(plan.quantized_mw <= limits.ul_max * node_base + 1e-9)
         assert np.all(plan.quantized_mw % limits.quantum_mw < 1e-9)
 
+    @pytest.mark.parametrize(
+        "quantum_mw, ul_max, want",
+        [(40.0, 0.3, [200.0, 160.0, 120.0]), (10.0, 0.25, [170.0, 150.0, 120.0])],
+        ids=["quantum-40", "ul-max-0.25"],
+    )
+    def test_clamped_plan_stays_on_the_feeder_grid(self, grid, node_base, quantum_mw, ul_max, want):
+        # the caps (210/180/150 MW, or 175/150/125 MW) are not all whole quanta
+        model = KoopmanModel(
+            A=np.array([[0.999]]), B_l=np.full((1, 3), 1e-5), B_d=np.zeros((1, 2)), config=scalar_model().config
+        )
+        lim = ControlLimits.for_grid(grid, quantum_mw=quantum_mw, ul_max=ul_max)
+        plan = solve_shedding(model, [-0.05], [[]], lim, node_base, 100)
+        assert not plan.feasible
+        assert np.all(plan.quantized_mw % quantum_mw == 0.0)
+        assert np.all(plan.quantized_mw <= lim.ul_max * node_base)
+        assert plan.quantized_mw.tolist() == want
+
 
 class TestCoordinate:
     def test_closed_loop_run(self, grid, cefc_model, limits):

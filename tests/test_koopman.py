@@ -246,7 +246,7 @@ def shed_records(dataset_small):
 
 @pytest.fixture(scope="module")
 def shed_models(shed_records):
-    return {name: fit(shed_records, method_config(name)) for name in METHODS}
+    return {name: fit(Dataset(train=shed_records, test=[]), method_config(name)) for name in METHODS}
 
 
 class TestInputResponseFit:
@@ -261,7 +261,7 @@ class TestInputResponseFit:
     def test_no_shedding_record_gives_a_zero_input_matrix(self, dataset_small):
         rec = dataset_small.train[0]
         quiet = replace(rec, ul=np.zeros_like(rec.ul))
-        model = fit([quiet], method_config("dmd"))
+        model = fit(Dataset(train=[quiet], test=[]), method_config("dmd"))
         assert np.array_equal(model.B_l, np.zeros((1, rec.ul.shape[1])))
 
 
@@ -296,13 +296,13 @@ class TestFit:
         assert m["mean_hz"] < 0.1
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            fit([], method_config("dmd"))
+        with pytest.raises(ValueError, match="empty dataset"):
+            fit(Dataset(train=[], test=[]), method_config("dmd"))
 
     def test_record_at_another_sample_time_rejected(self, grid):
         rec = simulate(grid, Scenario(trip_set=(1,), trip_time=2.0, horizon=6.0, dt=0.05))
         with pytest.raises(ValueError, match="samples every 0.05 s but the model runs at 0.1 s"):
-            fit([rec], method_config("dmd"))
+            fit(Dataset(train=[rec], test=[]), method_config("dmd"))
 
     def test_shedding_response_sign(self, cefc_model):
         # a positive shed adds power: the settled frequency response must be up
@@ -317,8 +317,8 @@ def test_cefc_ntd_and_edmd_fit_the_same_model(dataset_small):
     # delay_rbf at delay span 0 builds the rbf vector, so the ablation row
     # and the edmd row come from one model
     records = dataset_small.train[:10]
-    ntd = fit(records, method_config("cefc-ntd"))
-    edmd = fit(records, method_config("edmd"))
+    ntd = fit(Dataset(train=records, test=[]), method_config("cefc-ntd"))
+    edmd = fit(Dataset(train=records, test=[]), method_config("edmd"))
     for a, b in ((ntd.A, edmd.A), (ntd.B_l, edmd.B_l), (ntd.B_d, edmd.B_d)):
         assert same_bits(a, b)
 
@@ -376,7 +376,7 @@ class TestFitMemo:
         first = fit(ds, cfg)
         hit = fit(ds, cfg)
         assert stage_calls["_regression_pairs"] == 1
-        fresh = fit(list(memo_records), cfg)
+        fresh = fit(Dataset(train=list(memo_records), test=[]), cfg)
         assert same_model(hit, fresh) and same_model(first, fresh)
         test = dataset_small.test[:4]
         assert repr(eval_metrics(hit, test, 50.0)) == repr(eval_metrics(fresh, test, 50.0))
@@ -403,13 +403,13 @@ class TestFitMemo:
             records[3].omega[100] = np.nextafter(records[3].omega[100], 1.0)
         again = fit(ds, cfg)
         assert stage_calls["_regression_pairs"] == 2
-        assert same_model(again, fit(own_copies(records), cfg))
+        assert same_model(again, fit(Dataset(train=own_copies(records), test=[]), cfg))
 
     def test_hits_share_the_kept_read_only_arrays(self, memo_records):
         cfg = ObservableConfig(dt=0.1, delay_span=0.0, dictionary="rbf", rbf_count=5)
         ds = Dataset(train=list(memo_records), test=[])
         first, hit = fit(ds, cfg), fit(ds, cfg)
-        fresh = fit(list(memo_records), cfg)
+        fresh = fit(Dataset(train=list(memo_records), test=[]), cfg)
         for model in (first, hit):
             for a in (model.A, model.B_l, model.B_d, model.config.rbf_centers, model.config.rbf_widths):
                 assert not a.flags.writeable
