@@ -137,11 +137,15 @@ def check_grid(model: "KoopmanModel", grid: GridModel):
             f"but the grid has {grid.n_loads} loads and {grid.n_links} links"
         )
     n_buses = len(grid.voltage_sensitivity)
-    config = model.config
-    voltages = config.window_len * n_buses if config.include_voltage else 0
-    features = 1 + config.n_delays + voltages + config.rbf_count
+    features = _feature_count(model.config, n_buses)
     if features != model.dim:
-        raise ValueError(f"{_layout(config)} gives {features} features on a grid of {n_buses} monitored buses, not {model.dim}")
+        raise ValueError(f"{_layout(model.config)} gives {features} features on a grid of {n_buses} monitored buses, not {model.dim}")
+
+
+def _feature_count(config, n_buses: int) -> int:
+    """Length of `lift`'s feature vector on `n_buses` monitored buses."""
+    voltages = config.window_len * n_buses if config.include_voltage else 0
+    return 1 + config.n_delays + voltages + config.rbf_count
 
 
 def _layout(config) -> str:
@@ -174,10 +178,16 @@ def _rbf_features(z, config):
     c = config.rbf_centers
     if c is None or config.rbf_divisor is None:
         raise ValueError("rbf centers/widths not set; fit the model first")
+    # d is the largest array a batched lift builds: it is squared in place and
+    # dropped once summed, and the sums are scaled and exponentiated in place
     d = z[..., None, :] - c
+    np.multiply(d, d, out=d)
+    r = np.add.reduce(d, axis=-1)
+    del d
     # exp(-|d|^2 / (2 w^2)) with the sign folded into the divisor: (-a) / b and
     # a / (-b) are the same float
-    return np.exp(np.add.reduce(d * d, axis=-1) / config.rbf_divisor)
+    np.divide(r, config.rbf_divisor, out=r)
+    return np.exp(r, out=r)
 
 
 def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
@@ -444,32 +454,48 @@ def _resolve_rbf(records, config):
 
 
 def _regression_pairs(records, config):
-    """Lifted one-step pairs (g_k, g_{k+1}, [ul_k ud_k]) from every record.
+    """The first stage's ridge system (Zr, Yr): one row [g_k, ud_k] of Zr and
+    g_{k+1} of Yr per lifted one-step pair, over sqrt(RIDGE) I and zeros.
 
     Pairs whose measurement window spans the disconnection instant see the
     deficit step as an unmodelled input, so only windows lying fully before
-    or fully after the event are kept.
+    or fully after the event are kept.  Of those, the shedding-free pairs are
+    used, or every kept pair when none is shedding-free.  The rows are
+    counted first, then each record is lifted once and its rows are written
+    in place, so no other array of the system's size is built.
     """
-    G0, G1, U = [], [], []
     w = config.window_len
+    kept, quiet = [], []
     for rec in records:
-        lifted = lift(*_windows(rec, w), config)
         k = np.arange(w - 1, len(rec) - 1)
         keep = np.ones(len(k), dtype=bool)
         trip_idx = _trip_sample(rec)
         if trip_idx is not None:
             keep = (k + 1 < trip_idx) | (k - w + 1 >= trip_idx)
-        G0.append(lifted[:-1][keep])
-        G1.append(lifted[1:][keep])
-        U.append(np.hstack([rec.ul[w - 1 : -1], rec.ud[w - 1 : -1]])[keep])
-    return np.vstack(G0), np.vstack(G1), np.vstack(U)
+        kept.append(keep)
+        quiet.append(keep & np.all(rec.ul[w - 1 : -1] == 0.0, axis=1))
+    if any(map(np.any, quiet)):
+        kept = quiet
+    rows = sum(map(np.count_nonzero, kept))
+    n = _feature_count(config, records[0].y.shape[1])
+    m = n + records[0].ud.shape[1]
+    Zr = np.zeros((rows + m, m))
+    Yr = np.zeros((rows + m, n))
+    np.fill_diagonal(Zr[rows:], np.sqrt(RIDGE))
+    start = 0
+    for rec, sel in zip(records, kept):
+        lifted = lift(*_windows(rec, w), config)
+        end = start + np.count_nonzero(sel)
+        Zr[start:end, :n] = lifted[:-1][sel]
+        Zr[start:end, n:] = rec.ud[w - 1 : -1][sel]
+        Yr[start:end] = lifted[1:][sel]
+        start = end
+    return Zr, Yr
 
 
-def _ridge_lstsq(Z, Y):
-    """Ridge least squares: the plain solution of Z stacked over sqrt(RIDGE) I, Y over zeros."""
-    m = Z.shape[1]
-    Zr = np.vstack([Z, np.sqrt(RIDGE) * np.eye(m)])
-    Yr = np.vstack([Y, np.zeros((m, Y.shape[1]))])
+def _ridge_lstsq(Zr, Yr):
+    """Ridge least squares as the plain least-squares solution of the system
+    `_regression_pairs` builds, which carries the sqrt(RIDGE) I rows."""
     return np.linalg.lstsq(Zr, Yr, rcond=None)[0]
 
 
@@ -484,13 +510,14 @@ def _input_response_fit(records, config, A, B_d):
     reduced net deficit), and the near-unit modes of A make the long-horizon
     response explosively sensitive to B_l.  The multi-step objective pins
     both the fast uplift and the settled gain.
+
+    The segments are found first; each one's regressor rows and residuals
+    are then written in place into one X and one Y.
     """
     n = A.shape[0]
     p = records[0].ul.shape[1]
     w = config.window_len
-    AT = A.T  # kept a view: its layout picks the BLAS call, which can change the rounding
-    matmul, add = np.matmul, np.add
-    X, Y = [], []
+    segments = []
     for rec in records:
         active = np.where(np.any(rec.ul > 0, axis=1))[0]
         if len(active) == 0:
@@ -500,28 +527,37 @@ def _input_response_fit(records, config, A, B_d):
         if trip_idx is not None and k0 - w + 1 < trip_idx:
             k0 = max(k0, trip_idx + w - 1)
         steps = len(rec) - 1 - k0
-        if steps <= 0:
-            continue
+        if steps > 0:
+            segments.append((rec, k0, steps))
+    if not segments:
+        return np.zeros((n, p))
+    total = sum(steps for _, _, steps in segments)
+    X = np.empty((total, n * p))
+    Y = np.empty(total)
+    AT = A.T  # kept a view: its layout picks the BLAS call, which can change the rounding
+    matmul, add = np.matmul, np.add
+    zero = np.zeros((n, p))  # the coefficients before every onset
+    start = 0
+    for rec, k0, steps in segments:
         g = lift(rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], config)
-        # rows[t + 1] = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ rows[t] + e0 ulᵀ.
-        # The shed is added to row 0 alone: the BLAS product holds no -0.0 for
-        # the other rows' + 0.0 to turn into +0.0, so the bits are the same.
-        rows = np.zeros((steps + 1, n, p))
-        free = np.empty(steps)  # omega-hat with B_l = 0
-        segment = zip(rows[:-1], rows[1:], rec.ul[k0 : k0 + steps], rec.ud[k0 : k0 + steps])
-        for t, (row, nxt, ul, ud) in enumerate(segment):
+        # row t = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ row (t-1) + e0 ulᵀ,
+        # with the zero block as row -1; each row is a C-ordered (n, p) view
+        # of X.  The shed is added to row 0 alone: the BLAS product holds no
+        # -0.0 for the other rows' + 0.0 to turn into +0.0, so the bits are
+        # the same.
+        rows = X[start : start + steps].reshape(steps, n, p)
+        free = Y[start : start + steps]  # omega-hat with B_l = 0, then the residual
+        prev = zero
+        for t, (row, ul, ud) in enumerate(zip(rows, rec.ul[k0 : k0 + steps], rec.ud[k0 : k0 + steps])):
             g = A @ g
             g += B_d @ ud
             free[t] = g[0]
-            matmul(AT, row, out=nxt)
-            shed_row = nxt[0]
+            matmul(AT, prev, out=row)
+            shed_row = row[0]
             add(shed_row, ul, out=shed_row)
-        X.append(rows[1:].reshape(steps, n * p))
-        Y.append(rec.omega[k0 + 1 : k0 + 1 + steps] - free)
-    if not X:
-        return np.zeros((n, p))
-    X = np.concatenate(X)
-    Y = np.concatenate(Y)
+            prev = row
+        np.subtract(rec.omega[k0 + 1 : k0 + 1 + steps], free, out=free)
+        start += steps
     theta = np.linalg.solve(X.T @ X + RIDGE * np.eye(n * p), X.T @ Y)
     return theta.reshape(n, p)
 
@@ -536,6 +572,11 @@ def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
     modes of the lifted state, and a joint one-step fit trades accuracy of A
     against B_l, which wrecks long rollouts; the staged fit keeps A anchored
     to the drift data.
+
+    Each stage fills one preallocated system a record at a time, and the
+    first stage's system is freed before the second stage builds its own;
+    the largest array alive is the larger of the two systems (and the copy
+    `np.linalg.lstsq` makes of the first).
 
     The Dataset keeps the models fitted on it, keyed by its training records
     and the feature layout `(dt, delay_span, rbf_count, include_voltage)`.
@@ -576,17 +617,9 @@ def _memoized(store: dict, inputs, compute):
 
 def _fit_records(records, config) -> KoopmanModel:
     config = _resolve_rbf(records, config)
-
-    G0, G1, U = _regression_pairs(records, config)
-    n = G0.shape[1]
-    p = records[0].ul.shape[1]
-    ul, ud = U[:, :p], U[:, p:]
-    noshed = np.all(ul == 0.0, axis=1)
-    if not np.any(noshed):
-        noshed = np.ones(len(ul), dtype=bool)
-
-    Z = np.hstack([G0[noshed], ud[noshed]])
-    theta = _ridge_lstsq(Z, G1[noshed])
+    # no name holds the ridge system, so it is freed before the second stage
+    theta = _ridge_lstsq(*_regression_pairs(records, config))
+    n = theta.shape[1]
     A = theta.T[:, :n]
     B_d = theta.T[:, n:]
     B_l = _input_response_fit(records, config, A, B_d)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,22 @@ def reference_regression_pairs(records, config):
     return np.vstack(G0), np.vstack(G1), np.vstack(U)
 
 
+def reference_ridge_system(records, config):
+    """Oracle for `_regression_pairs`: the shedding-free reference pairs [g_k,
+    ud_k] and g_{k+1} (every pair when none is shedding-free), stacked over
+    sqrt(RIDGE) I and zeros."""
+    G0, G1, U = reference_regression_pairs(records, config)
+    p = records[0].ul.shape[1]
+    noshed = np.all(U[:, :p] == 0.0, axis=1)
+    if not np.any(noshed):
+        noshed[:] = True
+    Z = np.hstack([G0[noshed], U[noshed, p:]])
+    m = Z.shape[1]
+    Zr = np.vstack([Z, np.sqrt(koopman.RIDGE) * np.eye(m)])
+    Yr = np.vstack([G1[noshed], np.zeros((m, G1.shape[1]))])
+    return Zr, Yr
+
+
 class TestBatchedLift:
     @pytest.mark.parametrize("name", METHODS)
     def test_stacked_windows_equal_the_per_window_rows(self, dataset_small, name):
@@ -173,9 +190,28 @@ class TestBatchedLift:
     @pytest.mark.parametrize("name", METHODS)
     def test_regression_pairs_equal_the_per_window_reference(self, dataset_small, name):
         records = dataset_small.train[:3]
+        assert any(np.any(r.ul > 0) for r in records)  # the shedding-free selection drops pairs
         cfg = _resolve_rbf(records, method_config(name))
-        for got, want in zip(_regression_pairs(records, cfg), reference_regression_pairs(records, cfg)):
-            assert np.array_equal(got, want)
+        got = _regression_pairs(records, cfg)
+        want = reference_ridge_system(records, cfg)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_without_shedding_free_pairs_the_first_stage_takes_every_kept_pair(self, dataset_small, name):
+        records = []
+        for rec in dataset_small.train[:3]:
+            ul = rec.ul.copy()
+            ul[:, 0] = np.maximum(ul[:, 0], 0.02)  # shedding from the first window on
+            records.append(replace(rec, ul=ul))
+        model = fit(Dataset(train=records, test=[]), method_config(name))
+        G0, G1, U = reference_regression_pairs(records, _resolve_rbf(records, method_config(name)))
+        n, q = G0.shape[1], records[0].ud.shape[1]
+        Zr = np.vstack([np.hstack([G0, U[:, -q:]]), np.sqrt(koopman.RIDGE) * np.eye(n + q)])
+        Yr = np.vstack([G1, np.zeros((n + q, n))])
+        theta = np.linalg.lstsq(Zr, Yr, rcond=None)[0]
+        assert same_bits(model.A, theta.T[:, :n]) and same_bits(model.B_d, theta.T[:, n:])
 
     def test_short_batched_history_raises(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.4)
@@ -183,14 +219,11 @@ class TestBatchedLift:
             lift(np.zeros((6, 3)), np.ones((6, 3, 2)), cfg)
 
 
-def reference_input_response_fit(records, config, A, B_d):
-    """Per-step oracle for `_input_response_fit`: one appended regressor row per step."""
-    n = A.shape[0]
-    p = records[0].ul.shape[1]
+def reference_segments(records, config):
+    """(record, first window end k0, steps) of every post-onset segment that
+    `_input_response_fit` fits; records that never shed or leave no step
+    after k0 give none."""
     w = config.window_len
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    X, Y = [], []
     for rec in records:
         active = np.where(np.any(rec.ul > 0, axis=1))[0]
         if len(active) == 0:
@@ -201,8 +234,19 @@ def reference_input_response_fit(records, config, A, B_d):
             if k0 - w + 1 < trip_idx:
                 k0 = max(k0, trip_idx + w - 1)
         steps = len(rec) - 1 - k0
-        if steps <= 0:
-            continue
+        if steps > 0:
+            yield rec, k0, steps
+
+
+def reference_input_response_fit(records, config, A, B_d):
+    """Per-step oracle for `_input_response_fit`: one appended regressor row per step."""
+    n = A.shape[0]
+    p = records[0].ul.shape[1]
+    w = config.window_len
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    X, Y = [], []
+    for rec, k0, steps in reference_segments(records, config):
         g = lift(rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], config)
         coef = np.zeros((n, p))
         for t in range(steps):
@@ -257,6 +301,23 @@ class TestInputResponseFit:
         got = _input_response_fit(shed_records, model.config, model.A, model.B_d)
         want = reference_input_response_fit(shed_records, model.config, model.A, model.B_d)
         assert same_bits(got, want) and same_bits(model.B_l, want)
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_records_without_a_segment_between_shedding_records_are_skipped(self, shed_records, shed_models, name):
+        shedding = [r for r in shed_records if np.any(r.ul > 0)][:3]
+        rec = shedding[0]
+        # cut at the first window after the trip: the segment would start past the end
+        end = int(round(rec.scenario.trip_time / rec.dt)) + 1
+        ul = rec.ul[:end].copy()
+        ul[10:, 0] = 0.05
+        cut = replace(rec, t=rec.t[:end], omega=rec.omega[:end], y=rec.y[:end], ul=ul, ud=rec.ud[:end], ud_applied=None)
+        quiet = replace(shedding[1], ul=np.zeros_like(shedding[1].ul))
+        records = [shedding[0], cut, shedding[1], quiet, shedding[2]]
+        model = shed_models[name]
+        assert len(list(reference_segments(records, model.config))) == 3
+        got = _input_response_fit(records, model.config, model.A, model.B_d)
+        want = reference_input_response_fit(records, model.config, model.A, model.B_d)
+        assert same_bits(got, want)
 
     def test_no_shedding_record_gives_a_zero_input_matrix(self, dataset_small):
         rec = dataset_small.train[0]
@@ -359,6 +420,26 @@ def memo_records(dataset_small):
 def own_copies(records):
     """Records with their own arrays, safe to edit in place."""
     return [replace(r, omega=r.omega.copy(), y=r.y.copy(), ul=r.ul.copy(), ud=r.ud.copy()) for r in records]
+
+
+def test_fit_peak_stays_near_the_larger_stage_system(memo_records):
+    # each stage's system is filled in place: no other array of its size is
+    # built, and the first stage's is freed before the second starts
+    records = list(memo_records)
+    cfg = method_config("cefc-ntd")
+    resolved = _resolve_rbf(records, cfg)
+    Zr, Yr = reference_ridge_system(records, resolved)
+    first = Zr.nbytes + Yr.nbytes
+    n, p = Yr.shape[1], records[0].ul.shape[1]
+    second = sum(steps for _, _, steps in reference_segments(records, resolved)) * n * p * 8  # X
+    del Zr, Yr
+    tracemalloc.start()
+    try:
+        fit(Dataset(train=records, test=[]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * max(first, second)
 
 
 class TestFitMemo:
