@@ -248,8 +248,11 @@ def solve_shedding(
 
     DC support is held at its limit inside the prediction; the decision
     variable is the single vector of shedding ratios held from the second
-    step on.  Infeasible problems are clamped to the per-node maximum with
-    the feasibility flag cleared.  The quantized shed of a node is a whole
+    step on.  The QP minimizes the Q1 cost subject to the planning floor on
+    every step from the second on and 0 <= x <= ul_max; it is solved by
+    `qp.solve_qp` from the no-shed point.  When no shed within `ul_max`
+    clears the floor in the model, the plan is the per-node maximum with the
+    feasibility flag cleared.  The quantized shed of a node is a whole
     number of quanta, at most its maximum rounded down to a whole quantum.
     `om_free` is the full-support rollout of
     `predict_max_dc` on the same arguments, when the caller already has it;
@@ -287,24 +290,16 @@ def solve_shedding(
 
     # the shed is applied one step after the decision and acts from the step
     # after that, so rows 0-1 of the sensitivity are identically zero: those
-    # steps are outside the decision's reach and are not constrained
+    # steps are outside the decision's reach and are not constrained.  This
+    # also covers steps <= 1, where the cost H below would be zero
     if np.all(margin[2:] >= 0):
         return make_plan(np.zeros(p), True)
 
-    # feasibility at full shedding
-    if np.any(margin[2:] + C[2:] @ limits.ul_max < -1e-9):
-        return make_plan(limits.ul_max, False)
-
-    # rows with nonnegative margin and a nonnegative sensitivity are satisfied
-    # by every x >= 0; dropping them removes the degenerate (slack ~ 0)
-    # constraints that stall the active-set iteration
-    mask = (margin[2:] < 0) | np.any(C[2:] < 0, axis=1)
     H = 2.0 * (steps - 1) * np.diag(q1_diag)
-    c = np.zeros(p)
-    G = np.vstack([-C[2:][mask], -np.eye(p), np.eye(p)])
-    h = np.concatenate([margin[2:][mask], np.zeros(p), limits.ul_max])
+    G = np.vstack([-C[2:], -np.eye(p), np.eye(p)])
+    h = np.concatenate([margin[2:], np.zeros(p), limits.ul_max])
     try:
-        x, _ = solve_qp(H, c, G, h, x0=limits.ul_max)
+        x, _ = solve_qp(H, np.zeros(p), G, h)
     except QPError:
         return make_plan(limits.ul_max, False)
     return make_plan(x, True)

@@ -1,16 +1,20 @@
-"""Small dense convex QP via a primal active-set method.
+"""Small dense convex QP via a dual active-set method.
 
-Solves  min 1/2 x'Hx + c'x  s.t.  Gx <= h  for positive-definite H, starting
-from a feasible point.  Problem sizes here are tiny (a handful of decision
-variables, a few hundred inequality rows), so plain dense linear algebra is
-adequate.
+Solves  min 1/2 x'Hx + c'x  s.t.  Gx <= h  for positive-definite H with the
+method of Goldfarb & Idnani ("A numerically stable dual method for solving
+strictly convex quadratic programs", Math. Programming 27, 1983).  It needs
+no start point: it starts at the unconstrained minimizer and adds violated
+rows one at a time, so the iterate stays optimal over its active set and
+becomes feasible only at the end.  Problem sizes here are tiny (a handful of
+decision variables, a few hundred inequality rows), so plain dense linear
+algebra is adequate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-TOL = 1e-10  # stationarity, multiplier and blocking-step tolerance
+TOL = 1e-10  # violation and row-dependence tolerance, per unit row norm
 MAX_ITER = 200  # active-set iterations before QPError
 
 
@@ -18,76 +22,61 @@ class QPError(Exception):
     pass
 
 
-def solve_qp(H, c, G, h, x0):
-    """Primal active-set QP from a feasible start.
+def solve_qp(H, c, G, h):
+    """Dual active-set QP.
 
-    Returns (x, active) where `active` is the final working set of row
-    indices of G.  Raises QPError if x0 is infeasible or no progress is made.
+    Returns (x, active) where `active` lists the row indices of G that bind
+    at x, in the order they entered.  Raises QPError if the rows admit no
+    feasible point, or if `MAX_ITER` iterations do not reach one.
     """
-    H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    n = len(x)
+    # in y = L'x, with H = LL', the objective is 1/2 |y|^2 + (L^-1 c)'y: the
+    # metric of every projection below is the plain Euclidean one
+    Li = np.linalg.inv(np.linalg.cholesky(np.asarray(H, dtype=float)))
+    Gy = G @ Li.T
+    norms = np.linalg.norm(Gy, axis=1)
+    zero = norms == 0.0
+    if np.any(h[zero] < 0.0):
+        raise QPError("a zero constraint row has a negative bound")
+    norms[zero] = np.inf  # a zero row with h >= 0 never binds
 
-    slack = G @ x - h
-    if np.any(slack > 1e-8):
-        raise QPError("starting point is infeasible")
-    work = [i for i in np.flatnonzero(slack > -1e-9)]
-    work = _independent_subset(G, work, n)
-
-    full_step = False
+    y = 0.0 - Li @ c  # the unconstrained minimizer, +0.0 rather than -0.0 at c = 0
+    active, u = [], np.zeros(0)  # binding rows and their multipliers
+    p = None  # the violated row being added
     for _ in range(MAX_ITER):
-        Gw = G[work] if work else np.zeros((0, n))
-        kkt = np.block(
-            [[H, Gw.T], [Gw, np.zeros((len(work), len(work)))]]
-        )
-        grad = H @ x + c
-        rhs = np.concatenate([-grad, np.zeros(len(work))])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        d = sol[:n]
-        mu = sol[n:]
-
-        # the KKT solve carries rounding noise proportional to the gradient
-        # size, so the stationarity test must scale with it; after a full
-        # unblocked step x already minimizes over the working set, however
-        # large a d the solve of a nearly dependent working set returns
-        if full_step or np.linalg.norm(d) < TOL * max(1.0, np.linalg.norm(grad)):
-            full_step = False
-            if len(mu) == 0 or np.min(mu) >= -TOL:
-                return x, list(work)
-            # drop the lowest-index violating row (Bland's rule, avoids cycling)
-            work.pop(int(np.flatnonzero(mu < -TOL)[0]))
-            continue
-
-        # step to the nearest blocking row outside the working set, lowest
-        # index first; a stack of (1, n) @ (n, 1) items rounds as each G[i] @ d
-        # does, which G @ d does not
-        Gd = np.matmul(G[:, None, :], d[:, None])[:, 0, 0]
-        cand = [i for i in np.flatnonzero(Gd > TOL).tolist() if i not in work]
-        Gx = np.matmul(G[cand][:, None, :], x[:, None])[:, 0, 0]
-        alpha = 1.0
-        blocking = None
-        for i, a in zip(cand, ((h[cand] - Gx) / Gd[cand]).tolist()):
-            if a < alpha - 1e-14:
-                alpha = max(a, 0.0)
-                blocking = i
-        x = x + alpha * d
-        full_step = blocking is None
-        if blocking is not None:
-            work.append(blocking)
-            work = _independent_subset(G, work, n)
+        if p is None:
+            viol = (Gy @ y - h) / norms
+            p = int(np.argmax(viol))
+            if viol[p] <= TOL:
+                return Li.T @ y, active
+            up = 0.0
+        # split row p into its part in the span of the active rows (weights r)
+        # and the part w orthogonal to it: moving y along -w reduces row p's
+        # violation and keeps every active row binding
+        N = Gy[active].T
+        r = np.linalg.lstsq(N, Gy[p], rcond=None)[0]
+        w = Gy[p] - N @ r
+        ww = float(w @ w)
+        full = (Gy[p] @ y - h[p]) / ww if ww > (TOL * norms[p]) ** 2 else np.inf
+        # raising row p's multiplier by t lowers the active ones by t r; the
+        # partial step stops where the first of them reaches zero
+        drop = np.flatnonzero(r > 0.0)
+        ratios = u[drop] / r[drop]
+        partial = float(np.min(ratios)) if len(drop) else np.inf
+        t = min(full, partial)
+        if t == np.inf:
+            raise QPError("the constraints are infeasible")
+        u, up = u - t * r, up + t
+        if full < np.inf:
+            y = y - t * w
+        if full <= partial:
+            active.append(p)
+            u = np.append(u, up)
+            p = None
+        else:
+            k = int(drop[np.argmin(ratios)])
+            active.pop(k)
+            u = np.delete(u, k)
     raise QPError("active-set iteration limit exceeded")
-
-
-def _independent_subset(G, idx, n):
-    """Drop rows until the working-set rows are linearly independent."""
-    keep = []
-    for i in idx:
-        trial = keep + [i]
-        if len(trial) > n:
-            break
-        if np.linalg.matrix_rank(G[trial]) == len(trial):
-            keep.append(i)
-    return keep

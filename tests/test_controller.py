@@ -270,6 +270,40 @@ class TestSolveShedding:
         assert not plan.feasible
         assert np.allclose(plan.continuous_ratio, lim.ul_max)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clamp_when_the_model_sees_no_shed_effect(self):
+        # a fit whose training records never shed leaves B_l at zero, so
+        # every floor row of the QP is zero: under a breached floor no shed
+        # within the cap clears it
+        model = scalar_model(bl=0.0)
+        lim = scalar_limits(ud_support=np.zeros(2))
+        plan = solve_shedding(model, [-0.05], [[]], lim, [1800.0], 100)
+        assert not plan.feasible
+        assert np.array_equal(plan.continuous_ratio, lim.ul_max)
+
+    def test_partial_shed_when_full_shedding_breaches_the_floor_later(self):
+        # a two-state model in which a held shed first lifts omega and later
+        # drags it down (the sensitivity changes sign): full shedding breaches
+        # the floor, a small shed clears it
+        cfg = ObservableConfig(dt=0.1, delay_span=0.1, dictionary="delay", include_voltage=False)
+        A = np.array([[0.9, -0.3], [0.0, 0.95]])
+        model = KoopmanModel(A=A, B_l=np.array([[0.1], [0.02]]), B_d=np.zeros((2, 2)), config=cfg)
+        lim = scalar_limits(ud_support=np.zeros(2))
+        om_win, y_win, steps = [0.0, -0.025], np.zeros((2, 0)), 100
+        floor = lim.omega_min + lim.planning_margin_pu
+
+        def nadir(x):
+            ul_seq = np.full((steps, 1), x)
+            ul_seq[0] = 0.0
+            return np.min(predict_rollout(model, om_win, y_win, ul_seq, np.zeros((steps, 2)), steps)[2:])
+
+        plan = solve_shedding(model, om_win, y_win, lim, [1800.0], steps)
+        assert nadir(lim.ul_max[0]) < floor
+        assert plan.feasible and 0.0 < plan.continuous_ratio[0] < lim.ul_max[0]
+        assert nadir(plan.continuous_ratio[0]) >= floor - 1e-12
+        best = next(x for x in np.arange(0.0, lim.ul_max[0], 1e-4) if nadir(x) >= floor)
+        assert abs(plan.continuous_ratio[0] - best) <= 1e-4
+
     def test_binding_case_matches_the_brute_force_optimum(self):
         # a persistent downward drive makes the trajectory dip through the
         # floor late in the horizon: exactly one constraint binds at optimum

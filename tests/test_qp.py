@@ -1,17 +1,29 @@
 import numpy as np
 import pytest
 
-from cefc.qp import MAX_ITER, TOL, QPError, _independent_subset, solve_qp
+from cefc.qp import MAX_ITER, TOL, QPError, solve_qp
 
 
-def reference_solve_qp(H, c, G, h, x0, events=None):
-    """`solve_qp` with its ratio test row by row: ``G[i] @ d`` and
-    ``G[i] @ x`` for each row outside the working set, in index order.
+def _independent_subset(G, idx, n):
+    """Drop rows until the working-set rows are linearly independent."""
+    keep = []
+    for i in idx:
+        trial = keep + [i]
+        if len(trial) > n:
+            break
+        if np.linalg.matrix_rank(G[trial]) == len(trial):
+            keep.append(i)
+    return keep
 
-    `events`, if given, collects what the ratio test decided on: a
-    ("tie", entered, skipped) pair of rows whose step lengths agree within
-    1e-14, and ("work-row-would-block", i) for a working-set row that would
-    have blocked had it been tested.  Recording them changes nothing.
+
+def reference_solve_qp(H, c, G, h, x0):
+    """A primal active-set QP from a feasible start x0, with its ratio test
+    row by row: the oracle for the objective `solve_qp` reaches.
+
+    It starts with every row that binds at x0 in its working set, steps to
+    the working-set minimizer or the first blocking row and drops the
+    lowest-index row with a negative multiplier (Bland's rule).  It can
+    stall once the working set holds n rows, and then raises QPError.
     """
     H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -45,18 +57,14 @@ def reference_solve_qp(H, c, G, h, x0, events=None):
         alpha = 1.0
         blocking = None
         for i in range(len(h)):
-            gi_d = G[i] @ d
             if i in work:
-                if events is not None and gi_d > TOL and (h[i] - G[i] @ x) / gi_d < alpha - 1e-14:
-                    events.append(("work-row-would-block", i))
                 continue
+            gi_d = G[i] @ d
             if gi_d > TOL:
                 a = (h[i] - G[i] @ x) / gi_d
                 if a < alpha - 1e-14:
                     alpha = max(a, 0.0)
                     blocking = i
-                elif events is not None and blocking is not None and a <= alpha + 1e-14:
-                    events.append(("tie", blocking, i))
         x = x + alpha * d
         full_step = blocking is None
         if blocking is not None:
@@ -65,20 +73,23 @@ def reference_solve_qp(H, c, G, h, x0, events=None):
     raise QPError("active-set iteration limit exceeded")
 
 
-def assert_matches_reference(H, c, G, h, x0):
-    """`solve_qp` returns the reference's x bytes and working set; returns
-    the working set."""
-    x, active = solve_qp(H, c, G, h, x0)
-    x_ref, active_ref = reference_solve_qp(H, c, G, h, x0)
-    assert x.tobytes() == x_ref.tobytes()
-    assert active == active_ref
-    return active
+def objective(H, c, x):
+    return 0.5 * x @ H @ x + c @ x
 
 
-def shedding_qp(seed, rows=40, n=3, ul_max=0.3):
-    """A shedding-shaped QP: `rows` floor rows -C x <= margin that x0 = ul_max
-    satisfies, then the bounds 0 <= x <= ul_max.  Returns (H, C, margin)."""
-    rng = np.random.default_rng(seed)
+def assert_solved(H, c, G, h):
+    """`solve_qp` returns a point that satisfies every row within 1e-12 and
+    on which every reported active row binds; returns (x, active)."""
+    x, active = solve_qp(H, c, G, h)
+    assert np.all(G @ x - h <= 1e-12)
+    assert np.all(np.abs(G[active] @ x - h[active]) <= 1e-12)
+    return x, active
+
+
+def shedding_qp(rng, rows=40, n=3, ul_max=0.3):
+    """A shedding-shaped QP drawn from `rng`: `rows` floor rows -C x <= margin
+    that full shedding x = ul_max satisfies, then the bounds 0 <= x <= ul_max.
+    Returns (H, C, margin)."""
     H = 2.0 * 600.0 * np.diag(rng.uniform(0.5, 1.5, n))
     C = rng.uniform(1e-4, 5e-3, (rows, n))
     # each row demands a fraction of what full shedding delivers
@@ -93,14 +104,22 @@ def shedding_rows(C, margin, ul_max=0.3):
     return G, h
 
 
+def family_problem(seed):
+    """Problem `seed` of the shedding-shaped family: 5-59 floor rows, all
+    drawn from one generator, as (H, c, G, h)."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(5, 60)
+    H, C, margin = shedding_qp(rng, rows)
+    return (H, np.zeros(3), *shedding_rows(C, margin))
+
+
 def test_projection_onto_halfplane():
-    # min x'x s.t. x1 + x2 >= 1, started at a feasible vertex-free point
+    # min x'x s.t. x1 + x2 >= 1
     H = 2.0 * np.eye(2)
-    c = np.zeros(2)
     G = np.array([[-1.0, -1.0]])
     h = np.array([-1.0])
-    x, active = solve_qp(H, c, G, h, x0=np.array([1.0, 1.0]))
-    assert np.allclose(x, [0.5, 0.5], atol=1e-8)
+    x, active = assert_solved(H, np.zeros(2), G, h)
+    assert np.allclose(x, [0.5, 0.5], atol=1e-12)
     assert active == [0]
 
 
@@ -109,9 +128,15 @@ def test_interior_minimum_leaves_no_active_set():
     c = np.array([-2.0, 0.0])  # minimum at (1, 0)
     G = np.array([[1.0, 0.0], [0.0, 1.0]])
     h = np.array([5.0, 5.0])
-    x, active = solve_qp(H, c, G, h, x0=np.array([4.0, 4.0]))
-    assert np.allclose(x, [1.0, 0.0], atol=1e-8)
+    x, active = assert_solved(H, c, G, h)
+    assert np.allclose(x, [1.0, 0.0], atol=1e-12)
     assert active == []
+
+
+def test_unconstrained_start_at_zero_is_positive_zero():
+    H = 2.0 * np.eye(3)
+    x, active = assert_solved(H, np.zeros(3), np.eye(3), np.ones(3))
+    assert active == [] and not np.any(np.signbit(x))
 
 
 def test_bound_becomes_active():
@@ -120,8 +145,8 @@ def test_bound_becomes_active():
     c = np.array([-4.0])
     G = np.array([[1.0]])
     h = np.array([1.0])
-    x, active = solve_qp(H, c, G, h, x0=np.array([0.0]))
-    assert np.allclose(x, [1.0], atol=1e-8)
+    x, active = assert_solved(H, c, G, h)
+    assert np.allclose(x, [1.0], atol=1e-12)
     assert active == [0]
 
 
@@ -131,31 +156,67 @@ def test_weighted_objective_tilts_the_solution():
     H = 2.0 * np.diag(q)
     G = np.array([[-1.0, -1.0]])
     h = np.array([-1.0])
-    x, _ = solve_qp(H, np.zeros(2), G, h, x0=np.array([0.5, 0.5]))
-    assert np.allclose(x, [0.8, 0.2], atol=1e-8)
+    x, _ = assert_solved(H, np.zeros(2), G, h)
+    assert np.allclose(x, [0.8, 0.2], atol=1e-12)
 
 
-def test_infeasible_start_raises():
+def test_row_leaves_the_active_set_for_a_dependent_one():
+    # from the unconstrained minimizer (-1, 1), row 2 enters, then row 0;
+    # row 1, violated at their vertex, lies in the span of both, so it
+    # enters by a step of the multipliers alone, which drops row 2
     H = 2.0 * np.eye(2)
-    G = np.array([[1.0, 0.0]])
-    h = np.array([0.0])
+    c = np.array([2.0, -2.0])
+    G = np.array([[3.0, 3.0], [-3.0, -2.0], [-3.0, 3.0]])
+    h = np.array([-1.0, 0.0, 3.0])
+    x, active = assert_solved(H, c, G, h)
+    assert np.allclose(x, [2.0 / 3.0, -1.0], atol=1e-12)
+    assert active == [0, 1]
+
+
+def test_infeasible_rows_raise():
+    # x1 <= -1 and x1 >= 0
+    H = 2.0 * np.eye(2)
+    G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    h = np.array([-1.0, 0.0])
     with pytest.raises(QPError):
-        solve_qp(H, np.zeros(2), G, h, x0=np.array([1.0, 0.0]))
+        solve_qp(H, np.zeros(2), G, h)
 
 
-def test_poorly_scaled_problem_still_terminates():
-    # gradient norms ~1e3 with constraint coefficients ~1e-3: the stationarity
-    # test has to tolerate solver rounding at this scale; the starting point
-    # x0 = 0.3 is feasible by construction
-    H, C, margin = shedding_qp(3)
-    G, h = shedding_rows(C, margin)
-    x, _ = solve_qp(H, np.zeros(3), G, h, x0=np.full(3, 0.3))
-    assert np.all(G @ x <= h + 1e-8)
+def test_infeasible_shedding_rows_raise():
+    # a floor row that full shedding cannot reach
+    H, C, margin = shedding_qp(np.random.default_rng(3))
+    margin[5] = -1.01 * C[5] @ np.full(3, 0.3)
+    with pytest.raises(QPError):
+        solve_qp(H, np.zeros(3), *shedding_rows(C, margin))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_row_with_a_negative_bound_is_infeasible():
+    H = 2.0 * np.eye(2)
+    G = np.array([[0.0, 0.0], [-1.0, -1.0]])
+    with pytest.raises(QPError):
+        solve_qp(H, np.zeros(2), G, np.array([-1e-6, -1.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_row_with_a_nonnegative_bound_never_binds():
+    H = 2.0 * np.eye(2)
+    G = np.array([[0.0, 0.0], [-1.0, -1.0], [0.0, 0.0]])
+    h = np.array([0.0, -1.0, 1.0])
+    x, active = assert_solved(H, np.zeros(2), G, h)
+    assert np.allclose(x, [0.5, 0.5], atol=1e-12)
+    assert active == [1]
+
+
+def test_poorly_scaled_problem():
+    # gradient norms ~1e3 with constraint coefficients ~1e-3
+    H, C, margin = shedding_qp(np.random.default_rng(3))
+    assert_solved(H, np.zeros(3), *shedding_rows(C, margin))
 
 
 def nearly_parallel_problem():
-    """Two nearly parallel rows (adjacent prediction steps of a shedding QP)
-    that enter the working set, with the minimizer at x = 0."""
+    """Two nearly parallel rows (adjacent prediction steps of a shedding QP),
+    with the minimizer at x = 0."""
     H = np.diag([697.6666666666667, 598.0, 498.33333333333337])
     C = np.array(
         [
@@ -165,52 +226,30 @@ def nearly_parallel_problem():
     )
     G = np.vstack([C, -np.eye(3), np.eye(3)])
     h = np.concatenate([[0.01304156817540299, 0.01313437648648823], np.zeros(3), np.full(3, 0.3)])
-    return H, np.zeros(3), G, h, np.full(3, 0.3)
+    return H, np.zeros(3), G, h
 
 
-def test_full_step_ends_at_the_working_set_minimizer():
-    # the KKT solve keeps returning a nonzero d after the full step that
-    # already reached the minimizer
-    H, c, G, h, x0 = nearly_parallel_problem()
-    x, _ = solve_qp(H, c, G, h, x0=x0)
-    assert np.allclose(x, 0.0, atol=1e-12)
-    assert np.all(G @ x <= h + 1e-12)
+def test_nearly_parallel_rows_with_the_minimizer_inside():
+    x, active = assert_solved(*nearly_parallel_problem())
+    assert x.tolist() == [0.0, 0.0, 0.0] and active == []
 
 
-def existing_problems():
-    """The feasible problems of the tests above, as (H, c, G, h, x0)."""
-    eye, zeros = 2.0 * np.eye(2), np.zeros(2)
-    H3, C3, margin3 = shedding_qp(3)
-    return [
-        (eye, zeros, np.array([[-1.0, -1.0]]), np.array([-1.0]), np.array([1.0, 1.0])),
-        (eye, np.array([-2.0, 0.0]), np.eye(2), np.array([5.0, 5.0]), np.array([4.0, 4.0])),
-        (np.array([[2.0]]), np.array([-4.0]), np.array([[1.0]]), np.array([1.0]), np.array([0.0])),
-        (2.0 * np.diag([1.0, 4.0]), zeros, np.array([[-1.0, -1.0]]), np.array([-1.0]), np.array([0.5, 0.5])),
-        (H3, np.zeros(3), *shedding_rows(C3, margin3), np.full(3, 0.3)),
-        nearly_parallel_problem(),
-    ]
+def test_family_seeds_that_stall_the_primal_reference_are_solved():
+    # the primal oracle's working set fills with n rows, the next row
+    # blocks at a step of 0 and the same step repeats
+    for seed in (196, 252):
+        H, c, G, h = family_problem(seed)
+        with pytest.raises(QPError, match="iteration limit"):
+            reference_solve_qp(H, c, G, h, np.full(3, 0.3))
+        assert_solved(H, c, G, h)
 
 
-class TestRatioTestMatchesTheRowByRowReference:
-    @pytest.mark.parametrize("problem", existing_problems())
-    def test_existing_problems(self, problem):
-        assert_matches_reference(*problem)
-
-    @pytest.mark.parametrize("seed", range(50))
-    def test_random_shedding_problems(self, seed):
-        H, C, margin = shedding_qp(seed)
-        assert_matches_reference(H, np.zeros(3), *shedding_rows(C, margin), np.full(3, 0.3))
-
-    def test_tie_enters_the_lower_row_and_working_rows_are_skipped(self):
-        # seed 165 with its floor row 10 repeated as row 11: the two rows
-        # block at the same step, and the upper bound of x1 (row 44), in the
-        # working set from the start, has G[44] @ d > TOL from the KKT
-        # solve's rounding at a later step
-        H, C, margin = shedding_qp(165)
-        C, margin = np.insert(C, 11, C[10], axis=0), np.insert(margin, 11, margin[10])
-        G, h = shedding_rows(C, margin)
-        events = []
-        reference_solve_qp(H, np.zeros(3), G, h, np.full(3, 0.3), events)
-        assert ("tie", 10, 11) in events and ("work-row-would-block", 44) in events
-        active = assert_matches_reference(H, np.zeros(3), G, h, np.full(3, 0.3))
-        assert 10 in active and 11 not in active and 44 in active
+@pytest.mark.parametrize("seed", range(300))
+def test_family_problem_is_solved_at_no_more_than_the_reference_cost(seed):
+    H, c, G, h = family_problem(seed)
+    x, _ = assert_solved(H, c, G, h)
+    try:
+        x_ref, _ = reference_solve_qp(H, c, G, h, np.full(3, 0.3))
+    except QPError:
+        return
+    assert objective(H, c, x) <= objective(H, c, x_ref) * (1.0 + 1e-6)
