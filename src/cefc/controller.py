@@ -313,11 +313,14 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, discount: float = 1.0) 
     triple (A_k, G_k, H_k) from (A, G, Q) (Chu, Fan, Lin & Wang, Int. J.
     Control 77, 2004): H_k equals 2^k steps of the Riccati recursion and A_k
     the closed-loop map squared k times, so a few steps converge.  Stops when
-    the equation residual (Frobenius norm) of P = H_k and the last doubling
-    increment both drop below `tol` scaled by max(1, ||P||), within
-    `DARE_MAX_ITER` doubling steps.  Raises StabilizabilityError on a non-finite
-    value or without convergence: a mode that no input reaches and that does
-    not decay keeps P growing, however small its residual is relative to ||P||.
+    the doubling increment H_{k+1} - H_k, the contribution of Riccati steps
+    2^k to 2^{k+1}, drops below `tol` scaled by max(1, ||P||), within
+    `DARE_MAX_ITER` doubling steps.  `residual` is the Frobenius norm of the
+    equation residual at the returned P; it can exceed `tol` * ||P|| when the
+    model's rounding floor lies above that bar.  Raises StabilizabilityError on
+    a non-finite value or without convergence: a mode that no input reaches
+    and that does not decay keeps the increment comparable to ||P|| (a
+    marginal mode grows P linearly, an unstable one overflows).
     `discount` < 1 solves the discounted problem (A, B scaled by the
     discount), which keeps P bounded when the identified A carries marginal
     modes that the DC inputs cannot move.
@@ -335,7 +338,6 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, discount: float = 1.0) 
         return A.T @ P @ A - P + Q - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A)
 
     Ak, G, P = A, B @ np.linalg.solve(R, B.T), Q.copy()
-    res = float("inf")
     # overflow before the finiteness check is the divergence signal, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, DARE_MAX_ITER + 1):
@@ -348,14 +350,12 @@ def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, discount: float = 1.0) 
             P = P + 0.5 * (step + step.T)
             if not np.all(np.isfinite(P)):
                 raise StabilizabilityError("Riccati iteration diverged; (A, B_d) may not be stabilizable")
-            scale = tol * max(1.0, float(np.linalg.norm(P)))
-            res = float(np.linalg.norm(residual_of(P)))
-            if res < scale and np.linalg.norm(step) < scale:
+            if np.linalg.norm(step) < tol * max(1.0, float(np.linalg.norm(P))):
                 K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-                return RiccatiSolution(P=P, K=K, residual=res, iterations=it)
-    raise StabilizabilityError(
-        f"Riccati iteration did not converge in {DARE_MAX_ITER} doubling steps (residual {res:.3e})"
-    )
+                return RiccatiSolution(P=P, K=K, residual=float(np.linalg.norm(residual_of(P))), iterations=it)
+        raise StabilizabilityError(
+            f"Riccati iteration did not converge in {DARE_MAX_ITER} doubling steps (residual {np.linalg.norm(residual_of(P)):.3e})"
+        )
 
 
 #: discount of the LQR's Riccati solve, which keeps P bounded under the

@@ -528,3 +528,16 @@ def test_bench_writes_every_output(tmp_path):
         compare = json.load(fh)
     assert set(compare) == {"lqr", "max"}
     assert all(np.isfinite(compare[mode]["cumulative_abs_ud_mw_s"]) for mode in compare)
+
+
+def test_bench_runs_where_the_riccati_residual_sits_at_the_rounding_floor(tmp_path):
+    # At 2 training trajectories seed 7's `cefc` model has cond(A) about 1.4e9.
+    # Its Riccati residual bottoms out near 3e-10 of ||P||, after the doubling
+    # increment has settled, so the LQR gain is the 11th doubling's.
+    out = tmp_path / "out"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 7, "output_dir": str(out)}))
+    assert main(["bench", "--config", str(path), "--train", "2", "--test", "1"]) == EXIT_OK
+    with open(out / "subcases" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert [s["riccati"]["iterations"] for s in summary] == [11] * len(SUBCASE_INERTIA)

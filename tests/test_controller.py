@@ -21,7 +21,7 @@ from cefc.controller import (
     solve_dare,
     solve_shedding,
 )
-from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig, fit, method_config, predict_rollout
+from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig, fit, generate_dataset, method_config, predict_rollout
 
 
 def scalar_model(a=0.97, bl=0.02, bd=1e-4):
@@ -145,18 +145,73 @@ def assert_matches_fixed_point(sol, A, B, q_diag, r_diag):
     assert np.linalg.norm(sol.K - K) <= 1e-8 * np.linalg.norm(K)
 
 
+def reference_solve_dare(A, B, q_diag, r_diag, tol=1e-10, discount=1.0):
+    """Oracle: the doubling with the two-part stop rule, which also waits for
+    the equation residual to drop below `tol` * max(1, ||P||) and evaluates
+    it at every doubling step."""
+    A = discount * np.atleast_2d(np.asarray(A, dtype=float))
+    B = discount * np.atleast_2d(np.asarray(B, dtype=float))
+    Q = np.diag(np.asarray(q_diag, dtype=float))
+    R = np.diag(np.asarray(r_diag, dtype=float))
+    n = A.shape[0]
+
+    def residual_of(P):
+        S = R + B.T @ P @ B
+        return A.T @ P @ A - P + Q - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A)
+
+    Ak, G, P = A, B @ np.linalg.solve(R, B.T), Q.copy()
+    res = float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, controller.DARE_MAX_ITER + 1):
+            W = np.eye(n) + G @ P
+            WA, WG = np.split(np.linalg.solve(W, np.hstack([Ak, G])), 2, axis=1)
+            step = Ak.T @ P @ WA
+            G = G + Ak @ WG @ Ak.T
+            Ak = Ak @ WA
+            G = 0.5 * (G + G.T)
+            P = P + 0.5 * (step + step.T)
+            if not np.all(np.isfinite(P)):
+                raise StabilizabilityError("Riccati iteration diverged")
+            scale = tol * max(1.0, float(np.linalg.norm(P)))
+            res = float(np.linalg.norm(residual_of(P)))
+            if res < scale and np.linalg.norm(step) < scale:
+                K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+                return controller.RiccatiSolution(P=P, K=K, residual=res, iterations=it)
+    raise StabilizabilityError(f"Riccati iteration did not converge (residual {res:.3e})")
+
+
+def assert_matches_the_reference(sol, ref):
+    assert sol.P.tobytes() == ref.P.tobytes()
+    assert sol.K.tobytes() == ref.K.tobytes()
+    assert (sol.iterations, sol.residual) == (ref.iterations, ref.residual)
+
+
+def matrix_residual_problems():
+    rng = np.random.default_rng(0)
+    for dim in (2, 8, 20):
+        A = rng.normal(size=(dim, dim))
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+        B = rng.normal(size=(dim, 2))
+        yield A, B, np.ones(dim), np.ones(2)
+
+
+def random_dare_problem(seed):
+    """Up to 29 states and 3 inputs, spectral radius 0.2-1.2 before discounting."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.2, 1.2) / np.max(np.abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(n, m))
+    return A, B, rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
+
+
 class TestDare:
     def test_scalar_fixed_point(self):
         sol = solve_dare(np.array([[0.5]]), np.array([[1.0]]), [1.0], [1.0])
         assert abs(sol.P[0, 0] - 1.1327822185373186) < 1e-9
 
     def test_matrix_residual(self):
-        rng = np.random.default_rng(0)
-        for dim in (2, 8, 20):
-            A = rng.normal(size=(dim, dim))
-            A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
-            B = rng.normal(size=(dim, 2))
-            Q, R = np.ones(dim), np.ones(2)
+        for A, B, Q, R in matrix_residual_problems():
             sol = solve_dare(A, B, Q, R, tol=1e-13)
             S = np.diag(R) + B.T @ sol.P @ B
             res = (
@@ -208,9 +263,67 @@ class TestDare:
         q, r = rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, 2)
         assert_matches_fixed_point(solve_dare(A, B, q, r), A, B, q, r)
 
+    def test_matches_the_reference_on_the_fitted_model(self, cefc_model):
+        w = LqrWeights.for_model(cefc_model)
+        args = (cefc_model.A, cefc_model.B_d, w.q_diag, w.r_diag)
+        assert_matches_the_reference(solve_dare(*args, discount=0.98), reference_solve_dare(*args, discount=0.98))
+
+    def test_matches_the_reference_on_the_matrix_residual_problems(self):
+        for A, B, Q, R in matrix_residual_problems():
+            assert_matches_the_reference(solve_dare(A, B, Q, R, tol=1e-13), reference_solve_dare(A, B, Q, R, tol=1e-13))
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_matches_the_reference_on_random_problems(self, seed):
+        A, B, q, r = random_dare_problem(seed)
+        tol = (1e-10, 1e-12, 1e-13)[seed % 3]
+        try:
+            ref = reference_solve_dare(A, B, q, r, tol=tol, discount=0.98)
+        except StabilizabilityError:
+            pytest.skip("the two-part rule does not converge on this problem")
+        assert_matches_the_reference(solve_dare(A, B, q, r, tol=tol, discount=0.98), ref)
+
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError):
             solve_dare(np.eye(2), np.ones((2, 1)), np.ones(2), [1.0], discount=1.5)
+
+
+def riccati_recursion(A, B, q_diag, r_diag, steps):
+    """The plain Riccati recursion from P = Q2, run a fixed number of steps."""
+    Q, R = np.diag(q_diag), np.diag(r_diag)
+    P = Q.copy()
+    for _ in range(steps):
+        P = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        P = 0.5 * (P + P.T)
+    return P, np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+
+
+@pytest.fixture(scope="module")
+def floor_problem(grid):
+    """The LQR's Riccati problem on `cefc` fitted to 2 training trajectories at
+    seed 7: cond(A) about 1.4e9, so the equation residual bottoms out near
+    3e-10 of ||P|| while the doubling increment has already settled."""
+    ds = generate_dataset(grid, 2, 1, seed=7)
+    model = fit(ds, method_config("cefc", dt=ds.train[0].dt))
+    w = LqrWeights.for_model(model)
+    return model.A, model.B_d, w.q_diag, w.r_diag
+
+
+class TestPrecisionFloor:
+    def test_converges_at_the_rounding_floor(self, floor_problem):
+        sol = solve_dare(*floor_problem, discount=0.98)
+        assert sol.iterations == 11
+        assert sol.residual < 1e-9 * np.linalg.norm(sol.P)
+
+    def test_agrees_with_the_plain_recursion(self, floor_problem):
+        A, B, q, r = floor_problem
+        sol = solve_dare(A, B, q, r, discount=0.98)
+        P, K = riccati_recursion(0.98 * A, 0.98 * B, q, r, 2000)
+        assert np.linalg.norm(sol.P - P) <= 1e-7 * np.linalg.norm(P)
+        assert np.linalg.norm(sol.K - K) <= 1e-7 * np.linalg.norm(K)
+
+    def test_the_two_part_rule_does_not_converge(self, floor_problem):
+        with pytest.raises(StabilizabilityError, match="did not converge"):
+            reference_solve_dare(*floor_problem, discount=0.98)
 
 
 class TestLqrStep:
