@@ -75,7 +75,7 @@ def run_control_subcases(
                 trace.record.omega,
                 trace.omega_pred if trace.omega_pred is not None else np.full(len(trace.record), np.nan),
                 np.sum(trace.ud_commands, axis=1),
-                np.sum(trace.record.ul * [ld.base_power for ld in grid.loads], axis=1),
+                np.sum(trace.record.ul * grid.load_base_mw, axis=1),
             ]
         ).tolist()
         _write_csv(

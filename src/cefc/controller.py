@@ -19,11 +19,13 @@ import numpy as np
 
 from . import gridsim
 from .gridsim import GridModel, Scenario
-from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, predict_rollout, steady_state_samples, MEASUREMENT_DELAY
+from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, predict_rollout, steady_state_samples, window_at, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
 PREDICTION_HORIZON = 30.0
+#: samples from a shedding decision to its shed: decided at k, applied from k + SHED_LAG
+SHED_LAG = 1
 #: doubling steps before `solve_dare` gives up
 DARE_MAX_ITER = 64
 
@@ -69,6 +71,10 @@ class ControlLimits:
     @property
     def activation_threshold_pu(self) -> float:
         return self.activation_threshold_hz / self.base_frequency
+
+    @property
+    def planning_floor(self) -> float:  # the floor sheds are sized against
+        return self.omega_min + self.planning_margin_pu
 
     @classmethod
     def for_grid(cls, grid: GridModel, **kw) -> "ControlLimits":
@@ -171,6 +177,11 @@ class CoordinationTrace:
         }
 
 
+def prediction_steps(dt: float) -> int:
+    """Steps of the `PREDICTION_HORIZON` rollout behind a decision, at sample time `dt`."""
+    return int(round(PREDICTION_HORIZON / dt))
+
+
 def check_activation(omega: float, limits: ControlLimits) -> bool:
     """Dead-zone test; the boundary counts as activated."""
     return omega <= -limits.activation_threshold_pu
@@ -185,21 +196,21 @@ def predict_max_dc(model: KoopmanModel, omega_window, y_window, limits: ControlL
 
 def needs_shedding(omega_hat, limits: ControlLimits) -> bool:
     """True when the full-support prediction dips under the planning floor."""
-    return bool(np.min(omega_hat) < limits.omega_min + limits.planning_margin_pu)
+    return bool(np.min(omega_hat) < limits.planning_floor)
 
 
 def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
     """Per-step effect of a unit one-shot shedding ratio on predicted omega.
 
-    Row t gives d(omega_t)/d(x) for the shedding vector x applied from the
-    second control step onward; rows 0 and 1 are zero.  The lifted model is
+    Row t gives d(omega_t)/d(x) for the shedding vector x applied from step
+    `SHED_LAG` onward; rows 0 to `SHED_LAG` are zero.  The lifted model is
     linear in its inputs, so a one-shot shed x predicts `om_free + C @ x`,
     with `om_free` the full-support rollout of `predict_max_dc`.
     """
     C = np.zeros((steps + 1, model.n_loads))
     M = np.zeros((model.dim, model.n_loads))
     for j in range(steps):
-        M = model.A @ M + (model.B_l if j >= 1 else 0.0)
+        M = model.A @ M + (model.B_l if j >= SHED_LAG else 0.0)
         C[j + 1] = M[0]
     return C
 
@@ -247,16 +258,16 @@ def solve_shedding(
     """One-shot shedding amount from the condensed convex QP.
 
     DC support is held at its limit inside the prediction; the decision
-    variable is the single vector of shedding ratios held from the second
-    step on.  The QP minimizes the Q1 cost subject to the planning floor on
-    every step from the second on and 0 <= x <= ul_max; it is solved by
-    `qp.solve_qp` from the no-shed point.  When no shed within `ul_max`
-    clears the floor in the model, the plan is the per-node maximum with the
-    feasibility flag cleared.  The quantized shed of a node is a whole
-    number of quanta, at most its maximum rounded down to a whole quantum.
-    `om_free` is the full-support rollout of
-    `predict_max_dc` on the same arguments, when the caller already has it;
-    the sensitivity matrix is computed once per model and `steps`.
+    variable is the single vector of shedding ratios held from step
+    `SHED_LAG` on.  `qp.solve_qp` minimizes the Q1 cost of the held steps
+    subject to the planning floor on every step the shed moves and
+    0 <= x <= ul_max.  When no shed within `ul_max` clears the floor in the
+    model, the plan is the per-node maximum with the feasibility flag
+    cleared.  The quantized shed of a node is a whole number of quanta, at
+    most its maximum rounded down to a whole quantum.  `om_free` is the
+    full-support rollout of `predict_max_dc` on the same arguments, when the
+    caller already has it; the sensitivity matrix is computed once per model
+    and `steps`.
     """
     node_base_mw = np.asarray(node_base_mw, dtype=float)
     p = model.n_loads
@@ -265,11 +276,7 @@ def solve_shedding(
     if om_free is None:
         om_free = predict_max_dc(model, omega_window, y_window, limits, steps)
     C = _memoized_sensitivity(model, steps)
-    # size the shed against a floor raised by the planning backoff so that
-    # prediction error of a plan sitting exactly on the constraint does not
-    # turn into a real violation
-    floor = limits.omega_min + limits.planning_margin_pu
-    margin = om_free - floor  # must stay >= -C x
+    margin = om_free - limits.planning_floor  # must stay >= -C x
 
     # each node's cap, rounded down to a whole quantum (within 1e-9 quantum,
     # so that a cap of 210 MW stays 21 quanta of 10 MW)
@@ -288,16 +295,15 @@ def solve_shedding(
             feasible=feasible,
         )
 
-    # the shed is applied one step after the decision and acts from the step
-    # after that, so rows 0-1 of the sensitivity are identically zero: those
-    # steps are outside the decision's reach and are not constrained.  This
-    # also covers steps <= 1, where the cost H below would be zero
-    if np.all(margin[2:] >= 0):
+    # constrain only the steps the shed moves, from SHED_LAG + 1 on; with
+    # steps <= SHED_LAG there are none, and the cost H below would be zero
+    reach = slice(SHED_LAG + 1, None)
+    if np.all(margin[reach] >= 0):
         return make_plan(np.zeros(p), True)
 
-    H = 2.0 * (steps - 1) * np.diag(q1_diag)
-    G = np.vstack([-C[2:], -np.eye(p), np.eye(p)])
-    h = np.concatenate([margin[2:], np.zeros(p), limits.ul_max])
+    H = 2.0 * (steps - SHED_LAG) * np.diag(q1_diag)
+    G = np.vstack([-C[reach], -np.eye(p), np.eye(p)])
+    h = np.concatenate([margin[reach], np.zeros(p), limits.ul_max])
     try:
         x, _ = solve_qp(H, np.zeros(p), G, h)
     except QPError:
@@ -402,15 +408,10 @@ def coordinate(
         weights = LqrWeights.for_model(model)
     sol = _memoized_riccati(model, weights) if dc_mode == "lqr" else None
     cfg = model.config
-    w = cfg.window_len
     dt = scenario.dt
     delay_steps = first_sample_at(MEASUREMENT_DELAY, dt)  # arm no sooner than the delay after detection
-    pred_steps = int(round(PREDICTION_HORIZON / dt))
     p, q = grid.n_loads, grid.n_links
-    node_base = np.array([ld.base_power for ld in grid.loads])
-
-    n_steps = int(round(scenario.horizon / dt))
-    n = n_steps + 1  # samples in the record
+    n = scenario.n_steps + 1  # samples in the record
     ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
     # the policy hands simulate these shared vectors, which it only reads
     no_shed, no_dc, support = np.zeros(p), np.zeros(q), limits.ud_support
@@ -427,16 +428,15 @@ def coordinate(
         ul = no_shed if plan is None else plan.quantized_ratio
 
         if activated_k is None:
-            ready = detect_k is not None and k - detect_k >= delay_steps and k >= w - 1
+            ready = detect_k is not None and k - detect_k >= delay_steps and k >= cfg.window_len - 1
             if ready and check_activation(om, limits):
                 activated_k = k
-                om_win = om_hist[k - w + 1 : k + 1]
-                y_win = y_hist[k - w + 1 : k + 1]
-                steps = min(pred_steps, n_steps - k)
+                om_win, y_win = window_at(om_hist, y_hist, k, cfg)
+                steps = min(prediction_steps(dt), n - 1 - k)
                 om_hat = predict_max_dc(model, om_win, y_win, limits, steps)
                 if needs_shedding(om_hat, limits):
-                    plan = solve_shedding(model, om_win, y_win, limits, node_base, steps, om_free=om_hat)
-                    plan.shed_time = t + dt
+                    plan = solve_shedding(model, om_win, y_win, limits, grid.load_base_mw, steps, om_free=om_hat)
+                    plan.shed_time = t + SHED_LAG * dt
                     om_hat = om_hat + _memoized_sensitivity(model, steps) @ plan.quantized_ratio
                 omega_pred = np.full(n, np.nan)
                 omega_pred[k : k + steps + 1] = om_hat
@@ -446,7 +446,7 @@ def coordinate(
         elif dc_mode == "max":
             ud = support
         else:
-            g = lift(om_hist[k - w + 1 : k + 1], y_hist[k - w + 1 : k + 1], cfg)
+            g = lift(*window_at(om_hist, y_hist, k, cfg), cfg)
             ud = lqr_step(g, sol, limits)
         ud_cmds[k] = ud
         return ul, ud

@@ -115,6 +115,10 @@ class GridModel:
         return len(self.loads)
 
     @property
+    def load_base_mw(self) -> np.ndarray:  # what a shedding ratio of 1 sheds, per node
+        return np.array([ld.base_power for ld in self.loads])
+
+    @property
     def n_links(self) -> int:
         return len(self.hvdc)
 
@@ -177,6 +181,10 @@ class Scenario:
         for ch in self.noise_channels:
             if ch not in ("loads", "dc"):
                 raise ValueError(f"unknown noise channel {ch!r}")
+
+    @property
+    def n_steps(self) -> int:  # sample steps of a record, which holds n_steps + 1 samples
+        return int(round(self.horizon / self.dt))
 
     def validate(self, grid: GridModel):
         if len(self.trip_set) > 3:
@@ -499,7 +507,7 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
     plant = _Plant(grid, scenario)
     p, q, s = plant.p, plant.q, plant.s_base
     dt = scenario.dt
-    n_steps = int(round(scenario.horizon / dt))
+    n_steps = scenario.n_steps
     amp = scenario.noise_amplitude
     noise_loads = "loads" in scenario.noise_channels and amp > 0
     noise_dc = "dc" in scenario.noise_channels and amp > 0

@@ -156,10 +156,10 @@ def _layout(config) -> str:
 
 
 def _trip_sample(rec) -> int | None:
-    """Sample index of the record's disconnection; None without a trip."""
+    """Sample index of the record's disconnection, the first at or after its trip time; None without a trip."""
     if rec.scenario is None or not rec.scenario.trip_set:
         return None
-    return int(round(rec.scenario.trip_time / rec.dt))
+    return first_sample_at(rec.scenario.trip_time, rec.dt)
 
 
 def steady_state_samples(dt: float) -> int:
@@ -212,6 +212,12 @@ def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
     if config.rbf_count > 0:
         parts.append(_rbf_features(_base_vector(om, yv, config), config))
     return np.concatenate(parts, axis=-1)
+
+
+def window_at(omega, y, k: int, config) -> tuple:
+    """The trailing windows of `omega` and `y`: their `config.window_len` samples up to sample k."""
+    w = config.window_len
+    return omega[k - w + 1 : k + 1], y[k - w + 1 : k + 1]
 
 
 def _read_only(values, order="K") -> np.ndarray:
@@ -539,7 +545,7 @@ def _input_response_fit(records, config, A, B_d):
     zero = np.zeros((n, p))  # the coefficients before every onset
     start = 0
     for rec, k0, steps in segments:
-        g = lift(rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], config)
+        g = lift(*window_at(rec.omega, rec.y, k0, config), config)
         # row t = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ row (t-1) + e0 ulᵀ,
         # with the zero block as row -1; each row is a C-ordered (n, p) view
         # of X.  The shed is added to row 0 alone: the BLAS product holds no
@@ -689,15 +695,7 @@ def predict_record(model: KoopmanModel, rec):
     """
     check_sample_time("the record", rec.dt, model.config)
     k0 = prediction_start(rec, model.config)
-    w = model.config.window_len
-    om_hat = predict_rollout(
-        model,
-        rec.omega[k0 - w + 1 : k0 + 1],
-        rec.y[k0 - w + 1 : k0 + 1],
-        rec.ul[k0:-1],
-        rec.ud[k0:-1],
-        len(rec) - 1 - k0,
-    )
+    om_hat = predict_rollout(model, *window_at(rec.omega, rec.y, k0, model.config), rec.ul[k0:-1], rec.ud[k0:-1], len(rec) - 1 - k0)
     return k0, om_hat
 
 

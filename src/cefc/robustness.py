@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gridsim
-from .controller import PREDICTION_HORIZON, ControlLimits, shed_weights
+from .controller import SHED_LAG, ControlLimits, prediction_steps, shed_weights
 from .gridsim import GridModel, Scenario, SimulationError
-from .koopman import KoopmanModel, check_sample_time, lift, scenario_prediction_start
+from .koopman import KoopmanModel, ObservableConfig, check_sample_time, lift, scenario_prediction_start, window_at
 
 MODE_CAP = 4096
 
@@ -59,6 +59,7 @@ class ModeSet:
     shed_ratio: np.ndarray  # (n_modes, p) node shedding ratios
     B_modes: np.ndarray  # (n_modes, dim_g) lifted input column per mode
     costs: np.ndarray  # (n_modes,) control cost of each one-shot mode
+    config: ObservableConfig  # the model's; its measured window ends at the decision sample
 
     @property
     def n_modes(self) -> int:
@@ -81,16 +82,10 @@ def enumerate_modes(feeders: FeederSpec, model: KoopmanModel, node_base_mw) -> M
     for j in range(feeders.n_feeders):
         shed_ratio[:, feeders.nodes[j]] += modes[:, j] * feeders.quanta_mw[j] / node_base_mw[feeders.nodes[j]]
     B_modes = shed_ratio @ model.B_l.T
-    # one-shot timing: the mode vector is held from the second step to the end
+    # one-shot timing: the mode vector is held from step SHED_LAG to the end
     # of the decision horizon, at the model's sample time
-    held_steps = int(round(PREDICTION_HORIZON / model.config.dt)) - 1
-    costs = held_steps * np.einsum("ij,j,ij->i", shed_ratio, q1_diag, shed_ratio)
-    return ModeSet(
-        modes=modes,
-        shed_ratio=shed_ratio,
-        B_modes=B_modes,
-        costs=costs,
-    )
+    costs = (prediction_steps(model.config.dt) - SHED_LAG) * np.einsum("ij,j,ij->i", shed_ratio, q1_diag, shed_ratio)
+    return ModeSet(modes=modes, shed_ratio=shed_ratio, B_modes=B_modes, costs=costs, config=model.config)
 
 
 def solve_costate(A, T: int) -> np.ndarray:
@@ -158,10 +153,10 @@ def _measured_window(grid, scenario, limits, config):
     def policy(t, om_hist, y_hist):
         return np.zeros(grid.n_loads), limits.ud_support
 
-    k0, w = scenario_prediction_start(scenario, scenario.dt, config), config.window_len
+    k0 = scenario_prediction_start(scenario, scenario.dt, config)
     horizon = min(scenario.horizon, max(k0, 1) * scenario.dt)
     rec = gridsim.simulate(grid, replace(scenario, horizon=horizon), policy)
-    return rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1]
+    return window_at(rec.omega, rec.y, k0, config)
 
 
 def brute_force_mode(
@@ -172,16 +167,17 @@ def brute_force_mode(
 ):
     """Simulate every mode on the ground truth; cheapest feasible mode wins.
 
-    Each mode is switched in 0.5 s after the trip.  Returns (index or None,
-    feasibility mask).
+    Each mode is switched in `SHED_LAG` samples after the decision sample, the
+    last of `check_prop1`'s measured window under `modes.config`, as
+    `coordinate` applies a plan.  Returns (index or None, feasibility mask).
     """
-    shed_time = scenario.trip_time + 0.5
+    shed_k = scenario_prediction_start(scenario, scenario.dt, modes.config) + SHED_LAG
     feasible = np.zeros(modes.n_modes, dtype=bool)
     for i in range(modes.n_modes):
         ratio = np.clip(modes.shed_ratio[i], 0.0, 1.0)
 
         def policy(t, om_hist, y_hist, _ratio=ratio):
-            ul = _ratio if t >= shed_time else np.zeros(len(_ratio))
+            ul = _ratio if len(om_hist) > shed_k else np.zeros(len(_ratio))
             return ul, limits.ud_support
 
         try:
@@ -209,11 +205,9 @@ def check_prop1(
     The zero terminal costate makes the costate identically zero over the
     horizon, so each model's Hamiltonian values equal its mode costs.
     """
-    node_base = np.array([ld.base_power for ld in grid.loads])
-
     def values(model):
         check_sample_time("the scenario", scenario.dt, model.config)
-        modes = enumerate_modes(feeders, model, node_base)
+        modes = enumerate_modes(feeders, model, grid.load_base_mw)
         g = lift(*_measured_window(grid, scenario, limits, model.config), model.config)
         return modes, mode_hamiltonian_values(np.zeros(model.dim), g, modes, model.A)
 

@@ -16,12 +16,23 @@ from cefc.controller import (
     lqr_step,
     needs_shedding,
     predict_max_dc,
+    prediction_steps,
     quantize,
     shedding_sensitivity,
     solve_dare,
     solve_shedding,
 )
-from cefc.koopman import MEASUREMENT_DELAY, KoopmanModel, ObservableConfig, fit, generate_dataset, method_config, predict_rollout
+from cefc.koopman import (
+    MEASUREMENT_DELAY,
+    KoopmanModel,
+    ObservableConfig,
+    fit,
+    generate_dataset,
+    method_config,
+    predict_record,
+    predict_rollout,
+    window_at,
+)
 
 
 def scalar_model(a=0.97, bl=0.02, bd=1e-4):
@@ -531,6 +542,28 @@ class TestCoordinate:
             assert np.max(np.abs(trace.omega_pred[k : k + steps + 1] - om_hat)) <= 1e-10
             shed += np.any(x > 0)
         assert shed > 0  # some runs take the shedding path
+
+    def test_record_length_prediction_steps_and_window_agree(self, grid, cefc_model, limits):
+        # one record read by simulate (its length), coordinate (the prediction
+        # span and the decision window) and predict_record (its rollout window)
+        scenario = control_scenario(0.85)
+        trace = coordinate(grid, scenario, cefc_model, limits, dc_mode="max")
+        rec, cfg = trace.record, cefc_model.config
+        assert len(rec) == scenario.n_steps + 1 == 601
+        k = int(round(trace.activation_time / rec.dt))
+        steps = min(prediction_steps(rec.dt), scenario.n_steps - k)
+        assert prediction_steps(rec.dt) == 300 and steps == 300
+        assert np.array_equal(np.flatnonzero(~np.isnan(trace.omega_pred)), np.arange(k, k + steps + 1))
+        om, y = window_at(rec.omega, rec.y, k, cfg)
+        assert len(om) == len(y) == cfg.window_len and om[-1] == rec.omega[k] and y[-1].tobytes() == rec.y[k].tobytes()
+        om_free = predict_max_dc(cefc_model, om, y, limits, steps)
+        shed = trace.plan.quantized_ratio if trace.plan is not None else np.zeros(grid.n_loads)
+        om_pred = om_free + controller._memoized_sensitivity(cefc_model, steps) @ shed
+        assert trace.omega_pred[k : k + steps + 1].tobytes() == om_pred.tobytes()
+        k0, om_hat = predict_record(cefc_model, rec)
+        assert len(om_hat) == scenario.n_steps + 1 - k0
+        rollout = predict_rollout(cefc_model, *window_at(rec.omega, rec.y, k0, cfg), rec.ul[k0:-1], rec.ud[k0:-1], scenario.n_steps - k0)
+        assert om_hat.tobytes() == rollout.tobytes()
 
     def test_rejects_unknown_dc_mode(self, grid, cefc_model, limits):
         from cefc.bench import control_scenario

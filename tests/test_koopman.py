@@ -146,7 +146,7 @@ def reference_regression_pairs(records, config):
         k = np.arange(w - 1, len(rec) - 1)
         keep = np.ones(len(k), dtype=bool)
         if rec.scenario is not None and rec.scenario.trip_set:
-            trip_idx = int(round(rec.scenario.trip_time / rec.dt))
+            trip_idx = int(np.ceil(rec.scenario.trip_time / rec.dt - 1e-9))  # the first sample at or after the trip
             keep = (k + 1 < trip_idx) | (k - w + 1 >= trip_idx)
         G0.append(lifted[:-1][keep])
         G1.append(lifted[1:][keep])
@@ -212,6 +212,23 @@ class TestBatchedLift:
         Yr = np.vstack([G1, np.zeros((n + q, n))])
         theta = np.linalg.lstsq(Zr, Yr, rcond=None)[0]
         assert same_bits(model.A, theta.T[:, :n]) and same_bits(model.B_d, theta.T[:, n:])
+
+    @pytest.mark.parametrize("delay_span", [0.0, 0.4])
+    def test_off_grid_trip_keeps_no_pair_that_spans_the_event(self, grid, delay_span):
+        # a trip at 5.05 s moves omega first at sample 51, the first sample at
+        # or after it; sample 50 still reads the pre-event 0.  A kept pair's
+        # omegas (its window and the next sample) lie all before or all after
+        rec = simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1, 2, 3), trip_time=5.05, horizon=10.0))
+        assert np.all(rec.omega[:51] == 0.0) and np.all(rec.omega[51:] != 0.0)
+        cfg = ObservableConfig(dt=0.1, delay_span=delay_span, dictionary="delay", include_voltage=False)
+        w = cfg.window_len
+        Zr, Yr = _regression_pairs([rec], cfg)
+        rows = len(Zr) - (w + grid.n_links)
+        omegas = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
+        pre = np.all(omegas == 0.0, axis=1)
+        assert np.all(pre | np.all(omegas != 0.0, axis=1))
+        # pairs k = w - 1 .. 49 before the event, and those whose window starts at 51 or later
+        assert np.count_nonzero(pre) == 51 - w and rows - np.count_nonzero(pre) == 50 - w
 
     def test_short_batched_history_raises(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.4)

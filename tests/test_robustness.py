@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cefc.controller import shed_weights
+from cefc import gridsim
 from cefc.gridsim import Scenario, simulate
 from cefc.koopman import InsufficientHistoryError, KoopmanModel, lift, method_config, prediction_start
 from cefc.robustness import (
@@ -151,6 +152,29 @@ class TestBruteForceMode:
         # with every cost infinite, the choice is still a feasible mode
         bf_inf, _ = brute_force_mode(grid, scenario, limits, replace(modes, costs=np.full(modes.n_modes, np.inf)))
         assert feasible[bf_inf]
+
+
+@pytest.mark.parametrize("dt, shed_k", [(0.05, 109), (0.1, 55), (0.2, 28)])
+def test_brute_force_sheds_from_the_sample_after_the_measured_window(grid, limits, node_base, monkeypatch, dt, shed_k):
+    """The decision sample ends the measured window (108, 54 and 27 for a trip
+    at 5 s); a mode is switched in one sample later, as a closed-loop plan is."""
+    model = KoopmanModel(np.eye(1), np.ones((1, 3)), np.zeros((1, 2)), method_config("dmd", dt=dt))
+    modes = enumerate_modes(FeederSpec.uniform(1, 40.0, 3), model, node_base)
+    scenario = Scenario(inertia_scale=0.85, trip_set=(1, 2, 3), trip_time=5.0, horizon=8.0, dt=dt)
+    records = []
+
+    def recording(*args):
+        records.append(simulate(*args))
+        return records[-1]
+
+    monkeypatch.setattr(gridsim, "simulate", recording)
+    brute_force_mode(grid, scenario, limits, modes)
+    shed = np.flatnonzero(np.any(records[1].ul > 0, axis=1))
+    assert shed[0] == shed_k and shed[-1] == len(records[1]) - 1
+    assert not np.any(records[0].ul > 0)
+    for config in (model.config, method_config("cefc", dt=dt)):
+        om, _ = _measured_window(grid, scenario, limits, config)
+        assert om.tobytes() == records[0].omega[shed_k - config.window_len : shed_k].tobytes()
 
 
 @pytest.mark.parametrize("noise", [0.0, 5.0])
