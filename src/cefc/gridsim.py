@@ -10,7 +10,6 @@ the test suite.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -212,12 +211,11 @@ class Scenario:
 
 
 def write_table(path, header, rows):
-    """Write a CSV table: the header, then one line per row, with strings as
-    they are and floats to 12 significant digits, so reruns give the same bytes."""
+    """Write a CSV table: the header, then one line per row, each value as its
+    `str`: strings as they are, floats as the shortest text that reads back as
+    the same float.  So a table reads back exactly, and reruns give the same bytes."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([v if isinstance(v, str) else format(v, ".12g") for v in row] for row in rows)
+        fh.writelines([",".join(map(str, row)) + "\r\n" for row in [header, *rows]])
 
 
 @dataclass
@@ -248,9 +246,9 @@ class TrajectoryRecord:
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryRecord":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, data = rows[0], np.array(rows[1:], dtype=float)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         m = sum(h.startswith("y_") for h in header)
         p = sum(h.startswith("ul_") for h in header)
         q = sum(h.startswith("ud_") for h in header)

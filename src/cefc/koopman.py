@@ -118,7 +118,7 @@ def check_sample_time(source: str, dt: float, config: ObservableConfig):
 
     A lifted model is a map from one sample to the next, so it only holds at
     the sample time it was fitted at.  The 1e-9 relative tolerance covers a
-    record's dt read back from its `%.12g` CSV time column.
+    record's dt read from a time column that another tool wrote rounded.
     """
     if not math.isclose(dt, config.dt, rel_tol=1e-9):
         raise ValueError(f"{source} samples every {dt:g} s but the model runs at {config.dt:g} s")

@@ -637,8 +637,10 @@ class TestSerialization:
         ds.save(tmp_path / "ds")
         back = Dataset.load(tmp_path / "ds")
         assert len(back.train) == 2 and len(back.test) == 1
-        assert np.allclose(back.train[0].omega, ds.train[0].omega, atol=1e-12)
-        assert back.train[0].scenario == ds.train[0].scenario
+        for a, b in zip(back.train + back.test, ds.train + ds.test):
+            for name in ("dt", "t", "omega", "y", "ul", "ud"):
+                assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes(), name
+            assert a.scenario == b.scenario
 
 
 class TestGeneration:
