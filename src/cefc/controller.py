@@ -408,6 +408,7 @@ def coordinate(
         weights = LqrWeights.for_model(model)
     sol = _memoized_riccati(model, weights) if dc_mode == "lqr" else None
     cfg = model.config
+    w = cfg.window_len
     dt = scenario.dt
     delay_steps = first_sample_at(MEASUREMENT_DELAY, dt)  # arm no sooner than the delay after detection
     p, q = grid.n_loads, grid.n_links
@@ -428,10 +429,10 @@ def coordinate(
         ul = no_shed if plan is None else plan.quantized_ratio
 
         if activated_k is None:
-            ready = detect_k is not None and k - detect_k >= delay_steps and k >= cfg.window_len - 1
+            ready = detect_k is not None and k - detect_k >= delay_steps and k >= w - 1
             if ready and check_activation(om, limits):
                 activated_k = k
-                om_win, y_win = window_at(om_hist, y_hist, k, cfg)
+                om_win, y_win = window_at(om_hist, y_hist, k, w)
                 steps = min(prediction_steps(dt), n - 1 - k)
                 om_hat = predict_max_dc(model, om_win, y_win, limits, steps)
                 if needs_shedding(om_hat, limits):
@@ -446,7 +447,7 @@ def coordinate(
         elif dc_mode == "max":
             ud = support
         else:
-            g = lift(*window_at(om_hist, y_hist, k, cfg), cfg)
+            g = lift(*window_at(om_hist, y_hist, k, w), cfg)
             ud = lqr_step(g, sol, limits)
         ud_cmds[k] = ud
         return ul, ud

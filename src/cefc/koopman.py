@@ -214,9 +214,8 @@ def lift(omega_window, y_window, config: ObservableConfig) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def window_at(omega, y, k: int, config) -> tuple:
-    """The trailing windows of `omega` and `y`: their `config.window_len` samples up to sample k."""
-    w = config.window_len
+def window_at(omega, y, k: int, w: int) -> tuple:
+    """The trailing windows of `omega` and `y`: their w samples up to sample k."""
     return omega[k - w + 1 : k + 1], y[k - w + 1 : k + 1]
 
 
@@ -545,7 +544,7 @@ def _input_response_fit(records, config, A, B_d):
     zero = np.zeros((n, p))  # the coefficients before every onset
     start = 0
     for rec, k0, steps in segments:
-        g = lift(*window_at(rec.omega, rec.y, k0, config), config)
+        g = lift(*window_at(rec.omega, rec.y, k0, w), config)
         # row t = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ row (t-1) + e0 ulᵀ,
         # with the zero block as row -1; each row is a C-ordered (n, p) view
         # of X.  The shed is added to row 0 alone: the BLAS product holds no
@@ -695,7 +694,8 @@ def predict_record(model: KoopmanModel, rec):
     """
     check_sample_time("the record", rec.dt, model.config)
     k0 = prediction_start(rec, model.config)
-    om_hat = predict_rollout(model, *window_at(rec.omega, rec.y, k0, model.config), rec.ul[k0:-1], rec.ud[k0:-1], len(rec) - 1 - k0)
+    window = window_at(rec.omega, rec.y, k0, model.config.window_len)
+    om_hat = predict_rollout(model, *window, rec.ul[k0:-1], rec.ud[k0:-1], len(rec) - 1 - k0)
     return k0, om_hat
 
 

@@ -156,7 +156,7 @@ def _measured_window(grid, scenario, limits, config):
     k0 = scenario_prediction_start(scenario, scenario.dt, config)
     horizon = min(scenario.horizon, max(k0, 1) * scenario.dt)
     rec = gridsim.simulate(grid, replace(scenario, horizon=horizon), policy)
-    return window_at(rec.omega, rec.y, k0, config)
+    return window_at(rec.omega, rec.y, k0, config.window_len)
 
 
 def brute_force_mode(

@@ -554,7 +554,7 @@ class TestCoordinate:
         steps = min(prediction_steps(rec.dt), scenario.n_steps - k)
         assert prediction_steps(rec.dt) == 300 and steps == 300
         assert np.array_equal(np.flatnonzero(~np.isnan(trace.omega_pred)), np.arange(k, k + steps + 1))
-        om, y = window_at(rec.omega, rec.y, k, cfg)
+        om, y = window_at(rec.omega, rec.y, k, cfg.window_len)
         assert len(om) == len(y) == cfg.window_len and om[-1] == rec.omega[k] and y[-1].tobytes() == rec.y[k].tobytes()
         om_free = predict_max_dc(cefc_model, om, y, limits, steps)
         shed = trace.plan.quantized_ratio if trace.plan is not None else np.zeros(grid.n_loads)
@@ -562,7 +562,8 @@ class TestCoordinate:
         assert trace.omega_pred[k : k + steps + 1].tobytes() == om_pred.tobytes()
         k0, om_hat = predict_record(cefc_model, rec)
         assert len(om_hat) == scenario.n_steps + 1 - k0
-        rollout = predict_rollout(cefc_model, *window_at(rec.omega, rec.y, k0, cfg), rec.ul[k0:-1], rec.ud[k0:-1], scenario.n_steps - k0)
+        window = window_at(rec.omega, rec.y, k0, cfg.window_len)
+        rollout = predict_rollout(cefc_model, *window, rec.ul[k0:-1], rec.ud[k0:-1], scenario.n_steps - k0)
         assert om_hat.tobytes() == rollout.tobytes()
 
     def test_rejects_unknown_dc_mode(self, grid, cefc_model, limits):
