@@ -73,7 +73,7 @@ class ControlLimits:
         return self.activation_threshold_hz / self.base_frequency
 
     @property
-    def planning_floor(self) -> float:  # the floor sheds are sized against
+    def planning_floor(self) -> float:  # sheds are sized against it; the backoff absorbs prediction error
         return self.omega_min + self.planning_margin_pu
 
     @classmethod
