@@ -185,6 +185,10 @@ class Scenario:
     def n_steps(self) -> int:  # sample steps of a record, which holds n_steps + 1 samples
         return int(round(self.horizon / self.dt))
 
+    @property
+    def event_time(self) -> float | None:  # when trips or an extra deficit strike; None without either
+        return self.trip_time if self.trip_set or self.extra_deficit else None
+
     def validate(self, grid: GridModel):
         if len(self.trip_set) > 3:
             raise ValueError("at most three simultaneous machine trips are supported")
@@ -195,11 +199,7 @@ class Scenario:
                 raise ValueError(f"machine {i} is not trippable")
         if len(self.trip_set) >= len(grid.machines):
             raise ValueError("cannot trip every machine")
-        if (
-            not self.trip_set
-            and self.extra_deficit == 0.0
-            and self.noise_amplitude == 0.0
-        ):
+        if self.event_time is None and self.noise_amplitude == 0.0:
             raise ValueError("scenario needs a trip, an extra deficit or noise")
 
     def to_dict(self) -> dict:

@@ -155,11 +155,16 @@ def _layout(config) -> str:
     )
 
 
-def _trip_sample(rec) -> int | None:
-    """Sample index of the record's disconnection, the first at or after its trip time; None without a trip."""
-    if rec.scenario is None or not rec.scenario.trip_set:
-        return None
-    return first_sample_at(rec.scenario.trip_time, rec.dt)
+def _event_time(scenario) -> float:
+    """`Scenario.event_time`, or 0 (the record's start) without a scenario or an event."""
+    return 0.0 if scenario is None or scenario.event_time is None else scenario.event_time
+
+
+def _event_and_shed(rec, w: int) -> tuple:
+    """The record's event sample e, the first at or after `_event_time`; e + w - 1,
+    the end of the first window wholly after it; and the mask of shed samples."""
+    e = first_sample_at(_event_time(rec.scenario), rec.dt)
+    return e, e + w - 1, np.any(rec.ul > 0, axis=1)
 
 
 def steady_state_samples(dt: float) -> int:
@@ -417,10 +422,10 @@ def generate_dataset(grid: GridModel, n_train: int, n_test: int, seed: int) -> D
 def _sample_trajectory(grid, rng):
     trippable = [i for i, m in enumerate(grid.machines) if m.can_trip]
     n_trip = int(rng.integers(1, min(3, len(trippable)) + 1))
-    trip_set = tuple(sorted(rng.choice(trippable, size=n_trip, replace=False).tolist()))
+    trips = tuple(sorted(rng.choice(trippable, size=n_trip, replace=False).tolist()))
     scenario = Scenario(
-        inertia_scale=float(rng.uniform(0.8, 0.95)),
-        trip_set=trip_set,
+        float(rng.uniform(0.8, 0.95)),  # the inertia scale, drawn after the trips
+        trips,
         trip_time=5.0,
         noise_amplitude=float(rng.uniform(2.0, 6.0)),
         noise_seed=int(rng.integers(0, 2**31 - 1)),
@@ -462,23 +467,21 @@ def _regression_pairs(records, config):
     """The first stage's ridge system (Zr, Yr): one row [g_k, ud_k] of Zr and
     g_{k+1} of Yr per lifted one-step pair, over sqrt(RIDGE) I and zeros.
 
-    Pairs whose measurement window spans the disconnection instant see the
-    deficit step as an unmodelled input, so only windows lying fully before
-    or fully after the event are kept.  Of those, the shedding-free pairs are
-    used, or every kept pair when none is shedding-free.  The rows are
-    counted first, then each record is lifted once and its rows are written
-    in place, so no other array of the system's size is built.
+    Pairs whose measurement window spans the event see the deficit step as
+    an unmodelled input, so only windows lying fully before or fully after
+    the event are kept.  Of those, the shedding-free pairs are used, or every
+    kept pair when none is shedding-free.  The rows are counted first, then
+    each record is lifted once and its rows are written in place, so no
+    other array of the system's size is built.
     """
     w = config.window_len
     kept, quiet = [], []
     for rec in records:
         k = np.arange(w - 1, len(rec) - 1)
-        keep = np.ones(len(k), dtype=bool)
-        trip_idx = _trip_sample(rec)
-        if trip_idx is not None:
-            keep = (k + 1 < trip_idx) | (k - w + 1 >= trip_idx)
+        event, after, shed = _event_and_shed(rec, w)
+        keep = (k + 1 < event) | (k >= after)
         kept.append(keep)
-        quiet.append(keep & np.all(rec.ul[w - 1 : -1] == 0.0, axis=1))
+        quiet.append(keep & ~shed[w - 1 : -1])
     if any(map(np.any, quiet)):
         kept = quiet
     rows = sum(map(np.count_nonzero, kept))
@@ -524,15 +527,10 @@ def _input_response_fit(records, config, A, B_d):
     w = config.window_len
     segments = []
     for rec in records:
-        active = np.where(np.any(rec.ul > 0, axis=1))[0]
-        if len(active) == 0:
-            continue
-        k0 = max(w - 1, int(active[0]) - 3)
-        trip_idx = _trip_sample(rec)
-        if trip_idx is not None and k0 - w + 1 < trip_idx:
-            k0 = max(k0, trip_idx + w - 1)
+        _, after, shed = _event_and_shed(rec, w)
+        k0 = max(w - 1, int(np.argmax(shed)) - 3, after)
         steps = len(rec) - 1 - k0
-        if steps > 0:
+        if shed.any() and steps > 0:
             segments.append((rec, k0, steps))
     if not segments:
         return np.zeros((n, p))
@@ -675,16 +673,15 @@ def first_sample_at(t: float, dt: float) -> int:
 
 def prediction_start(rec, config) -> int:
     """Index of the first measured window: the first sample with a full window
-    at or after `MEASUREMENT_DELAY` past the event (the scenario's trip time,
-    0 without a scenario)."""
+    at or after `MEASUREMENT_DELAY` past `Scenario.event_time` (0 without a
+    scenario or an event)."""
     return scenario_prediction_start(rec.scenario, rec.dt, config)
 
 
 def scenario_prediction_start(scenario, dt: float, config) -> int:
     """`prediction_start` of any record of `scenario` (None: no scenario)
     sampled every `dt`, known before the run."""
-    event = 0.0 if scenario is None else scenario.trip_time
-    return max(config.window_len - 1, first_sample_at(event + MEASUREMENT_DELAY, dt))
+    return max(config.window_len - 1, first_sample_at(_event_time(scenario) + MEASUREMENT_DELAY, dt))
 
 
 def predict_record(model: KoopmanModel, rec):
