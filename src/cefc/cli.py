@@ -271,15 +271,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(load_config(args.config), args)
+    # before ValueError, which LinAlgError subclasses
+    except (SimulationError, StabilizabilityError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientHistoryError as exc:
         print(f"config error: the scenario horizon ends before the measurement window ({exc})", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, StabilizabilityError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

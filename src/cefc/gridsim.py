@@ -246,12 +246,23 @@ class TrajectoryRecord:
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryRecord":
+        """The record a CSV holds; ValueError on a value that is not finite or
+        a shedding ratio outside [0, 1], which no simulation writes."""
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         m = sum(h.startswith("y_") for h in header)
         p = sum(h.startswith("ul_") for h in header)
         q = sum(h.startswith("ud_") for h in header)
+        ul = data[:, 2 + m : 2 + m + p]
+        bad = ~np.isfinite(data)
+        bad[:, 2 + m : 2 + m + p] |= (ul < 0.0) | (ul > 1.0)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(
+                f"{path} line {row + 2} column {col + 1} holds {float(data[row, col])!r}: "
+                "values must be finite and shedding ratios in [0, 1]"
+            )
         t = data[:, 0]
         dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
         return cls(
@@ -259,7 +270,7 @@ class TrajectoryRecord:
             t=t,
             omega=data[:, 1],
             y=data[:, 2 : 2 + m],
-            ul=data[:, 2 + m : 2 + m + p],
+            ul=ul,
             ud=data[:, 2 + m + p : 2 + m + p + q],
         )
 

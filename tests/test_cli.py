@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from cefc import cli
 from cefc.bench import METHODS, SUBCASE_INERTIA
 from cefc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cefc.gridsim import Scenario, default_grid, simulate
@@ -153,6 +155,18 @@ def test_diverging_scenario_is_a_numerical_error(tmp_path, workspace):
     path.write_text(json.dumps(cfg))
     model = os.path.join(workspace["out"], "model_dmd.json")
     assert main(["predict", "--config", str(path), "--model", model]) == EXIT_NUMERICAL
+
+
+def test_linear_algebra_failure_is_a_numerical_error(tmp_path, workspace, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, so the config-error clause must not see it first
+    def fail(data, config):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "fit", fail)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--config", workspace["cfg_path"], "--method", "dmd", "--model", str(model)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize(
@@ -349,6 +363,22 @@ def test_dataset_without_training_trajectories_is_a_config_error(tmp_path, works
     (data_dir / "manifest.json").write_text(json.dumps({"seed": 1, "train": [], "test": []}))
     assert main(["fit", "--config", path, "--method", "dmd"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: dataset {data_dir} has no training trajectories\n"
+
+
+def test_dataset_with_a_shedding_ratio_above_one_is_a_config_error(tmp_path, workspace, capsys):
+    path = config_with(tmp_path, workspace)
+    data_dir = tmp_path / "out" / "dataset"
+    shutil.copytree(os.path.join(workspace["out"], "dataset"), data_dir)
+    traj = data_dir / "train" / "traj_0000.csv"
+    lines = traj.read_text().splitlines()
+    row = lines[2].split(",")
+    row[4] = "1.5"  # ul_1
+    lines[2] = ",".join(row)
+    traj.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--config", path, "--method", "dmd"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read dataset {data_dir}: {traj} line 3 column 5 holds 1.5")
+    assert not (tmp_path / "out" / "model_dmd.json").exists()
 
 
 @pytest.mark.parametrize("what", ["model", "dataset"])

@@ -530,6 +530,21 @@ class TestScenarioValidation:
             Scenario(noise_amplitude=-3.0)
 
 
+@pytest.mark.parametrize(
+    "kw, event",
+    [
+        ({"trip_set": (1,)}, 5.0),
+        ({"trip_set": (1,), "trip_time": 7.25}, 7.25),
+        ({"extra_deficit": 0.05}, 5.0),
+        ({"extra_deficit": -0.05}, 5.0),
+        ({"noise_amplitude": 2.0}, None),
+    ],
+    ids=["trip", "late-trip", "deficit", "surplus", "noise-only"],
+)
+def test_event_time_is_the_trip_time_of_a_trip_or_an_extra_deficit(kw, event):
+    assert Scenario(**kw).event_time == event
+
+
 class TestPolicyInterface:
     def test_dc_command_outside_limits_rejected(self, grid):
         def policy(t, om, y):
@@ -641,6 +656,27 @@ class TestRecordsAndSerialization:
             assert fh.read() == "".join(line + "\r\n" for line in lines)
         assert "-0.0," in lines[4]
         assert np.signbit(TrajectoryRecord.read_csv(path).ul[3, 1])
+
+    @pytest.mark.parametrize(
+        "column, value, line",
+        [("omega", float("inf"), 5), ("omega", float("nan"), 5), ("y", float("-inf"), 12), ("ul", 1.5, 40), ("ul", -0.25, 40)],
+    )
+    def test_csv_with_a_value_no_simulation_writes_is_rejected(self, grid, tmp_path, column, value, line):
+        rec = simulate(grid, trip_scenario(horizon=8.0))
+        bad = getattr(rec, column).copy()
+        bad[line - 2, ...] = value
+        path = tmp_path / "traj.csv"
+        replace(rec, **{column: bad}).write_csv(path)
+        with pytest.raises(ValueError, match=f"line {line} column .* holds {value!r}: values must be finite"):
+            TrajectoryRecord.read_csv(path)
+
+    def test_csv_with_whole_and_no_shedding_ratios_reads_back(self, grid, tmp_path):
+        rec = simulate(grid, trip_scenario(horizon=8.0))
+        ul = rec.ul.copy()
+        ul[40:, 0] = 1.0
+        path = tmp_path / "traj.csv"
+        replace(rec, ul=ul).write_csv(path)
+        assert TrajectoryRecord.read_csv(path).ul.tobytes() == ul.tobytes()
 
     def test_grid_dict_round_trip(self, grid):
         back = GridModel.from_dict(grid.to_dict())

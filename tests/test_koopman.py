@@ -23,6 +23,8 @@ from cefc.koopman import (
     method_config,
     predict_record,
     predict_rollout,
+    prediction_start,
+    scenario_prediction_start,
 )
 
 
@@ -135,6 +137,38 @@ def reference_lift(om, y, config):
     return np.concatenate(parts)
 
 
+def reference_event_sample(rec):
+    """The event sample of a record whose scenario trips a machine or adds an
+    extra deficit: the first sample at or after the trip time.  None without
+    such an event."""
+    sc = rec.scenario
+    if sc is None or not (sc.trip_set or sc.extra_deficit != 0.0):
+        return None
+    return int(np.ceil(sc.trip_time / rec.dt - 1e-9))
+
+
+def shedding_policy(grid, onset):
+    """A 2 % shed on every node from `onset` on, with no DC support."""
+
+    def policy(t, om, y):
+        return np.full(grid.n_loads, 0.02 if t >= onset else 0.0), np.zeros(grid.n_links)
+
+    return policy
+
+
+@pytest.fixture(scope="module")
+def event_records(grid):
+    """Shedding records around an event: a deficit-only step at 5.0 s with the
+    shed starting before it and again well after it, and a trip at 5.05 s, off
+    the sample grid, with the shed starting before it."""
+    deficit = Scenario(inertia_scale=0.85, extra_deficit=0.05, horizon=20.0)
+    return [
+        simulate(grid, deficit, shedding_policy(grid, 4.0)),
+        simulate(grid, deficit, shedding_policy(grid, 8.0)),
+        simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.05, horizon=20.0), shedding_policy(grid, 3.0)),
+    ]
+
+
 def reference_regression_pairs(records, config):
     """Per-window oracle for `_regression_pairs`: one `reference_lift` per window."""
     G0, G1, U = [], [], []
@@ -145,9 +179,9 @@ def reference_regression_pairs(records, config):
         )
         k = np.arange(w - 1, len(rec) - 1)
         keep = np.ones(len(k), dtype=bool)
-        if rec.scenario is not None and rec.scenario.trip_set:
-            trip_idx = int(np.ceil(rec.scenario.trip_time / rec.dt - 1e-9))  # the first sample at or after the trip
-            keep = (k + 1 < trip_idx) | (k - w + 1 >= trip_idx)
+        event = reference_event_sample(rec)
+        if event is not None:
+            keep = (k + 1 < event) | (k - w + 1 >= event)
         G0.append(lifted[:-1][keep])
         G1.append(lifted[1:][keep])
         U.append(np.hstack([rec.ul[w - 1 : -1], rec.ud[w - 1 : -1]])[keep])
@@ -188,8 +222,8 @@ class TestBatchedLift:
         assert np.array_equal(lift(om[7], y[7], cfg), rows[7])
 
     @pytest.mark.parametrize("name", METHODS)
-    def test_regression_pairs_equal_the_per_window_reference(self, dataset_small, name):
-        records = dataset_small.train[:3]
+    def test_regression_pairs_equal_the_per_window_reference(self, dataset_small, event_records, name):
+        records = dataset_small.train[:3] + event_records
         assert any(np.any(r.ul > 0) for r in records)  # the shedding-free selection drops pairs
         cfg = _resolve_rbf(records, method_config(name))
         got = _regression_pairs(records, cfg)
@@ -230,6 +264,21 @@ class TestBatchedLift:
         # pairs k = w - 1 .. 49 before the event, and those whose window starts at 51 or later
         assert np.count_nonzero(pre) == 51 - w and rows - np.count_nonzero(pre) == 50 - w
 
+    def test_deficit_only_record_keeps_no_pair_that_spans_its_step(self, grid):
+        # an extra deficit with no trip is an event too: omega moves first at
+        # sample 50, the step's own sample (it used to keep 5 of 96 pairs
+        # across the step)
+        rec = simulate(grid, Scenario(inertia_scale=0.85, extra_deficit=0.05, horizon=10.0))
+        assert np.all(rec.omega[:50] == 0.0) and np.all(rec.omega[50:] != 0.0)
+        cfg = ObservableConfig(dt=0.1, delay_span=0.4, dictionary="delay", include_voltage=False)
+        w = cfg.window_len
+        Zr, Yr = _regression_pairs([rec], cfg)
+        rows = len(Zr) - (w + grid.n_links)
+        omegas = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
+        pre = np.all(omegas == 0.0, axis=1)
+        assert np.all(pre | np.all(omegas != 0.0, axis=1))
+        assert np.count_nonzero(pre) == 50 - w and rows == 91
+
     def test_short_batched_history_raises(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.4)
         with pytest.raises(InsufficientHistoryError):
@@ -246,10 +295,9 @@ def reference_segments(records, config):
         if len(active) == 0:
             continue
         k0 = max(w - 1, int(active[0]) - 3)
-        if rec.scenario is not None and rec.scenario.trip_set:
-            trip_idx = int(round(rec.scenario.trip_time / rec.dt))
-            if k0 - w + 1 < trip_idx:
-                k0 = max(k0, trip_idx + w - 1)
+        event = reference_event_sample(rec)
+        if event is not None and k0 - w + 1 < event:
+            k0 = max(k0, event + w - 1)
         steps = len(rec) - 1 - k0
         if steps > 0:
             yield rec, k0, steps
@@ -312,19 +360,36 @@ def shed_models(shed_records):
 
 class TestInputResponseFit:
     @pytest.mark.parametrize("name", METHODS)
-    def test_equals_the_per_step_reference(self, shed_records, shed_models, name):
+    def test_equals_the_per_step_reference(self, shed_records, shed_models, event_records, name):
         assert any(np.any(r.ul[-1] > 0) and np.any(r.ul[-1] == 0) for r in shed_records)
         model = shed_models[name]
-        got = _input_response_fit(shed_records, model.config, model.A, model.B_d)
-        want = reference_input_response_fit(shed_records, model.config, model.A, model.B_d)
-        assert same_bits(got, want) and same_bits(model.B_l, want)
+        assert same_bits(model.B_l, reference_input_response_fit(shed_records, model.config, model.A, model.B_d))
+        records = shed_records + event_records
+        got = _input_response_fit(records, model.config, model.A, model.B_d)
+        want = reference_input_response_fit(records, model.config, model.A, model.B_d)
+        assert same_bits(got, want)
+
+    def test_deficit_only_segment_starts_after_the_step(self, shed_models, event_records):
+        # the segment's first window ends at e + w - 1 or later, so no sample
+        # before the event sample e reaches the fit (the shed starts at 4.0 s,
+        # before the 5.0 s step)
+        rec = event_records[0]
+        model = shed_models["cefc"]
+        e = reference_event_sample(rec)
+        assert e == 50 and np.flatnonzero(rec.ul[:, 0])[0] < e
+        moved = replace(rec, omega=rec.omega.copy(), y=rec.y.copy())
+        moved.omega[:e] += 1e-3
+        moved.y[:e] += 1e-3
+        got = _input_response_fit([moved], model.config, model.A, model.B_d)
+        assert np.any(got != 0.0)
+        assert same_bits(got, _input_response_fit([rec], model.config, model.A, model.B_d))
 
     @pytest.mark.parametrize("name", METHODS)
     def test_records_without_a_segment_between_shedding_records_are_skipped(self, shed_records, shed_models, name):
         shedding = [r for r in shed_records if np.any(r.ul > 0)][:3]
         rec = shedding[0]
         # cut at the first window after the trip: the segment would start past the end
-        end = int(round(rec.scenario.trip_time / rec.dt)) + 1
+        end = reference_event_sample(rec) + 1
         ul = rec.ul[:end].copy()
         ul[10:, 0] = 0.05
         cut = replace(rec, t=rec.t[:end], omega=rec.omega[:end], y=rec.y[:end], ul=ul, ud=rec.ud[:end], ud_applied=None)
@@ -341,6 +406,28 @@ class TestInputResponseFit:
         quiet = replace(rec, ul=np.zeros_like(rec.ul))
         model = fit(Dataset(train=[quiet], test=[]), method_config("dmd"))
         assert np.array_equal(model.B_l, np.zeros((1, rec.ul.shape[1])))
+
+
+class TestPredictionStart:
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+    def test_scenario_without_an_event_counts_from_the_start(self, dt):
+        # noise alone is no event: the delay counts from t = 0, as for a
+        # record without a scenario (it used to count from the trip time)
+        cfg = method_config("cefc", dt=dt)
+        scenario = Scenario(noise_amplitude=2.0, dt=dt)
+        want = max(cfg.window_len - 1, int(np.ceil(koopman.MEASUREMENT_DELAY / dt - 1e-9)))
+        assert scenario_prediction_start(scenario, dt, cfg) == want == scenario_prediction_start(None, dt, cfg)
+        if dt == 0.1:
+            assert want == 4
+
+    def test_record_without_an_event_starts_at_the_delay(self, grid):
+        rec = simulate(grid, Scenario(noise_amplitude=2.0, horizon=2.0))
+        assert prediction_start(rec, method_config("cefc")) == 4
+
+    @pytest.mark.parametrize("kw", [{"trip_set": (1,)}, {"extra_deficit": 0.05}])
+    def test_an_event_delays_the_start(self, kw):
+        cfg = method_config("cefc")
+        assert scenario_prediction_start(Scenario(**kw), 0.1, cfg) == 54
 
 
 class TestEvalMetrics:
@@ -641,6 +728,18 @@ class TestSerialization:
             for name in ("dt", "t", "omega", "y", "ul", "ud"):
                 assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes(), name
             assert a.scenario == b.scenario
+
+
+    @pytest.mark.parametrize("value", [float("inf"), 1.5])
+    def test_dataset_with_a_value_no_simulation_writes_is_rejected(self, grid, tmp_path, value):
+        ds = generate_dataset(grid, 1, 1, seed=5)
+        rec = ds.test[0]
+        ul = rec.ul.copy()
+        ul[30, 1] = value
+        ds.test[0] = replace(rec, ul=ul)
+        ds.save(tmp_path / "ds")
+        with pytest.raises(ValueError, match=f"traj_0000.csv line 32 column 6 holds {value!r}"):
+            Dataset.load(tmp_path / "ds")
 
 
 class TestGeneration:
