@@ -204,6 +204,21 @@ def reference_ridge_system(records, config):
     return Zr, Yr
 
 
+def pairs_before_and_after(rec, moved, delay_span):
+    """Counts of the first-stage pairs of a shedding-free record whose omegas
+    (the window and the next sample) all lie before sample `moved`, where
+    omega first leaves 0, and all after it; no kept pair spans it."""
+    assert np.all(rec.omega[:moved] == 0.0) and np.all(rec.omega[moved:] != 0.0)
+    cfg = ObservableConfig(dt=rec.dt, delay_span=delay_span, dictionary="delay", include_voltage=False)
+    w = cfg.window_len
+    Zr, Yr = _regression_pairs([rec], cfg)
+    rows = len(Zr) - (w + rec.ud.shape[1])
+    omegas = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
+    pre = np.all(omegas == 0.0, axis=1)
+    assert np.all(pre | np.all(omegas != 0.0, axis=1))
+    return np.count_nonzero(pre), rows - np.count_nonzero(pre)
+
+
 class TestBatchedLift:
     @pytest.mark.parametrize("name", METHODS)
     def test_stacked_windows_equal_the_per_window_rows(self, dataset_small, name):
@@ -250,34 +265,17 @@ class TestBatchedLift:
     @pytest.mark.parametrize("delay_span", [0.0, 0.4])
     def test_off_grid_trip_keeps_no_pair_that_spans_the_event(self, grid, delay_span):
         # a trip at 5.05 s moves omega first at sample 51, the first sample at
-        # or after it; sample 50 still reads the pre-event 0.  A kept pair's
-        # omegas (its window and the next sample) lie all before or all after
+        # or after it; sample 50 still reads the pre-event 0
         rec = simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1, 2, 3), trip_time=5.05, horizon=10.0))
-        assert np.all(rec.omega[:51] == 0.0) and np.all(rec.omega[51:] != 0.0)
-        cfg = ObservableConfig(dt=0.1, delay_span=delay_span, dictionary="delay", include_voltage=False)
-        w = cfg.window_len
-        Zr, Yr = _regression_pairs([rec], cfg)
-        rows = len(Zr) - (w + grid.n_links)
-        omegas = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
-        pre = np.all(omegas == 0.0, axis=1)
-        assert np.all(pre | np.all(omegas != 0.0, axis=1))
+        w = round(delay_span / 0.1) + 1
         # pairs k = w - 1 .. 49 before the event, and those whose window starts at 51 or later
-        assert np.count_nonzero(pre) == 51 - w and rows - np.count_nonzero(pre) == 50 - w
+        assert pairs_before_and_after(rec, 51, delay_span) == (51 - w, 50 - w)
 
     def test_deficit_only_record_keeps_no_pair_that_spans_its_step(self, grid):
-        # an extra deficit with no trip is an event too: omega moves first at
-        # sample 50, the step's own sample (it used to keep 5 of 96 pairs
-        # across the step)
+        # an extra deficit with no trip is an event too, moving omega first at
+        # its own sample 50 (5 of 96 pairs used to span it)
         rec = simulate(grid, Scenario(inertia_scale=0.85, extra_deficit=0.05, horizon=10.0))
-        assert np.all(rec.omega[:50] == 0.0) and np.all(rec.omega[50:] != 0.0)
-        cfg = ObservableConfig(dt=0.1, delay_span=0.4, dictionary="delay", include_voltage=False)
-        w = cfg.window_len
-        Zr, Yr = _regression_pairs([rec], cfg)
-        rows = len(Zr) - (w + grid.n_links)
-        omegas = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
-        pre = np.all(omegas == 0.0, axis=1)
-        assert np.all(pre | np.all(omegas != 0.0, axis=1))
-        assert np.count_nonzero(pre) == 50 - w and rows == 91
+        assert pairs_before_and_after(rec, 50, 0.4) == (45, 46)
 
     def test_short_batched_history_raises(self):
         cfg = ObservableConfig(dt=0.1, delay_span=0.4)
