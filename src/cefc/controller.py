@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gridsim
 from .gridsim import GridModel, Scenario
-from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, predict_rollout, steady_state_samples, window_at, MEASUREMENT_DELAY
+from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, output_response, predict_rollout, steady_state_samples, window_at, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
@@ -207,12 +207,8 @@ def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
     linear in its inputs, so a one-shot shed x predicts `om_free + C @ x`,
     with `om_free` the full-support rollout of `predict_max_dc`.
     """
-    C = np.zeros((steps + 1, model.n_loads))
-    M = np.zeros((model.dim, model.n_loads))
-    for j in range(steps):
-        M = model.A @ M + (model.B_l if j >= SHED_LAG else 0.0)
-        C[j + 1] = M[0]
-    return C
+    inputs = ([0.0] * SHED_LAG + [model.B_l] * steps)[:steps]
+    return output_response(model.A, np.zeros((model.dim, model.n_loads)), inputs)
 
 
 def _memoized_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:

@@ -543,23 +543,19 @@ def _input_response_fit(records, config, A, B_d):
     start = 0
     for rec, k0, steps in segments:
         g = lift(*window_at(rec.omega, rec.y, k0, w), config)
+        free = output_response(A, g, _input_terms(B_d, rec.ud[k0 : k0 + steps]))[1:]  # omega-hat with B_l = 0
+        np.subtract(rec.omega[k0 + 1 : k0 + 1 + steps], free, out=Y[start : start + steps])
         # row t = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ row (t-1) + e0 ulᵀ,
         # with the zero block as row -1; each row is a C-ordered (n, p) view
         # of X.  The shed is added to row 0 alone: the BLAS product holds no
         # -0.0 for the other rows' + 0.0 to turn into +0.0, so the bits are
         # the same.
-        rows = X[start : start + steps].reshape(steps, n, p)
-        free = Y[start : start + steps]  # omega-hat with B_l = 0, then the residual
         prev = zero
-        for t, (row, ul, ud) in enumerate(zip(rows, rec.ul[k0 : k0 + steps], rec.ud[k0 : k0 + steps])):
-            g = A @ g
-            g += B_d @ ud
-            free[t] = g[0]
+        for row, ul in zip(X[start : start + steps].reshape(steps, n, p), rec.ul[k0 : k0 + steps]):
             matmul(AT, prev, out=row)
             shed_row = row[0]
             add(shed_row, ul, out=shed_row)
             prev = row
-        np.subtract(rec.omega[k0 + 1 : k0 + 1 + steps], free, out=free)
         start += steps
     theta = np.linalg.solve(X.T @ X + RIDGE * np.eye(n * p), X.T @ Y)
     return theta.reshape(n, p)
@@ -633,36 +629,40 @@ def _fit_records(records, config) -> KoopmanModel:
 def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq, steps: int) -> np.ndarray:
     """Iterate the lifted dynamics; returns omega-hat for t = 0..steps (length steps+1).
 
-    Step t is ``A @ g + B_l @ ul_seq[t] + B_d @ ud_seq[t]``.  An input row
-    with the bytes of the row before it reuses that row's product, which has
-    the same bits: held inputs are multiplied once.
+    Step t is ``A @ g + B_l @ ul_seq[t] + B_d @ ud_seq[t]``, by `output_response`.
     """
     ul_seq = np.atleast_2d(np.asarray(ul_seq, dtype=float))
     ud_seq = np.atleast_2d(np.asarray(ud_seq, dtype=float))
     if len(ul_seq) < steps or len(ud_seq) < steps:
         raise ValueError(f"control sequences must provide at least {steps} steps")
-    A, B_l, B_d = model.A, model.B_l, model.B_d
     g = lift(omega_window, y_window, model.config)
-    out = np.empty(steps + 1)
-    out[0] = g[0]
-    new_ul, new_ud = _new_rows(ul_seq, steps), _new_rows(ud_seq, steps)
-    for t in range(steps):
-        if new_ul[t]:
-            ul_term = B_l @ ul_seq[t]
-        if new_ud[t]:
-            ud_term = B_d @ ud_seq[t]
-        g = A @ g + ul_term + ud_term
-        out[t + 1] = g[0]
+    return output_response(model.A, g, _input_terms(model.B_l, ul_seq[:steps]), _input_terms(model.B_d, ud_seq[:steps]))
+
+
+def _input_terms(B, seq):
+    """``B @ seq[t]`` for every row t, each taken on the row where it lies: a
+    copy can take another BLAS path and round differently.  When every row
+    has row 0's bits, row 0's product serves them all."""
+    if len(seq) > 1 and np.all(seq == seq[0]) and np.all(np.signbit(seq) == np.signbit(seq[0])):
+        return [B @ seq[0]] * len(seq)
+    return np.matmul(B, seq[:, :, None])[:, :, 0]
+
+
+def output_response(A, x, *inputs) -> np.ndarray:
+    """Row 0 of x_t for t = 0..T under x_{t+1} = A x_t + inputs[0][t] + inputs[1][t] + ...,
+    the terms added in that order; T is the length of each input.
+
+    x is one state (dim,) or a block of states (dim, p), and each term a
+    scalar or an array that broadcasts to x.  Returns (T + 1,) or (T + 1, p).
+    """
+    out = np.empty((len(inputs[0]) + 1, *np.shape(x)[1:]))
+    out[0] = x[0]
+    for t, terms in enumerate(zip(*inputs), 1):
+        x = A @ x
+        for term in terms:
+            x += term
+        out[t] = x[0]
     return out
-
-
-def _new_rows(seq, steps: int) -> list:
-    """Per row t < steps of a float array: True when its bytes differ from row
-    t - 1's (always for row 0), compared as 64-bit words."""
-    bits = np.ascontiguousarray(seq[:steps]).view(np.uint64)
-    new = np.ones(len(bits), dtype=bool)
-    new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    return new.tolist()
 
 
 def first_sample_at(t: float, dt: float) -> int:
