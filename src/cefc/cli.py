@@ -141,8 +141,8 @@ def _outdir(cfg) -> str:
 
 def cmd_gen_data(cfg, args) -> int:
     grid = _grid_from_config(cfg)
-    ds = generate_dataset(grid, args.train, args.test, cfg["seed"])
     outdir = _outdir(cfg)
+    ds = generate_dataset(grid, args.train, args.test, cfg["seed"])
     ds.save(os.path.join(outdir, "dataset"))
     print(f"wrote {args.train} train + {args.test} test trajectories to {outdir}/dataset")
     return EXIT_OK
@@ -150,13 +150,15 @@ def cmd_gen_data(cfg, args) -> int:
 
 def cmd_fit(cfg, args) -> int:
     outdir = _outdir(cfg)
+    path = args.model or os.path.join(outdir, f"model_{args.method}.json")
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write model {path}: not a file in an existing directory")
     data_dir = os.path.join(outdir, "dataset")
     ds = _read(Dataset.load, data_dir, "dataset")
     if not ds.train:
         raise ConfigError(f"dataset {data_dir} has no training trajectories")
     # the method's standard configuration at the data's sample time: the model `bench` fits
     model = fit(ds, method_config(args.method, dt=ds.train[0].dt))
-    path = args.model or os.path.join(outdir, f"model_{args.method}.json")
     model.save(path)
     print(f"fitted {args.method} model (dim {model.dim}) -> {path}")
     return EXIT_OK
@@ -182,8 +184,8 @@ def cmd_control(cfg, args) -> int:
     model = _load_model(args.model, "model", grid)
     limits = _limits_from_config(cfg, grid)
     weights = _weights_from_config(cfg, model)
-    trace = coordinate(grid, scenario, model, limits, weights)
     outdir = _outdir(cfg)
+    trace = coordinate(grid, scenario, model, limits, weights)
     trace.record.write_csv(os.path.join(outdir, "control_trace.csv"))
     summary = trace.summary(grid.base_frequency)
     with open(os.path.join(outdir, "control_summary.json"), "w") as fh:
@@ -199,8 +201,8 @@ def cmd_prop1(cfg, args) -> int:
     oracle = _load_model(args.oracle, "oracle", grid) if args.oracle else learned
     limits = _limits_from_config(cfg, grid)
     feeders = FeederSpec.uniform(args.feeders, args.quantum, grid.n_loads)
-    report = check_prop1(learned, oracle, grid, scenario, feeders, limits)
     outdir = _outdir(cfg)
+    report = check_prop1(learned, oracle, grid, scenario, feeders, limits)
     path = os.path.join(outdir, "prop1_report.json")
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -280,6 +282,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InsufficientHistoryError as exc:
         print(f"config error: the scenario horizon ends before the measurement window ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # `_read` maps the inputs, so an output directory or file could not be written
+        print(f"config error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

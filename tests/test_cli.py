@@ -41,7 +41,7 @@ def config_with(tmp_path, workspace, **changes) -> str:
     """The workspace config with `changes` applied, written under `tmp_path`."""
     with open(workspace["cfg_path"]) as fh:
         cfg = json.load(fh)
-    cfg.update(output_dir=str(tmp_path / "out"), **changes)
+    cfg.update({"output_dir": str(tmp_path / "out"), **changes})
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -333,6 +333,54 @@ def test_malformed_fit_setting_is_a_config_error(tmp_path, workspace, capsys, ch
     (key,) = changes
     assert f"config error: {key} must be" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["gen-data", "--train", "2", "--test", "1"], "generate_dataset"),
+        (["bench", "--train", "2", "--test", "1"], "generate_dataset"),
+        (["predict", "--model", "{model}"], "simulate"),
+        (["control", "--model", "{model}"], "coordinate"),
+        (["prop1", "--model", "{model}"], "check_prop1"),
+    ],
+    ids=["gen-data", "bench", "predict", "control", "prop1"],
+)
+def test_output_dir_that_is_a_file_is_a_config_error_found_before_any_work(tmp_path, workspace, capsys, monkeypatch, argv, work):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was made")
+
+    monkeypatch.setattr(cli, work, fail)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = config_with(tmp_path, workspace, output_dir=str(taken))
+    argv = [arg.format(model=os.path.join(workspace["out"], "model_dmd.json")) for arg in argv]
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {taken}: File exists\n"
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_fit_model_path_that_cannot_be_written_is_a_config_error_found_before_any_work(
+    tmp_path, workspace, capsys, monkeypatch, target
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("the dataset was read before the model path was checked")
+
+    monkeypatch.setattr(cli.Dataset, "load", fail)
+    model = tmp_path / "nope" / "m.json" if target == "missing-directory" else tmp_path
+    assert main(["fit", "--config", workspace["cfg_path"], "--method", "dmd", "--model", str(model)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write model {model}: not a file in an existing directory\n"
+    assert not (tmp_path / "nope").exists()
+
+
+def test_output_file_that_cannot_be_written_is_a_config_error(tmp_path, workspace, capsys):
+    out = tmp_path / "out"
+    (out / "control_trace.csv").mkdir(parents=True)  # a directory where the trace goes
+    path = config_with(tmp_path, workspace, output_dir=str(out))
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {out / 'control_trace.csv'}: Is a directory\n"
 
 
 @pytest.mark.parametrize(

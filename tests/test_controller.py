@@ -357,7 +357,25 @@ class TestLqrStep:
             assert lqr_step(g, sol, lim).tobytes() == want.tobytes()
 
 
+def reference_sensitivity(model, steps):
+    """Per-step oracle for `shedding_sensitivity`: M = A M, plus B_l from step SHED_LAG on."""
+    C = np.zeros((steps + 1, model.n_loads))
+    M = np.zeros((model.dim, model.n_loads))
+    for j in range(steps):
+        M = model.A @ M + (model.B_l if j >= controller.SHED_LAG else 0.0)
+        C[j + 1] = M[0]
+    return C
+
+
 class TestSheddingSensitivity:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 300])
+    @pytest.mark.parametrize("name", ["cefc", "edmd", "dmd"])
+    def test_equals_the_per_step_reference_on_fitted_models(self, dataset_small, name, steps):
+        model = fit(dataset_small, method_config(name))
+        C = shedding_sensitivity(model, steps)
+        assert C.shape == (steps + 1, model.n_loads)
+        assert C.tobytes() == reference_sensitivity(model, steps).tobytes()
+
     def test_first_two_rows_are_zero(self, cefc_model):
         C = shedding_sensitivity(cefc_model, 10)
         assert np.all(C[0] == 0.0) and np.all(C[1] == 0.0)

@@ -631,7 +631,8 @@ class TestRollout:
 
     @pytest.mark.parametrize("pattern", ["held", "changing", "signed-zero", "longer", "steps-0", "steps-1"])
     def test_held_input_products_keep_the_reference_bits(self, shed_models, dataset_small, pattern):
-        """A row repeating the previous row's bytes reuses its product, with the same bits."""
+        """Held, changing and signed-zero inputs, and sequences longer than the
+        rollout or as short as 0 and 1 steps, roll out the per-step bits."""
         rng = np.random.default_rng(3)
         rec = dataset_small.test[0]
         steps = {"steps-0": 0, "steps-1": 1}.get(pattern, 40)
@@ -651,6 +652,30 @@ class TestRollout:
             w = model.config.window_len
             args = (rec.omega[60 - w + 1 : 61], rec.y[60 - w + 1 : 61], ul[:n], ud[:n], steps)
             assert same_bits(predict_rollout(model, *args), reference_rollout(model, *args))
+
+    @pytest.mark.parametrize("pattern", ["held", "changing"])
+    @pytest.mark.parametrize("layout", ["fortran", "column-strided"])
+    @pytest.mark.parametrize("name", ["cefc", "edmd", "dmd"])
+    def test_strided_input_sequences_keep_the_reference_bits(self, shed_models, dataset_small, name, layout, pattern):
+        """Each input product is taken on the row where it lies: B_d is
+        Fortran-ordered, and the row stride picks the BLAS path, so a copy of
+        a row rounds differently."""
+        rng = np.random.default_rng(5)
+        rec = dataset_small.test[0]
+        steps, p, q = 40, rec.ul.shape[1], rec.ud.shape[1]
+        if pattern == "held":
+            ul, ud = np.tile(rng.uniform(0.0, 0.3, p), (steps, 1)), np.tile(rng.uniform(-80.0, 80.0, q), (steps, 1))
+        else:
+            ul, ud = rng.uniform(0.0, 0.3, (steps, p)), rng.uniform(-80.0, 80.0, (steps, q))
+        if layout == "fortran":
+            ul, ud = np.asfortranarray(ul), np.asfortranarray(ud)
+        else:  # every other column of a wider array
+            ul, ud = np.repeat(ul, 2, axis=1)[:, ::2], np.repeat(ud, 2, axis=1)[:, ::2]
+        assert not (ul.flags.c_contiguous or ud.flags.c_contiguous)
+        model = shed_models[name]
+        w = model.config.window_len
+        args = (rec.omega[60 - w + 1 : 61], rec.y[60 - w + 1 : 61], ul, ud, steps)
+        assert same_bits(predict_rollout(model, *args), reference_rollout(model, *args))
 
     def test_short_control_sequence_rejected(self, cefc_model, dataset_small):
         rec = dataset_small.test[0]
