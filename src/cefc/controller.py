@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gridsim
-from .gridsim import GridModel, Scenario
+from .gridsim import GridModel, Scenario, is_number
 from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, output_response, predict_rollout, steady_state_samples, window_at, MEASUREMENT_DELAY
 from .qp import QPError, solve_qp
 
@@ -46,20 +46,22 @@ class ControlLimits:
     ud_support: np.ndarray | None = None  # full-support reference per link, MW
 
     def __post_init__(self):
+        # a NaN, infinite, boolean or out-of-range value here would size sheds
+        # that break the floor or exceed the load, so each is a config error
+        if np.asarray(self.ul_max).dtype == bool:  # true would read as a ratio of 1
+            raise ValueError("ul_max entries must be numbers, not true or false")
         self.ud_min = np.asarray(self.ud_min, dtype=float)
         self.ud_max = np.asarray(self.ud_max, dtype=float)
         self.ul_max = np.asarray(self.ul_max, dtype=float)
-        # a NaN, infinite or out-of-range value here would size sheds that
-        # break the floor or exceed the load, so each is a config error
-        if not (math.isfinite(self.quantum_mw) and self.quantum_mw > 0):
+        if not (is_number(self.quantum_mw) and self.quantum_mw > 0):
             raise ValueError(f"quantum_mw must be finite and > 0, got {self.quantum_mw!r}")
-        if not (math.isfinite(self.planning_margin_pu) and self.planning_margin_pu >= 0):
+        if not (is_number(self.planning_margin_pu) and self.planning_margin_pu >= 0):
             raise ValueError(f"planning_margin_pu must be finite and >= 0, got {self.planning_margin_pu!r}")
         if not np.all((self.ul_max >= 0.0) & (self.ul_max <= 1.0)):  # NaN fails both
             raise ValueError(f"ul_max entries must be finite and in [0, 1], got {self.ul_max.tolist()}")
-        if not (math.isfinite(self.omega_min) and self.omega_min < 0):
+        if not (is_number(self.omega_min) and self.omega_min < 0):
             raise ValueError(f"omega_min (the nadir floor, deviation form) must be finite and < 0, got {self.omega_min!r}")
-        if not (math.isfinite(self.activation_threshold_hz) and self.activation_threshold_hz > 0):
+        if not (is_number(self.activation_threshold_hz) and self.activation_threshold_hz > 0):
             raise ValueError(f"activation_threshold_hz must be finite and > 0, got {self.activation_threshold_hz!r}")
         if not self.activation_threshold_pu < -self.omega_min:
             raise ValueError("activation threshold must be less severe than the nadir floor")

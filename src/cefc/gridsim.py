@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import truediv
 from typing import NamedTuple
 
@@ -27,6 +27,30 @@ class SimulationError(Exception):
     """Raised when integration diverges or a policy violates bounds."""
 
 
+def is_number(value) -> bool:
+    """Whether `value` is a finite real number; a bool (JSON's true or false) is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_numbers(obj, positive=(), prefix=""):
+    """Refuse a `float` field of `obj` that is not a finite number, or one named
+    in `positive` (the plant divides or scales by it) that is not > 0.  The
+    message starts with `prefix` and the field's name."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        bound = " > 0" if f.name in positive else ""
+        if f.type == "float" and not (is_number(value) and (not bound or value > 0)):
+            raise ValueError(f"{prefix}{f.name} must be a finite number{bound}, got {value!r}")
+
+
+def _located(where: str, cls, kw: dict):
+    """`cls(**kw)`, with `where`, the place of `kw` in its document, before a refusal's message."""
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
+
+
 @dataclass(frozen=True)
 class Machine:
     inertia: float  # H-constant, s, on machine base
@@ -38,10 +62,9 @@ class Machine:
     can_trip: bool = True  # False for the large equivalent unit
 
     def __post_init__(self):
-        if self.inertia <= 0 or self.gov_tc <= 0:
-            raise ValueError("machine inertia and governor time constant must be > 0")
+        _check_numbers(self, positive=("inertia", "gov_tc", "capacity"))
         if self.damping < 0:
-            raise ValueError("machine damping must be >= 0")
+            raise ValueError(f"damping must be >= 0, got {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +75,9 @@ class LoadNode:
     motor_tc: float = 2.0  # s, recovery time of the dynamic share
 
     def __post_init__(self):
+        _check_numbers(self, positive=("base_power", "motor_tc"))
         if not 0.0 <= self.dynamic_fraction <= 1.0:
-            raise ValueError("dynamic fraction must lie in [0, 1]")
+            raise ValueError(f"dynamic_fraction must lie in [0, 1], got {self.dynamic_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +90,11 @@ class HvdcLink:
     end: str = "receiving"  # "sending" | "receiving"
 
     def __post_init__(self):
+        _check_numbers(self, positive=("ramp_rate", "response_lag"))
         if not self.ud_min <= 0.0 <= self.ud_max:
-            raise ValueError("link limits must bracket zero")
+            raise ValueError(f"ud_min and ud_max must bracket zero, got {self.ud_min!r} and {self.ud_max!r}")
         if self.end not in ("sending", "receiving"):
-            raise ValueError("link end must be 'sending' or 'receiving'")
-        if self.ramp_rate <= 0 or self.response_lag <= 0:
-            raise ValueError("ramp rate and response lag must be > 0")
+            raise ValueError(f"end must be 'sending' or 'receiving', got {self.end!r}")
 
     @property
     def sign(self) -> float:
@@ -93,14 +116,17 @@ class GridModel:
         object.__setattr__(self, "machines", tuple(self.machines))
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "hvdc", tuple(self.hvdc))
+        _check_numbers(self, positive=("base_frequency",))
         vs = np.atleast_2d(np.asarray(self.voltage_sensitivity, dtype=float))
         n_ch = len(self.loads) + len(self.hvdc)
         if vs.size == 0:
             vs = np.zeros((0, n_ch))
         if vs.shape[1] != n_ch:
             raise ValueError(
-                f"voltage sensitivity needs {n_ch} columns (loads then links), got {vs.shape[1]}"
+                f"voltage_sensitivity needs {n_ch} columns (loads then links), got {vs.shape[1]}"
             )
+        if not np.all(np.isfinite(vs)):
+            raise ValueError("voltage_sensitivity must be finite")
         object.__setattr__(self, "voltage_sensitivity", tuple(map(tuple, vs)))
 
     # -- aggregates, all on the system base --
@@ -132,14 +158,13 @@ class GridModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridModel":
-        return cls(
-            **{
-                **d,
-                "machines": tuple(Machine(**m) for m in d["machines"]),
-                "loads": tuple(LoadNode(**ld) for ld in d["loads"]),
-                "hvdc": tuple(HvdcLink(**lk) for lk in d["hvdc"]),
-            }
-        )
+        """The grid that `d` describes; a refusal names its value's place,
+        `grid.<key>` or `grid.<machines|loads|hvdc>[i].<key>`."""
+        entries = {
+            key: tuple(_located(f"grid.{key}[{i}].", entry_cls, kw) for i, kw in enumerate(d[key]))
+            for key, entry_cls in (("machines", Machine), ("loads", LoadNode), ("hvdc", HvdcLink))
+        }
+        return _located("grid.", cls, {**d, **entries})
 
 
 @dataclass(frozen=True)
@@ -167,12 +192,7 @@ class Scenario:
             raise ValueError(f"scenario trip_set repeats a machine: {list(self.trip_set)}")
         if isinstance(self.noise_seed, bool) or not isinstance(self.noise_seed, numbers.Integral) or self.noise_seed < 0:
             raise ValueError(f"scenario noise_seed must be an integer >= 0, got {self.noise_seed!r}")
-        for name in ("inertia_scale", "trip_time", "extra_deficit", "noise_amplitude", "horizon", "dt"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
-                raise ValueError(f"scenario {name} must be a finite number, got {value!r}")
-        if self.inertia_scale <= 0:
-            raise ValueError("inertia scale must be > 0")
+        _check_numbers(self, positive=("inertia_scale",), prefix="scenario ")
         if self.noise_amplitude < 0:
             raise ValueError("noise amplitude must be >= 0")
         if self.dt <= 0 or self.horizon < self.dt:

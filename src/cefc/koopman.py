@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gridsim import GridModel, Scenario, TrajectoryRecord, SimulationError, simulate
+from .gridsim import GridModel, Scenario, TrajectoryRecord, SimulationError, is_number, simulate
 
 DICTIONARIES = ("identity", "delay", "rbf", "delay_rbf")
 
@@ -56,7 +56,7 @@ class ObservableConfig:
     rbf_divisor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.dt, bool) or not isinstance(self.dt, numbers.Real) or not 0 < self.dt < math.inf:
+        if not (is_number(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a finite number > 0, got {self.dt!r}")
         if self.dictionary not in DICTIONARIES:
             raise ValueError(f"unknown dictionary {self.dictionary!r}")

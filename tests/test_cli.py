@@ -261,8 +261,13 @@ def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspac
         ("weights", {"r": float("nan")}, "(r)"),
         ("weights", {"q_omega": float("inf")}, "(q_omega)"),
         ("weights", {"q_omega": float("nan")}, "(q_omega)"),
+        # true is not a number: it would read as 1 (shed every load, 1 MW quanta, r = 1)
+        ("limits", {"ul_max": True}, "ul_max"),
+        ("limits", {"quantum_mw": True}, "quantum_mw"),
+        ("scenario", {"trip_set": [1], "inertia_scale": True}, "inertia_scale"),
     ],
-    ids=["trip-repeated", "seed-float", "seed-negative", "seed-bool", "r-inf", "r-nan", "q-inf", "q-nan"],
+    ids=["trip-repeated", "seed-float", "seed-negative", "seed-bool", "r-inf", "r-nan", "q-inf", "q-nan",
+         "ul-max-bool", "quantum-bool", "inertia-scale-bool"],
 )
 def test_scenario_or_weights_value_is_a_config_error_that_names_the_key(tmp_path, workspace, capsys, section, value, named):
     if section == "scenario":
@@ -273,6 +278,27 @@ def test_scenario_or_weights_value_is_a_config_error_that_names_the_key(tmp_path
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert not (tmp_path / "out" / "control_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, index, field, value",
+    [
+        ("loads", 0, "base_power", -1.0),
+        ("hvdc", 0, "ramp_rate", float("nan")),
+        ("machines", 1, "damping", float("nan")),
+        ("loads", 0, "motor_tc", 0.0),
+        ("machines", 2, "capacity", float("inf")),
+    ],
+    ids=["base-power-negative", "ramp-rate-nan", "damping-nan", "motor-tc-zero", "capacity-inf"],
+)
+def test_grid_value_the_simulator_cannot_run_is_a_config_error(tmp_path, workspace, capsys, key, index, field, value):
+    # the first two would run and write a dataset; the others end in "integration diverged"
+    entries = [dict(entry) for entry in GRID[key]]
+    entries[index][field] = value
+    path = config_with(tmp_path, workspace, grid={**GRID, key: entries})
+    assert main(["gen-data", "--config", path, "--train", "1", "--test", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: grid.{key}[{index}].{field} must be a finite number")
+    assert not (tmp_path / "out" / "dataset").exists()
 
 
 @pytest.mark.parametrize(
