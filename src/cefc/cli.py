@@ -126,9 +126,8 @@ def _limits_from_config(cfg, grid) -> ControlLimits:
     return _section(cfg, "limits", accepted, lambda kw: ControlLimits.for_grid(grid, **kw), default)
 
 
-def _weights_from_config(cfg, model) -> LqrWeights:
-    default = LqrWeights.for_model(model)
-    return _section(cfg, "weights", ("q_omega", "r"), lambda kw: LqrWeights.for_model(model, **kw), default)
+def _weights_from_config(cfg) -> LqrWeights:
+    return _section(cfg, "weights", _field_names(LqrWeights), lambda kw: LqrWeights(**kw), LqrWeights())
 
 
 def _outdir(cfg) -> str:
@@ -183,7 +182,7 @@ def cmd_control(cfg, args) -> int:
     scenario = _scenario_from_config(cfg)
     model = _load_model(args.model, "model", grid)
     limits = _limits_from_config(cfg, grid)
-    weights = _weights_from_config(cfg, model)
+    weights = _weights_from_config(cfg)
     outdir = _outdir(cfg)
     trace = coordinate(grid, scenario, model, limits, weights)
     trace.record.write_csv(os.path.join(outdir, "control_trace.csv"))
@@ -215,12 +214,12 @@ def cmd_prop1(cfg, args) -> int:
 
 def cmd_bench(cfg, args) -> int:
     grid = _grid_from_config(cfg)
-    outdir = _outdir(cfg)
     limits = _limits_from_config(cfg, grid)
+    weights = _weights_from_config(cfg)
+    outdir = _outdir(cfg)
     dataset = generate_dataset(grid, args.train, args.test, cfg["seed"])
     table = bench_mod.run_prediction_table(grid, dataset, outdir)
     model = fit(dataset, method_config("cefc", dt=dataset.train[0].dt))
-    weights = _weights_from_config(cfg, model)
     bench_mod.run_control_subcases(grid, limits, model, weights, outdir)
     bench_mod.run_edcps_comparison(grid, limits, model, weights, outdir)
     for name, m in table.items():

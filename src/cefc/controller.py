@@ -12,7 +12,6 @@ Decision pipeline on an under-frequency event:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,27 +114,17 @@ class SheddingPlan:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LqrWeights:
-    q_diag: np.ndarray  # diagonal of Q2, length dim(g)
-    r_diag: np.ndarray  # diagonal of R2, length #links
+    q_omega: float = 2e4  # Q2's weight on the frequency observable; the other features weigh 0
+    r: float = 1e-4  # R2's weight on each link's command
 
     def __post_init__(self):
-        self.q_diag = np.asarray(self.q_diag, dtype=float)
-        self.r_diag = np.asarray(self.r_diag, dtype=float)
-        # NaN fails both comparisons; an infinite r gives K = 0, an LQR that never acts
-        q_ok = (self.q_diag >= 0) & (self.q_diag < math.inf)
-        if not np.all(q_ok):
-            raise ValueError(f"Q2 diagonal (q_omega) must be finite and >= 0, got {self.q_diag[~q_ok].tolist()}")
-        r_ok = (self.r_diag > 0) & (self.r_diag < math.inf)
-        if not np.all(r_ok):
-            raise ValueError(f"R2 diagonal (r) must be finite and > 0, got {self.r_diag[~r_ok].tolist()}")
-
-    @classmethod
-    def for_model(cls, model: KoopmanModel, q_omega: float = 2e4, r: float = 1e-4) -> "LqrWeights":
-        q = np.zeros(model.dim)
-        q[0] = q_omega
-        return cls(q_diag=q, r_diag=np.full(model.n_links, r))
+        # an infinite r gives K = 0, an LQR that never acts
+        if not (is_number(self.q_omega) and self.q_omega >= 0):
+            raise ValueError(f"Q2 weight (q_omega) must be finite and >= 0, got {self.q_omega!r}")
+        if not (is_number(self.r) and self.r > 0):
+            raise ValueError(f"R2 weight (r) must be finite and > 0, got {self.r!r}")
 
 
 @dataclass
@@ -370,14 +359,17 @@ RICCATI_DISCOUNT = 0.98
 def _memoized_riccati(model: KoopmanModel, weights: LqrWeights) -> RiccatiSolution:
     """The LQR gain's `solve_dare`, solved once per model and weights; `P` and
     `K` are read-only.  A miss calls `solve_dare` by module name."""
+    q_diag = np.zeros(model.dim)
+    q_diag[0] = weights.q_omega
+    r_diag = np.full(model.n_links, weights.r, dtype=float)
 
     def solve():
-        sol = solve_dare(model.A, model.B_d, weights.q_diag, weights.r_diag, discount=RICCATI_DISCOUNT)
+        sol = solve_dare(model.A, model.B_d, q_diag, r_diag, discount=RICCATI_DISCOUNT)
         sol.P.setflags(write=False)
         sol.K.setflags(write=False)
         return sol
 
-    return _memoized(model._memo, ("riccati", model.A, model.B_d, weights.q_diag, weights.r_diag, RICCATI_DISCOUNT), solve)
+    return _memoized(model._memo, ("riccati", model.A, model.B_d, q_diag, r_diag, RICCATI_DISCOUNT), solve)
 
 
 def lqr_step(g, sol: RiccatiSolution, limits: ControlLimits) -> np.ndarray:
@@ -391,7 +383,7 @@ def coordinate(
     scenario: Scenario,
     model: KoopmanModel,
     limits: ControlLimits,
-    weights: LqrWeights | None = None,
+    weights: LqrWeights = LqrWeights(),
     dc_mode: str = "lqr",
 ) -> CoordinationTrace:
     """Closed-loop run of the full pipeline against the nonlinear simulator.
@@ -402,8 +394,6 @@ def coordinate(
     if dc_mode not in ("lqr", "max"):
         raise ValueError("dc_mode must be 'lqr' or 'max'")
     check_sample_time("the scenario", scenario.dt, model.config)
-    if weights is None:
-        weights = LqrWeights.for_model(model)
     sol = _memoized_riccati(model, weights) if dc_mode == "lqr" else None
     cfg = model.config
     w = cfg.window_len

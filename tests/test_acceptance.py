@@ -218,7 +218,7 @@ def test_criterion_7_coordination_safety(grid, protocol, limits):
 
 def test_criterion_8_byte_identical_reruns(grid, cefc_model, limits, tmp_path):
     outputs = {"a": {}, "b": {}}
-    weights = LqrWeights.for_model(cefc_model)
+    weights = LqrWeights()
     for run in outputs:
         outdir = tmp_path / run
         outdir.mkdir()

@@ -23,8 +23,8 @@ def outdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def weights(cefc_model):
-    return LqrWeights.for_model(cefc_model)
+def weights():
+    return LqrWeights()
 
 
 @pytest.fixture(scope="module")

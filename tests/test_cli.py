@@ -265,9 +265,10 @@ def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspac
         ("limits", {"ul_max": True}, "ul_max"),
         ("limits", {"quantum_mw": True}, "quantum_mw"),
         ("scenario", {"trip_set": [1], "inertia_scale": True}, "inertia_scale"),
+        ("weights", {"r": True}, "(r)"),
     ],
     ids=["trip-repeated", "seed-float", "seed-negative", "seed-bool", "r-inf", "r-nan", "q-inf", "q-nan",
-         "ul-max-bool", "quantum-bool", "inertia-scale-bool"],
+         "ul-max-bool", "quantum-bool", "inertia-scale-bool", "r-bool"],
 )
 def test_scenario_or_weights_value_is_a_config_error_that_names_the_key(tmp_path, workspace, capsys, section, value, named):
     if section == "scenario":
@@ -384,6 +385,18 @@ def test_output_dir_that_is_a_file_is_a_config_error_found_before_any_work(tmp_p
     assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: cannot write {taken}: File exists\n"
     assert taken.read_text() == ""
+
+
+def test_bench_refuses_its_weights_before_any_work(tmp_path, workspace, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("generate_dataset ran before the weights were read")
+
+    monkeypatch.setattr(cli, "generate_dataset", fail)
+    path = config_with(tmp_path, workspace, weights={"r": -1.0})
+    assert main(["bench", "--config", path, "--train", "2", "--test", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "(r)" in err
+    assert not (tmp_path / "out" / "table1.csv").exists()
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

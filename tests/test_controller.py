@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -255,14 +255,13 @@ class TestDare:
             solve_dare(np.array([[1.0]]), np.array([[0.0]]), [1.0], [1.0])
 
     def test_doubling_steps_on_the_fitted_model(self, cefc_model):
-        w = LqrWeights.for_model(cefc_model)
-        sol = solve_dare(cefc_model.A, cefc_model.B_d, w.q_diag, w.r_diag, discount=0.98)
+        sol = solve_dare(*lqr_problem(cefc_model), discount=0.98)
         assert sol.iterations <= 20
 
     def test_agrees_with_the_fixed_point_on_the_fitted_model(self, cefc_model):
-        w = LqrWeights.for_model(cefc_model)
-        sol = solve_dare(cefc_model.A, cefc_model.B_d, w.q_diag, w.r_diag, discount=0.98)
-        assert_matches_fixed_point(sol, 0.98 * cefc_model.A, 0.98 * cefc_model.B_d, w.q_diag, w.r_diag)
+        A, B, q, r = lqr_problem(cefc_model)
+        sol = solve_dare(A, B, q, r, discount=0.98)
+        assert_matches_fixed_point(sol, 0.98 * A, 0.98 * B, q, r)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_agrees_with_the_fixed_point_on_random_systems(self, seed):
@@ -275,8 +274,7 @@ class TestDare:
         assert_matches_fixed_point(solve_dare(A, B, q, r), A, B, q, r)
 
     def test_matches_the_reference_on_the_fitted_model(self, cefc_model):
-        w = LqrWeights.for_model(cefc_model)
-        args = (cefc_model.A, cefc_model.B_d, w.q_diag, w.r_diag)
+        args = lqr_problem(cefc_model)
         assert_matches_the_reference(solve_dare(*args, discount=0.98), reference_solve_dare(*args, discount=0.98))
 
     def test_matches_the_reference_on_the_matrix_residual_problems(self):
@@ -298,6 +296,15 @@ class TestDare:
             solve_dare(np.eye(2), np.ones((2, 1)), np.ones(2), [1.0], discount=1.5)
 
 
+def lqr_problem(model):
+    """The LQR's Riccati problem on `model` under the default weights: A, B_d
+    and the diagonals of Q2 (q_omega on the frequency observable, 0 elsewhere)
+    and R2 (r per link)."""
+    q_diag = np.zeros(model.dim)
+    q_diag[0] = LqrWeights().q_omega
+    return model.A, model.B_d, q_diag, np.full(model.n_links, LqrWeights().r)
+
+
 def riccati_recursion(A, B, q_diag, r_diag, steps):
     """The plain Riccati recursion from P = Q2, run a fixed number of steps."""
     Q, R = np.diag(q_diag), np.diag(r_diag)
@@ -314,9 +321,7 @@ def floor_problem(grid):
     seed 7: cond(A) about 1.4e9, so the equation residual bottoms out near
     3e-10 of ||P|| while the doubling increment has already settled."""
     ds = generate_dataset(grid, 2, 1, seed=7)
-    model = fit(ds, method_config("cefc", dt=ds.train[0].dt))
-    w = LqrWeights.for_model(model)
-    return model.A, model.B_d, w.q_diag, w.r_diag
+    return lqr_problem(fit(ds, method_config("cefc", dt=ds.train[0].dt)))
 
 
 class TestPrecisionFloor:
@@ -599,20 +604,20 @@ class TestNeedsShedding:
 
 
 class TestLqrWeights:
-    def test_validation(self, cefc_model):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            LqrWeights(q_diag=np.array([-1.0]), r_diag=np.array([1.0]))
+            LqrWeights(q_omega=-1.0)
         with pytest.raises(ValueError):
-            LqrWeights(q_diag=np.array([1.0]), r_diag=np.array([0.0]))
-        w = LqrWeights.for_model(cefc_model)
-        assert w.q_diag[0] > 0 and np.all(w.q_diag[1:] == 0)
+            LqrWeights(r=0.0)
+        assert LqrWeights() == LqrWeights(q_omega=2e4, r=1e-4)
+        assert [f.name for f in fields(LqrWeights)] == ["q_omega", "r"]
 
     @pytest.mark.parametrize("key", ["q_omega", "r"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_weight_rejected(self, cefc_model, key, value):
-        # an infinite r gives K = 0: an LQR that commands nothing
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_non_finite_weight_rejected(self, key, value):
+        # an infinite r gives K = 0: an LQR that commands nothing; true is not a number
         with pytest.raises(ValueError, match=f"[(]{key}[)] must be finite"):
-            LqrWeights.for_model(cefc_model, **{key: value})
+            LqrWeights(**{key: value})
 
 
 def grid_scalar_model(grid, a=0.97):
