@@ -641,10 +641,7 @@ def predict_rollout(model: KoopmanModel, omega_window, y_window, ul_seq, ud_seq,
 
 def _input_terms(B, seq):
     """``B @ seq[t]`` for every row t, each taken on the row where it lies: a
-    copy can take another BLAS path and round differently.  When every row
-    has row 0's bits, row 0's product serves them all."""
-    if len(seq) > 1 and np.all(seq == seq[0]) and np.all(np.signbit(seq) == np.signbit(seq[0])):
-        return [B @ seq[0]] * len(seq)
+    copy can take another BLAS path and round differently."""
     return np.matmul(B, seq[:, :, None])[:, :, 0]
 
 
