@@ -116,6 +116,9 @@ class GridModel:
         object.__setattr__(self, "machines", tuple(self.machines))
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "hvdc", tuple(self.hvdc))
+        for key in ("machines", "loads", "hvdc"):  # the plant divides by the load base and steps every link
+            if not getattr(self, key):
+                raise ValueError(f"{key} must hold at least one entry")
         _check_numbers(self, positive=("base_frequency",))
         vs = np.atleast_2d(np.asarray(self.voltage_sensitivity, dtype=float))
         n_ch = len(self.loads) + len(self.hvdc)

@@ -302,6 +302,19 @@ def test_grid_value_the_simulator_cannot_run_is_a_config_error(tmp_path, workspa
     assert not (tmp_path / "out" / "dataset").exists()
 
 
+@pytest.mark.parametrize("key", ["machines", "loads", "hvdc"])
+def test_grid_without_machines_loads_or_links_is_a_config_error(tmp_path, workspace, capsys, key):
+    # gen-data used to fail in a traceback without loads (a division by zero) or
+    # links, and on "low >= high" without machines
+    grid = {**GRID, key: []}
+    if key != "machines":  # a voltage-sensitivity column per load, then per link
+        n = len(GRID["loads"])
+        grid["voltage_sensitivity"] = [row[n:] if key == "loads" else row[:n] for row in GRID["voltage_sensitivity"]]
+    path = config_with(tmp_path, workspace, grid=grid)
+    assert main(["gen-data", "--config", path, "--train", "1", "--test", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: grid.{key} must hold at least one entry\n"
+
+
 @pytest.mark.parametrize(
     "feeders, quantum",
     [("2", "inf"), ("2", "nan"), ("2", "-40"), ("2", "0"), ("0", "40"), ("-1", "40")],
