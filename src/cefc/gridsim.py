@@ -33,9 +33,9 @@ def is_number(value) -> bool:
 
 
 def _check_numbers(obj, positive=(), prefix=""):
-    """Refuse a `float` field of `obj` that is not a finite number, or one named
-    in `positive` (the plant divides or scales by it) that is not > 0.  The
-    message starts with `prefix` and the field's name."""
+    """Refuse a field of `obj` annotated `float` that is not a finite number,
+    or one named in `positive` (the plant divides or scales by it) that is not
+    > 0.  The message starts with `prefix` and the field's name."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         bound = " > 0" if f.name in positive else ""
@@ -120,7 +120,10 @@ class GridModel:
             if not getattr(self, key):
                 raise ValueError(f"{key} must hold at least one entry")
         _check_numbers(self, positive=("base_frequency",))
-        vs = np.atleast_2d(np.asarray(self.voltage_sensitivity, dtype=float))
+        try:
+            vs = np.atleast_2d(np.asarray(self.voltage_sensitivity, dtype=float))
+        except ValueError:  # a string or a ragged row; the message must start with the field
+            raise ValueError("voltage_sensitivity must be a matrix of numbers") from None
         n_ch = len(self.loads) + len(self.hvdc)
         if vs.size == 0:
             vs = np.zeros((0, n_ch))

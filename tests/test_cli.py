@@ -315,6 +315,13 @@ def test_grid_without_machines_loads_or_links_is_a_config_error(tmp_path, worksp
     assert capsys.readouterr().err == f"config error: grid.{key} must hold at least one entry\n"
 
 
+@pytest.mark.parametrize("rows", [[["a"] * 5], [[0.1] * 5, [0.1] * 4], [[float("nan")] * 5]], ids=["string", "ragged", "nan"])
+def test_voltage_sensitivity_that_is_not_a_finite_matrix_is_a_config_error(tmp_path, workspace, capsys, rows):
+    path = config_with(tmp_path, workspace, grid={**GRID, "voltage_sensitivity": rows})
+    assert main(["gen-data", "--config", path, "--train", "1", "--test", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: grid.voltage_sensitivity must be")
+
+
 @pytest.mark.parametrize(
     "feeders, quantum",
     [("2", "inf"), ("2", "nan"), ("2", "-40"), ("2", "0"), ("0", "40"), ("-1", "40")],
