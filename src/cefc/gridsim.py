@@ -203,6 +203,11 @@ class Scenario:
             raise ValueError("noise amplitude must be >= 0")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("invalid horizon / sample step")
+        # an event strikes on a sample, so the plant and the fit agree on which one
+        if self.event_time is not None and abs(self.trip_time / self.dt - round(self.trip_time / self.dt)) > 1e-9:
+            raise ValueError(
+                f"scenario trip_time must be a whole number of dt samples, got {self.trip_time!r} at dt {self.dt!r}"
+            )
         for ch in self.noise_channels:
             if ch not in ("loads", "dc"):
                 raise ValueError(f"unknown noise channel {ch!r}")
@@ -214,6 +219,10 @@ class Scenario:
     @property
     def event_time(self) -> float | None:  # when trips or an extra deficit strike; None without either
         return self.trip_time if self.trip_set or self.extra_deficit else None
+
+    @property
+    def event_sample(self) -> int | None:  # the sample the event strikes at: step k is post-event from k on
+        return None if self.event_time is None else round(self.trip_time / self.dt)
 
     def validate(self, grid: GridModel):
         if len(self.trip_set) > 3:
@@ -326,20 +335,13 @@ def default_grid() -> GridModel:
     return GridModel(machines=machines, loads=loads, hvdc=hvdc, voltage_sensitivity=vsens)
 
 
-def steady_state_deviation(grid: GridModel, deficit: float) -> float:
-    """Closed-form post-event frequency deviation for a pure power deficit."""
-    if not np.isfinite(deficit):
-        raise ValueError("deficit must be finite")
-    return -deficit / (grid.total_damping() + grid.total_gov_gain())
-
-
-def _rk4_substep(f, t, x, h):
-    """One RK4 step of ``dx/dt = f(t, x)`` from (t, x) over h: the next state
-    and the stage points (x, s2, s3, s4) that f is evaluated at."""
-    k1 = f(t, x)
-    k2 = f(t + h / 2, s2 := x + h / 2 * k1)
-    k3 = f(t + h / 2, s3 := x + h / 2 * k2)
-    k4 = f(t + h, s4 := x + h * k3)
+def _rk4_substep(f, x, h):
+    """One RK4 step of ``dx/dt = f(x)`` from x over h: the next state and the
+    stage points (x, s2, s3, s4) that f is evaluated at."""
+    k1 = f(x)
+    k2 = f(s2 := x + h / 2 * k1)
+    k3 = f(s3 := x + h / 2 * k2)
+    k4 = f(s4 := x + h * k3)
     return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), (x, s2, s3, s4)
 
 
@@ -392,7 +394,6 @@ class _Plant:
             sum(grid.machines[i].output for i in scenario.trip_set) / s
             + scenario.extra_deficit
         )
-        self.trip_time = scenario.trip_time
         self.m_tot = tuple(
             float(scenario.inertia_scale * np.sum(self.M[self._active(post)])) for post in (False, True)
         )
@@ -414,13 +415,6 @@ class _Plant:
         the shed only grows.  `matrix` and `fused` fill in their parts."""
         neg_c = (-(1.0 - ul) * self.c).tolist()
         return _Held(ul, ul.tobytes(), neg_c, float(np.dot(ul, self.Pl)), [None, None], [None, None])
-
-    def sides(self, t, t_end) -> list:
-        """Per sample step, the trip side shared by all its stage times
-        (False before, True after), or None when they straddle the trip."""
-        post = (t >= self.trip_time).tolist()
-        pre = (t_end < self.trip_time).tolist()
-        return [True if a else False if b else None for a, b in zip(post, pre)]
 
     def matrix(self, held: _Held, post: bool) -> np.ndarray:
         """`A` of ``dx = A @ [x, clip(pg)] + b`` for held `ul`, cached."""
@@ -471,38 +465,34 @@ class _Plant:
             gov = np.arange(nx)[self.pg][act]
             stages = []
             for _ in range(SUBSTEPS):
-                X, points = _rk4_substep(lambda _, S: A_lin @ S + B, 0.0, X, h)
+                X, points = _rk4_substep(lambda S: A_lin @ S + B, X, h)
                 stages += [S[gov] for S in points]
             W = np.vstack([X, *stages])
             lim = np.tile(self.gov_lim[act], 4 * SUBSTEPS)
             hit = held.W[post] = (W, lim)
         return hit
 
-    def step(self, x, t, post, held: _Held, r, noise_sum) -> list:
+    def step(self, x, post, held: _Held, r, noise_sum) -> list:
         """The state one sample step after the state `x`, both lists of floats.
 
-        `post` is the trip side of all the step's stage times, None when they
-        straddle the trip.  The fused map serves one-sided steps whose stage
-        governor outputs stay inside their limits; other steps are integrated
-        stage by stage, with t accumulated by t += h.
+        `post` is the step's trip side.  The fused map serves a step whose
+        stage governor outputs stay inside their limits; a step where the
+        clip engages is integrated stage by stage.
         """
-        nx = self.nx
-        if post is not None:
-            W, lim = self.fused(held, post)
-            out = W @ (x + self.forcing(held.shed, r, noise_sum, post))
-            if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
-                return out[:nx].tolist()
+        nx, b = self.nx, self.forcing(held.shed, r, noise_sum, post)
+        W, lim = self.fused(held, post)
+        out = W @ (x + b)
+        if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
+            return out[:nx].tolist()
+        A = self.matrix(held, post)
 
-        def f(t_stage, x_stage):
-            post = bool(t_stage >= self.trip_time)
-            b = self.forcing(held.shed, r, noise_sum, post)
+        def f(x_stage):
             z = np.concatenate([x_stage, np.clip(x_stage[self.pg], -self.gov_lim, self.gov_lim)])
-            return self.matrix(held, post) @ z + b
+            return A @ z + b
 
-        h, x = self.h, np.array(x)
+        x = np.array(x)
         for _ in range(SUBSTEPS):
-            x, _ = _rk4_substep(f, t, x, h)
-            t += h
+            x, _ = _rk4_substep(f, x, self.h)
         return x.tolist()
 
     def voltages(self, x, neg_c, noise_s):
@@ -573,11 +563,8 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
 
     n = n_steps + 1
     t_arr = np.arange(n) * dt
-    t_end = t_arr.copy()  # each step's last stage time, accumulated by t += h
-    for _ in range(SUBSTEPS):
-        t_end += plant.h
-    sides = plant.sides(t_arr, t_end)
     times = list(t_arr)
+    event = n if scenario.event_sample is None else scenario.event_sample  # step k is post-trip from k = event on
     omega = np.zeros(n)
     y = np.zeros((n, plant.vsens.shape[0]))
     ul_rows, ud_rows, app_rows = [], [], []
@@ -627,9 +614,9 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
         ud_rows.append(cmd)
         app_rows.append(r)
 
-        x = plant.step(x, times[k], sides[k], held, r, noise_sum)
+        x = plant.step(x, k >= event, held, r, noise_sum)
         if not all(map(math.isfinite, x)) or abs(x[0]) > 1.0:
-            raise SimulationError(f"integration diverged at t={t_end[k]:.2f}s")
+            raise SimulationError(f"integration diverged at t={(k + 1) * dt:.2f}s")
 
     return TrajectoryRecord(
         dt=dt,

@@ -161,9 +161,10 @@ def _event_time(scenario) -> float:
 
 
 def _event_and_shed(rec, w: int) -> tuple:
-    """The record's event sample e, the first at or after `_event_time`; e + w - 1,
-    the end of the first window wholly after it; and the mask of shed samples."""
-    e = first_sample_at(_event_time(rec.scenario), rec.dt)
+    """The record's event sample e (`Scenario.event_sample`, 0 without a scenario
+    or an event); e + w - 1, the end of the first window wholly after it; and
+    the mask of shed samples."""
+    e = 0 if rec.scenario is None or rec.scenario.event_sample is None else rec.scenario.event_sample
     return e, e + w - 1, np.any(rec.ul > 0, axis=1)
 
 

@@ -529,8 +529,9 @@ class TestCoordinate:
         assert s["riccati"]["residual"] < 1e-10 * max(1.0, np.linalg.norm(lqr.riccati.P))
         assert const.riccati is None and const.summary(grid.base_frequency)["riccati"] is None
 
-    @pytest.mark.parametrize("dt", [0.1, 0.12, 0.3])
-    def test_arms_no_sooner_than_the_measurement_delay_after_detection(self, grid, limits, dt):
+    # 5.0 s is no whole number of 0.12 s or 0.3 s samples; 4.8 s is
+    @pytest.mark.parametrize("dt, trip_time", [(0.1, 5.0), (0.12, 4.8), (0.3, 4.8)])
+    def test_arms_no_sooner_than_the_measurement_delay_after_detection(self, grid, limits, dt, trip_time):
         from cefc.bench import control_scenario
 
         model = KoopmanModel(
@@ -539,7 +540,7 @@ class TestCoordinate:
             B_d=np.full((1, grid.n_links), 1e-4),
             config=ObservableConfig(dt=dt, delay_span=0.0, dictionary="identity", include_voltage=False),
         )
-        trace = coordinate(grid, replace(control_scenario(0.85), dt=dt), model, limits)
+        trace = coordinate(grid, replace(control_scenario(0.85), dt=dt, trip_time=trip_time), model, limits)
         rec = trace.record
         detected = rec.t[np.argmax(rec.omega <= -0.25 * limits.activation_threshold_pu)]
         assert trace.activation_time is not None

@@ -19,7 +19,6 @@ from cefc.gridsim import (
     _Plant,
     default_grid,
     simulate,
-    steady_state_deviation,
 )
 from cefc.koopman import _excitation_policy
 from cefc.robustness import FeederSpec, brute_force_mode, enumerate_modes
@@ -61,10 +60,9 @@ def reference_simulate(grid, scenario, policy=None, substeps=4):
     trip_deficit = sum(ms[i].output for i in scenario.trip_set) / s + scenario.extra_deficit
     clipped = np.zeros(nm, dtype=bool)
 
-    def rhs(t, x, ul, r, load_noise):
+    def rhs(post, x, ul, r, load_noise):
         om, pg = x[0], x[1 : 1 + nm]
         w, pdc = x[1 + nm : 1 + nm + p], x[1 + nm + p :]
-        post = t >= scenario.trip_time
         act = online if post else np.ones(nm, dtype=bool)
         clipped[act & (np.abs(pg) > lim)] = True
         mech = np.sum(np.clip(pg, -lim, lim)[act])
@@ -85,6 +83,7 @@ def reference_simulate(grid, scenario, policy=None, substeps=4):
     dt = scenario.dt
     h = dt / substeps
     n_steps = int(round(scenario.horizon / dt))
+    trip_k = round(scenario.trip_time / dt)  # the sample the trip strikes at
     rng = np.random.default_rng(scenario.noise_seed)
     noisy = scenario.noise_amplitude > 0
     x, r, ul, load_noise = np.zeros(1 + nm + p + q), np.zeros(q), np.zeros(p), np.zeros(p)
@@ -106,13 +105,13 @@ def reference_simulate(grid, scenario, policy=None, substeps=4):
             ud_cmd = np.clip(ud_cmd + rng.normal(0.0, scenario.noise_amplitude, q), ud_lo, ud_hi)
         r = np.clip(r + np.clip(ud_cmd - r, -ramp * dt, ramp * dt), ud_lo, ud_hi)
         ud_app.append(r)
+        post = k >= trip_k
         for _ in range(substeps):
-            k1 = rhs(t, x, ul, r, load_noise)
-            k2 = rhs(t + h / 2, x + h / 2 * k1, ul, r, load_noise)
-            k3 = rhs(t + h / 2, x + h / 2 * k2, ul, r, load_noise)
-            k4 = rhs(t + h, x + h * k3, ul, r, load_noise)
+            k1 = rhs(post, x, ul, r, load_noise)
+            k2 = rhs(post, x + h / 2 * k1, ul, r, load_noise)
+            k3 = rhs(post, x + h / 2 * k2, ul, r, load_noise)
+            k4 = rhs(post, x + h * k3, ul, r, load_noise)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
     return np.array(omega), np.array(y), np.array(ud_app), clipped
 
 
@@ -143,8 +142,8 @@ class TestFusedStepsMatchReference:
         _, clipped = assert_matches_reference(grid, scenario)
         assert clipped[0]  # the stage-by-stage steps ran
 
-    def test_trip_between_samples(self, grid):
-        assert_matches_reference(grid, trip_scenario(trip_time=5.03, horizon=30.0))
+    def test_later_trip(self, grid):
+        assert_matches_reference(grid, trip_scenario(trip_time=5.3, horizon=30.0))
 
     def test_noise_on_loads_and_dc(self, grid):
         scenario = trip_scenario(
@@ -171,8 +170,8 @@ def numpy_loop_simulate(grid, scenario, policy=None):
     """`simulate`'s sample loop with numpy vector arithmetic at every step.
 
     The per-step oracle for the float-list loop, which must give the same
-    bits: it shares `_Plant`'s cached matrices (`hold`, `matrix`, `fused`,
-    `sides`), keeps the state and forcing in one numpy buffer z = [x, b], and
+    bits: it shares `_Plant`'s cached matrices (`hold`, `matrix`, `fused`),
+    keeps the state and forcing in one numpy buffer z = [x, b], and
     checks, clips and merges every policy command at every step.
     """
     scenario.validate(grid)
@@ -199,29 +198,25 @@ def numpy_loop_simulate(grid, scenario, policy=None):
         b[0] = (np.dot(held.ul, plant.Pl) - deficit) / plant.m_tot[post]
         b[plant.pdc] = r / plant.lag
 
-    def step(t, post, held, r, noise_sum):
-        if post is not None:
-            forcing(held, r, noise_sum, post)
-            W, lim = plant.fused(held, post)
-            out = W @ z
-            if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
-                x[:] = out[:nx]
-                return
+    def step(post, held, r, noise_sum):
+        forcing(held, r, noise_sum, post)
+        W, lim = plant.fused(held, post)
+        out = W @ z
+        if np.count_nonzero(np.abs(out[nx:]) <= lim) == len(lim):
+            x[:] = out[:nx]
+            return
 
-        def f(t_stage, x_stage):
-            post = bool(t_stage >= plant.trip_time)
-            forcing(held, r, noise_sum, post)
+        def f(x_stage):
             zs = np.concatenate([x_stage, np.clip(x_stage[plant.pg], -plant.gov_lim, plant.gov_lim)])
             return plant.matrix(held, post) @ zs + b
 
         h, xs = plant.h, x.copy()
         for _ in range(SUBSTEPS):
-            k1 = f(t, xs)
-            k2 = f(t + h / 2, xs + h / 2 * k1)
-            k3 = f(t + h / 2, xs + h / 2 * k2)
-            k4 = f(t + h, xs + h * k3)
+            k1 = f(xs)
+            k2 = f(xs + h / 2 * k1)
+            k3 = f(xs + h / 2 * k2)
+            k4 = f(xs + h * k3)
             xs = xs + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
         x[:] = xs
 
     def voltages(held, noise_s):
@@ -234,10 +229,7 @@ def numpy_loop_simulate(grid, scenario, policy=None):
     noise_s, noise_sum = np.zeros(p), 0.0
     n = n_steps + 1
     t_arr = np.arange(n) * dt
-    t_end = t_arr.copy()
-    for _ in range(SUBSTEPS):
-        t_end += plant.h
-    sides = plant.sides(t_arr, t_end)
+    event = scenario.event_sample
     omega, y = np.zeros(n), np.zeros((n, plant.vsens.shape[0]))
     ul_arr, ud_arr, ud_app = np.zeros((n, p)), np.zeros((n, q)), np.zeros((n, q))
     for k in range(n):
@@ -263,9 +255,9 @@ def numpy_loop_simulate(grid, scenario, policy=None):
             ud_cmd = np.clip(ud_cmd + noise[k, dc_col:], ud_lo, ud_hi)
         r = np.clip(r + np.clip(ud_cmd - r, ramp_lo, ramp_hi), ud_lo, ud_hi)
         ul_arr[k], ud_arr[k], ud_app[k] = held.ul, ud_cmd, r
-        step(t_arr[k], sides[k], held, r, noise_sum)
+        step(event is not None and k >= event, held, r, noise_sum)
         if not np.all(np.isfinite(x)) or abs(x[0]) > 1.0:
-            raise SimulationError(f"integration diverged at t={t_end[k]:.2f}s")
+            raise SimulationError(f"integration diverged at t={(k + 1) * dt:.2f}s")
     return TrajectoryRecord(dt=dt, t=t_arr, omega=omega, y=y, ul=ul_arr, ud=ud_arr, ud_applied=ud_app)
 
 
@@ -350,13 +342,13 @@ class TestFloatLoopMatchesNumpyLoop:
             # the governor clip engages here (see test_deep_event_with_the_governor_clip_engaged)
             (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), None),
             (trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0), shed_and_ramp_policy),
-            (trip_scenario(trip_time=5.03, horizon=20.0), shed_and_ramp_policy),
+            (trip_scenario(trip_time=5.3, horizon=20.0), shed_and_ramp_policy),
             (trip_scenario(noise_amplitude=3.0, noise_channels=("loads",), horizon=20.0), shed_and_ramp_policy),
             (trip_scenario(noise_amplitude=3.0, noise_channels=("dc",), horizon=20.0), list_policy),
             (trip_scenario(horizon=20.0), signed_zero_policy),
             (trip_scenario(noise_amplitude=3.0, noise_channels=("loads", "dc"), horizon=20.0), mutating_policy),
         ],
-        ids=["excitation", "noise-policy", "noise", "clip", "clip-policy", "trip-between",
+        ids=["excitation", "noise-policy", "noise", "clip", "clip-policy", "later-trip",
              "loads-noise-policy", "lists", "signed-zeros", "mutated-in-place"],
     )
     def test_direct_runs(self, grid, scenario, make_policy):
@@ -432,6 +424,13 @@ def test_simulate_matches_reference_and_respects_limits(
     assert np.all(np.abs(steps) <= ramp_dt + 1e-9)
 
 
+def steady_state_deviation(grid, deficit):
+    """Closed-form post-event frequency deviation for a pure power deficit."""
+    if not np.isfinite(deficit):
+        raise ValueError("deficit must be finite")
+    return -deficit / (grid.total_damping() + grid.total_gov_gain())
+
+
 class TestSteadyState:
     def test_closed_form_matches_long_run(self, grid):
         # pure deficit with no trips, so every machine contributes its
@@ -454,11 +453,23 @@ class TestIntegration:
         rec4 = simulate(grid, trip_scenario())
         omega8, *_ = reference_simulate(grid, trip_scenario(), substeps=8)
         diff = np.abs(rec4.omega - omega8)
-        # the smooth segments agree to machine precision; the residual comes
-        # from RK4 stages straddling the switching instant of the trip
         trip_idx = int(round(5.0 / 0.1))
-        assert np.max(diff[:trip_idx]) == 0.0
+        assert np.max(diff[: trip_idx + 1]) == 0.0
         assert np.max(diff) < 1e-4
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("event", [{"trip_set": (1, 2, 3)}, {"extra_deficit": 0.05}], ids=["trip", "deficit"])
+    def test_the_event_sample_keeps_its_pre_event_values(self, grid, dt, event):
+        # the event strikes on its own sample, so omega and y there, and at
+        # every sample before, are those of the same noisy run without it
+        noise = dict(noise_amplitude=3.0, noise_seed=2, noise_channels=("loads",), horizon=8.0, dt=dt)
+        rec = simulate(grid, Scenario(**event, **noise))
+        quiet = simulate(grid, Scenario(**noise))
+        e = rec.scenario.event_sample
+        assert e == round(5.0 / dt)
+        assert rec.omega[: e + 1].tobytes() == quiet.omega[: e + 1].tobytes()
+        assert rec.y[: e + 1].tobytes() == quiet.y[: e + 1].tobytes()
+        assert rec.omega[e + 1] != quiet.omega[e + 1]
 
     def test_trip_pulls_frequency_down(self, grid):
         rec = simulate(grid, trip_scenario())
@@ -523,6 +534,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="noise_seed"):
             Scenario(trip_set=(1,), noise_amplitude=2.0, noise_seed=seed)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"trip_set": (1, 2), "trip_time": 5.03},
+            {"extra_deficit": 0.05, "trip_time": 5.05},
+            {"trip_set": (1,), "dt": 0.12},  # 5.0 s is 41.67 samples
+            {"trip_set": (1,), "dt": 0.3},
+        ],
+        ids=["trip-between-samples", "deficit-between-samples", "dt-0.12", "dt-0.3"],
+    )
+    def test_event_between_samples_rejected(self, kw):
+        with pytest.raises(ValueError, match="trip_time must be a whole number of dt samples"):
+            Scenario(**kw)
+
     def test_negative_noise_amplitude_rejected(self):
         # it used to pass the "needs a trip, an extra deficit or noise" check
         # and run without any event
@@ -531,18 +556,22 @@ class TestScenarioValidation:
 
 
 @pytest.mark.parametrize(
-    "kw, event",
+    "kw, event, sample",
     [
-        ({"trip_set": (1,)}, 5.0),
-        ({"trip_set": (1,), "trip_time": 7.25}, 7.25),
-        ({"extra_deficit": 0.05}, 5.0),
-        ({"extra_deficit": -0.05}, 5.0),
-        ({"noise_amplitude": 2.0}, None),
+        ({"trip_set": (1,)}, 5.0, 50),
+        ({"trip_set": (1,), "trip_time": 7.2}, 7.2, 72),
+        ({"trip_set": (1,), "trip_time": 4.8, "dt": 0.12}, 4.8, 40),
+        ({"extra_deficit": 0.05}, 5.0, 50),
+        ({"extra_deficit": -0.05}, 5.0, 50),
+        ({"noise_amplitude": 2.0}, None, None),
+        # no event, so a trip_time between samples is never used
+        ({"noise_amplitude": 2.0, "trip_time": 5.05}, None, None),
     ],
-    ids=["trip", "late-trip", "deficit", "surplus", "noise-only"],
+    ids=["trip", "late-trip", "coarse-dt", "deficit", "surplus", "noise-only", "noise-only-between-samples"],
 )
-def test_event_time_is_the_trip_time_of_a_trip_or_an_extra_deficit(kw, event):
-    assert Scenario(**kw).event_time == event
+def test_event_time_is_the_trip_time_of_a_trip_or_an_extra_deficit(kw, event, sample):
+    scenario = Scenario(**kw)
+    assert scenario.event_time == event and scenario.event_sample == sample
 
 
 class TestPolicyInterface:

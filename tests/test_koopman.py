@@ -159,13 +159,13 @@ def shedding_policy(grid, onset):
 @pytest.fixture(scope="module")
 def event_records(grid):
     """Shedding records around an event: a deficit-only step at 5.0 s with the
-    shed starting before it and again well after it, and a trip at 5.05 s, off
-    the sample grid, with the shed starting before it."""
+    shed starting before it and again well after it, and a trip at 5.3 s, three
+    samples later, with the shed starting before it."""
     deficit = Scenario(inertia_scale=0.85, extra_deficit=0.05, horizon=20.0)
     return [
         simulate(grid, deficit, shedding_policy(grid, 4.0)),
         simulate(grid, deficit, shedding_policy(grid, 8.0)),
-        simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.05, horizon=20.0), shedding_policy(grid, 3.0)),
+        simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.3, horizon=20.0), shedding_policy(grid, 3.0)),
     ]
 
 
@@ -204,18 +204,21 @@ def reference_ridge_system(records, config):
     return Zr, Yr
 
 
-def pairs_before_and_after(rec, moved, delay_span):
-    """Counts of the first-stage pairs of a shedding-free record whose omegas
-    (the window and the next sample) all lie before sample `moved`, where
-    omega first leaves 0, and all after it; no kept pair spans it."""
-    assert np.all(rec.omega[:moved] == 0.0) and np.all(rec.omega[moved:] != 0.0)
+def pairs_before_and_after(rec, event, delay_span):
+    """Counts of the first-stage pairs of a shedding-free record whose samples
+    (the window and the next sample) all lie before sample `event` and all at
+    or after it; no kept pair spans it.  omega keeps its pre-event 0 at the
+    event sample and first moves one sample later.  The pairs are told apart
+    by sample index: the fit runs on the record with each omega replaced by
+    its sample's index."""
+    assert np.all(rec.omega[: event + 1] == 0.0) and np.all(rec.omega[event + 1 :] != 0.0)
     cfg = ObservableConfig(dt=rec.dt, delay_span=delay_span, dictionary="delay", include_voltage=False)
     w = cfg.window_len
-    Zr, Yr = _regression_pairs([rec], cfg)
+    Zr, Yr = _regression_pairs([replace(rec, omega=np.arange(len(rec), dtype=float))], cfg)
     rows = len(Zr) - (w + rec.ud.shape[1])
-    omegas = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
-    pre = np.all(omegas == 0.0, axis=1)
-    assert np.all(pre | np.all(omegas != 0.0, axis=1))
+    samples = np.hstack([Zr[:rows, :w], Yr[:rows, :1]])
+    pre = np.all(samples < event, axis=1)
+    assert np.all(pre | np.all(samples >= event, axis=1))
     return np.count_nonzero(pre), rows - np.count_nonzero(pre)
 
 
@@ -263,17 +266,16 @@ class TestBatchedLift:
         assert same_bits(model.A, theta.T[:, :n]) and same_bits(model.B_d, theta.T[:, n:])
 
     @pytest.mark.parametrize("delay_span", [0.0, 0.4])
-    def test_off_grid_trip_keeps_no_pair_that_spans_the_event(self, grid, delay_span):
-        # a trip at 5.05 s moves omega first at sample 51, the first sample at
-        # or after it; sample 50 still reads the pre-event 0
-        rec = simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1, 2, 3), trip_time=5.05, horizon=10.0))
+    def test_later_trip_keeps_no_pair_that_spans_the_event(self, grid, delay_span):
+        # a trip at 5.3 s strikes at sample 53
+        rec = simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1, 2, 3), trip_time=5.3, horizon=10.0))
         w = round(delay_span / 0.1) + 1
-        # pairs k = w - 1 .. 49 before the event, and those whose window starts at 51 or later
-        assert pairs_before_and_after(rec, 51, delay_span) == (51 - w, 50 - w)
+        # pairs k = w - 1 .. 51 before the event, and those whose window starts at 53 or later
+        assert pairs_before_and_after(rec, 53, delay_span) == (53 - w, 48 - w)
 
     def test_deficit_only_record_keeps_no_pair_that_spans_its_step(self, grid):
-        # an extra deficit with no trip is an event too, moving omega first at
-        # its own sample 50 (5 of 96 pairs used to span it)
+        # an extra deficit with no trip is an event too, striking at its own
+        # sample 50 (5 of 96 pairs used to span it)
         rec = simulate(grid, Scenario(inertia_scale=0.85, extra_deficit=0.05, horizon=10.0))
         assert pairs_before_and_after(rec, 50, 0.4) == (45, 46)
 
