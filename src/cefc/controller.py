@@ -79,13 +79,16 @@ class ControlLimits:
 
     @classmethod
     def for_grid(cls, grid: GridModel, **kw) -> "ControlLimits":
+        ul_max = kw.pop("ul_max", 0.3)
+        if not is_number(ul_max):  # np.full would turn a list, true included, into ratios
+            raise ValueError(f"ul_max must be one finite number, the ratio of every load node, got {ul_max!r}")
         support = np.array(
             [lk.ud_max if lk.end == "receiving" else lk.ud_min for lk in grid.hvdc]
         )
         return cls(
             ud_min=np.array([lk.ud_min for lk in grid.hvdc]),
             ud_max=np.array([lk.ud_max for lk in grid.hvdc]),
-            ul_max=np.full(grid.n_loads, kw.pop("ul_max", 0.3)),
+            ul_max=np.full(grid.n_loads, ul_max),
             base_frequency=grid.base_frequency,
             ud_support=support,
             **kw,

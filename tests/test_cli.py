@@ -187,6 +187,15 @@ def test_invalid_scenario_value_is_a_config_error(tmp_path, workspace, capsys, s
     assert "config error: " in capsys.readouterr().err
 
 
+def test_trip_between_samples_is_a_config_error(tmp_path, workspace, capsys):
+    scenario = {"trip_set": [1], "trip_time": 5.05, "horizon": 20.0, "dt": 0.1}
+    path = config_with(tmp_path, workspace, scenario=scenario)
+    model = os.path.join(workspace["out"], "model_dmd.json")
+    assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "trip_time" in err and "Traceback" not in err
+
+
 def test_horizon_ending_before_the_prediction_start_is_a_config_error(tmp_path, workspace, capsys):
     scenario = {"trip_set": [1], "trip_time": 5.0, "horizon": 5.0, "dt": 0.1}
     path = config_with(tmp_path, workspace, scenario=scenario)
@@ -230,6 +239,10 @@ def test_malformed_config_section_is_a_config_error(tmp_path, workspace, capsys,
         ({"ul_max": 5.0}, "ul_max"),
         ({"ul_max": float("nan")}, "ul_max"),
         ({"ul_max": -0.1}, "ul_max"),
+        # one ratio for every node: a list, even of valid ratios, is refused
+        ({"ul_max": [True, 0.1, 0.2]}, "ul_max"),
+        ({"ul_max": [0.1, 0.2, 0.3]}, "ul_max"),
+        ({"ul_max": "0.3"}, "ul_max"),
         ({"quantum_mw": float("nan")}, "quantum_mw"),
         ({"quantum_mw": float("inf")}, "quantum_mw"),
         ({"quantum_mw": 0.0}, "quantum_mw"),
@@ -238,7 +251,8 @@ def test_malformed_config_section_is_a_config_error(tmp_path, workspace, capsys,
         ({"omega_min": float("-inf")}, "omega_min"),
         ({"omega_min": float("nan")}, "omega_min"),
     ],
-    ids=["margin-nan", "margin-negative", "ul-max-5", "ul-max-nan", "ul-max-negative", "quantum-nan", "quantum-inf",
+    ids=["margin-nan", "margin-negative", "ul-max-5", "ul-max-nan", "ul-max-negative", "ul-max-list-with-true",
+         "ul-max-list", "ul-max-string", "quantum-nan", "quantum-inf",
          "quantum-zero", "threshold-negative", "threshold-inf", "floor-minus-inf", "floor-nan"],
 )
 def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspace, capsys, limits, key):
