@@ -471,9 +471,12 @@ def _regression_pairs(records, config):
     Pairs whose measurement window spans the event see the deficit step as
     an unmodelled input, so only windows lying fully before or fully after
     the event are kept.  Of those, the shedding-free pairs are used, or every
-    kept pair when none is shedding-free.  The rows are counted first, then
-    each record is lifted once and its rows are written in place, so no
-    other array of the system's size is built.
+    kept pair when none is shedding-free.  The rows are counted first; then
+    one batched `lift` per record lifts only the windows its kept pairs read
+    (window j for row j of Zr, window j + 1 for row j of Yr), each once, and
+    its rows are written in place by position, so no other array of the
+    system's size is built.  A record with no kept pair is not lifted.  Each
+    lifted row depends on its own window alone, so the rows keep their bits.
     """
     w = config.window_len
     kept, quiet = [], []
@@ -493,11 +496,18 @@ def _regression_pairs(records, config):
     np.fill_diagonal(Zr[rows:], np.sqrt(RIDGE))
     start = 0
     for rec, sel in zip(records, kept):
-        lifted = lift(*_windows(rec, w), config)
+        if not sel.any():
+            continue
+        need = np.zeros(len(sel) + 1, dtype=bool)
+        need[:-1] = sel
+        need[1:] |= sel
+        om, y = _windows(rec, w)
+        lifted = lift(om[need], y[need], config)
+        at = np.cumsum(need) - 1  # window j's row of `lifted`, where need[j]
         end = start + np.count_nonzero(sel)
-        Zr[start:end, :n] = lifted[:-1][sel]
+        Zr[start:end, :n] = lifted[at[:-1][sel]]
         Zr[start:end, n:] = rec.ud[w - 1 : -1][sel]
-        Yr[start:end] = lifted[1:][sel]
+        Yr[start:end] = lifted[at[1:][sel]]
         start = end
     return Zr, Yr
 
