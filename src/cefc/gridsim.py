@@ -153,12 +153,6 @@ class GridModel:
     def n_links(self) -> int:
         return len(self.hvdc)
 
-    def total_damping(self) -> float:
-        return sum(m.damping * m.capacity for m in self.machines) / self.s_base
-
-    def total_gov_gain(self) -> float:
-        return sum(m.gov_gain * m.capacity for m in self.machines) / self.s_base
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -203,11 +197,12 @@ class Scenario:
             raise ValueError("noise amplitude must be >= 0")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("invalid horizon / sample step")
-        # an event strikes on a sample, so the plant and the fit agree on which one
-        if self.event_time is not None and abs(self.trip_time / self.dt - round(self.trip_time / self.dt)) > 1e-9:
-            raise ValueError(
-                f"scenario trip_time must be a whole number of dt samples, got {self.trip_time!r} at dt {self.dt!r}"
-            )
+        # a record ends on its horizon's sample, and an event strikes on a
+        # sample, so the plant and the fit agree on which one
+        for name in ("horizon", "trip_time") if self.event_time is not None else ("horizon",):
+            value = getattr(self, name)
+            if abs(value / self.dt - round(value / self.dt)) > 1e-9:
+                raise ValueError(f"scenario {name} must be a whole number of dt samples, got {value!r} at dt {self.dt!r}")
         for ch in self.noise_channels:
             if ch not in ("loads", "dc"):
                 raise ValueError(f"unknown noise channel {ch!r}")

@@ -531,7 +531,8 @@ def _input_response_fit(records, config, A, B_d):
     both the fast uplift and the settled gain.
 
     The segments are found first; each one's regressor rows and residuals
-    are then written in place into one X and one Y.
+    are then written in place into one X and one Y, which are freed once
+    XᵀX and XᵀY are formed, before the solve.
     """
     n = A.shape[0]
     p = records[0].ul.shape[1]
@@ -568,7 +569,12 @@ def _input_response_fit(records, config, A, B_d):
             add(shed_row, ul, out=shed_row)
             prev = row
         start += steps
-    theta = np.linalg.solve(X.T @ X + RIDGE * np.eye(n * p), X.T @ Y)
+    del row, prev, shed_row  # views of X
+    G = X.T @ X
+    XtY = X.T @ Y
+    del X, Y
+    G += RIDGE * np.eye(n * p)
+    theta = np.linalg.solve(G, XtY)
     return theta.reshape(n, p)
 
 
@@ -583,8 +589,9 @@ def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
     against B_l, which wrecks long rollouts; the staged fit keeps A anchored
     to the drift data.
 
-    Each stage fills one preallocated system a record at a time, and the
-    first stage's system is freed before the second stage builds its own;
+    Each stage fills one preallocated system a record at a time.  The first
+    stage's system is freed before the second stage builds its own, and the
+    second's once its normal equations are formed, before they are solved;
     the largest array alive is the larger of the two systems (and the copy
     `np.linalg.lstsq` makes of the first).
 

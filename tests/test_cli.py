@@ -280,13 +280,15 @@ def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspac
         ("limits", {"quantum_mw": True}, "quantum_mw"),
         ("scenario", {"trip_set": [1], "inertia_scale": True}, "inertia_scale"),
         ("weights", {"r": True}, "(r)"),
+        # 20.05 s is no whole number of 0.1 s samples: it used to record to 20.1 s
+        ("scenario", {"trip_set": [1], "horizon": 20.05}, "horizon"),
     ],
     ids=["trip-repeated", "seed-float", "seed-negative", "seed-bool", "r-inf", "r-nan", "q-inf", "q-nan",
-         "ul-max-bool", "quantum-bool", "inertia-scale-bool", "r-bool"],
+         "ul-max-bool", "quantum-bool", "inertia-scale-bool", "r-bool", "horizon-between-samples"],
 )
 def test_scenario_or_weights_value_is_a_config_error_that_names_the_key(tmp_path, workspace, capsys, section, value, named):
     if section == "scenario":
-        value = dict(value, horizon=20.0, dt=0.1)
+        value = {"horizon": 20.0, "dt": 0.1, **value}
     path = config_with(tmp_path, workspace, **{section: value})
     model = os.path.join(workspace["out"], "model_dmd.json")
     assert main(["control", "--config", path, "--model", model]) == EXIT_CONFIG

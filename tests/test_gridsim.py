@@ -424,11 +424,19 @@ def test_simulate_matches_reference_and_respects_limits(
     assert np.all(np.abs(steps) <= ramp_dt + 1e-9)
 
 
+def total_damping(grid) -> float:
+    return sum(m.damping * m.capacity for m in grid.machines) / grid.s_base
+
+
+def total_gov_gain(grid) -> float:
+    return sum(m.gov_gain * m.capacity for m in grid.machines) / grid.s_base
+
+
 def steady_state_deviation(grid, deficit):
     """Closed-form post-event frequency deviation for a pure power deficit."""
     if not np.isfinite(deficit):
         raise ValueError("deficit must be finite")
-    return -deficit / (grid.total_damping() + grid.total_gov_gain())
+    return -deficit / (total_damping(grid) + total_gov_gain(grid))
 
 
 class TestSteadyState:
@@ -535,17 +543,26 @@ class TestScenarioValidation:
             Scenario(trip_set=(1,), noise_amplitude=2.0, noise_seed=seed)
 
     @pytest.mark.parametrize(
-        "kw",
+        "kw, field",
         [
-            {"trip_set": (1, 2), "trip_time": 5.03},
-            {"extra_deficit": 0.05, "trip_time": 5.05},
-            {"trip_set": (1,), "dt": 0.12},  # 5.0 s is 41.67 samples
-            {"trip_set": (1,), "dt": 0.3},
+            ({"trip_set": (1, 2), "trip_time": 5.03}, "trip_time"),
+            ({"extra_deficit": 0.05, "trip_time": 5.05}, "trip_time"),
+            ({"trip_set": (1,), "dt": 0.12}, "trip_time"),  # 5.0 s is 41.67 samples
+            ({"trip_set": (1,), "dt": 0.3}, "trip_time"),
+            # 8.06 s used to record to 8.1 s, and 8.04 s to stop at 8.0 s
+            ({"trip_set": (1,), "horizon": 8.06}, "horizon"),
+            ({"trip_set": (1,), "horizon": 8.04}, "horizon"),
+            ({"trip_set": (1,), "trip_time": 4.8, "horizon": 8.0, "dt": 0.12}, "horizon"),  # 66.67 samples
+            # a record without an event still ends on its horizon
+            ({"noise_amplitude": 2.0, "horizon": 8.06}, "horizon"),
         ],
-        ids=["trip-between-samples", "deficit-between-samples", "dt-0.12", "dt-0.3"],
+        ids=[
+            "trip-between-samples", "deficit-between-samples", "dt-0.12", "dt-0.3",
+            "horizon-rounding-up", "horizon-rounding-down", "horizon-dt-0.12", "noise-only-horizon",
+        ],
     )
-    def test_event_between_samples_rejected(self, kw):
-        with pytest.raises(ValueError, match="trip_time must be a whole number of dt samples"):
+    def test_time_between_samples_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=f"scenario {field} must be a whole number of dt samples"):
             Scenario(**kw)
 
     def test_negative_noise_amplitude_rejected(self):

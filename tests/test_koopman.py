@@ -240,15 +240,27 @@ class TestBatchedLift:
         assert np.array_equal(lift(om[7], y[7], cfg), rows[7])
 
     @pytest.mark.parametrize("name", METHODS)
-    def test_regression_pairs_equal_the_per_window_reference(self, dataset_small, event_records, name):
-        records = dataset_small.train[:3] + event_records
-        assert any(np.any(r.ul > 0) for r in records)  # the shedding-free selection drops pairs
-        cfg = _resolve_rbf(records, method_config(name))
-        got = _regression_pairs(records, cfg)
-        want = reference_ridge_system(records, cfg)
-        assert len(got) == 2
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+    def test_regression_pairs_equal_the_per_window_reference(self, grid, dataset_small, event_records, name):
+        # at each dt: a record that sheds from its first sample and so keeps
+        # no pair, and a shedding-free one whose kept run ends at its last
+        # pair, among records whose kept runs stop and restart around an
+        # event and a shed
+        cases = {0.1: dataset_small.train[:3] + event_records}
+        for dt in (0.05, 0.2):
+            cases[dt] = [
+                simulate(grid, Scenario(inertia_scale=0.85, extra_deficit=0.05, horizon=20.0, dt=dt), shedding_policy(grid, 8.0)),
+                simulate(grid, Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.4, horizon=20.0, dt=dt), shedding_policy(grid, 3.0)),
+            ]
+        for dt, records in cases.items():
+            scenario = Scenario(inertia_scale=0.9, trip_set=(2,), horizon=12.0, dt=dt)
+            records = records + [simulate(grid, scenario, shedding_policy(grid, 0.0)), simulate(grid, scenario)]
+            assert np.all(records[-2].ul > 0) and not np.any(records[-1].ul)
+            cfg = _resolve_rbf(records, method_config(name, dt=dt))
+            got = _regression_pairs(records, cfg)
+            want = reference_ridge_system(records, cfg)
+            assert len(got) == 2
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and same_bits(a, b)
 
     @pytest.mark.parametrize("name", METHODS)
     def test_without_shedding_free_pairs_the_first_stage_takes_every_kept_pair(self, dataset_small, name):
