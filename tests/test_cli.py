@@ -280,7 +280,7 @@ def test_limits_value_that_can_break_safety_is_a_config_error(tmp_path, workspac
         ("limits", {"quantum_mw": True}, "quantum_mw"),
         ("scenario", {"trip_set": [1], "inertia_scale": True}, "inertia_scale"),
         ("weights", {"r": True}, "(r)"),
-        # 20.05 s is no whole number of 0.1 s samples: it used to record to 20.1 s
+        # 20.05 s lies between two 0.1 s samples
         ("scenario", {"trip_set": [1], "horizon": 20.05}, "horizon"),
     ],
     ids=["trip-repeated", "seed-float", "seed-negative", "seed-bool", "r-inf", "r-nan", "q-inf", "q-nan",

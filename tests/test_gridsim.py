@@ -549,7 +549,7 @@ class TestScenarioValidation:
             ({"extra_deficit": 0.05, "trip_time": 5.05}, "trip_time"),
             ({"trip_set": (1,), "dt": 0.12}, "trip_time"),  # 5.0 s is 41.67 samples
             ({"trip_set": (1,), "dt": 0.3}, "trip_time"),
-            # 8.06 s used to record to 8.1 s, and 8.04 s to stop at 8.0 s
+            # between samples, nearer the next one and nearer the last one
             ({"trip_set": (1,), "horizon": 8.06}, "horizon"),
             ({"trip_set": (1,), "horizon": 8.04}, "horizon"),
             ({"trip_set": (1,), "trip_time": 4.8, "horizon": 8.0, "dt": 0.12}, "horizon"),  # 66.67 samples
