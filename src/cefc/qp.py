@@ -26,12 +26,14 @@ def solve_qp(H, c, G, h):
     """Dual active-set QP.
 
     Returns (x, active) where `active` lists the row indices of G that bind
-    at x, in the order they entered.  Raises QPError if the rows admit no
-    feasible point, or if `MAX_ITER` iterations do not reach one.
+    at x, in the order they entered.  Raises QPError on a NaN input, if the
+    rows admit no feasible point, or if `MAX_ITER` iterations do not reach one.
     """
     c = np.asarray(c, dtype=float)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float)
+    if any(np.isnan(value).any() for value in (H, c, G, h)):
+        raise QPError("H, c, G or h holds a NaN")
     # in y = L'x, with H = LL', the objective is 1/2 |y|^2 + (L^-1 c)'y: the
     # metric of every projection below is the plain Euclidean one
     Li = np.linalg.inv(np.linalg.cholesky(np.asarray(H, dtype=float)))

@@ -190,6 +190,24 @@ def test_infeasible_shedding_rows_raise():
         solve_qp(H, np.zeros(3), *shedding_rows(C, margin))
 
 
+@pytest.mark.parametrize("name, at", [("H", (1, 1)), ("c", (0,)), ("G", (5, 2)), ("h", (5,))])
+def test_a_nan_input_raises(name, at):
+    H, C, margin = shedding_qp(np.random.default_rng(3))
+    problem = dict(zip("HcGh", (H, np.zeros(3), *shedding_rows(C, margin))))
+    problem[name][at] = np.nan
+    with pytest.raises(QPError, match="holds a NaN"):
+        solve_qp(*problem.values())
+
+
+def test_an_infinite_bound_never_binds():
+    H, C, margin = shedding_qp(np.random.default_rng(3))
+    G, h = shedding_rows(C, margin)
+    x, active = assert_solved(H, np.zeros(3), G, h)
+    loose = np.setdiff1d(np.arange(len(h)), active)[0]
+    h[loose] = np.inf
+    assert solve_qp(H, np.zeros(3), G, h)[0].tobytes() == x.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_row_with_a_negative_bound_is_infeasible():
     H = 2.0 * np.eye(2)
