@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gridsim
 from .gridsim import GridModel, Scenario, is_number
-from .koopman import KoopmanModel, _memoized, check_sample_time, first_sample_at, lift, output_response, predict_rollout, steady_state_samples, window_at, MEASUREMENT_DELAY
+from .koopman import KoopmanModel, _memoized, check_sample_time, delay_samples, lift, output_response, predict_rollout, steady_state_samples, window_at
 from .qp import QPError, solve_qp
 
 #: seconds of lifted-model prediction behind each shedding decision
@@ -189,8 +189,9 @@ def predict_max_dc(model: KoopmanModel, omega_window, y_window, limits: ControlL
 
 
 def needs_shedding(omega_hat, limits: ControlLimits) -> bool:
-    """True when the full-support prediction dips under the planning floor."""
-    return bool(np.min(omega_hat) < limits.planning_floor)
+    """True unless the full-support prediction stays at or above the planning
+    floor on every step a shed can move, from `SHED_LAG + 1` on (NaN is under)."""
+    return not np.all(np.asarray(omega_hat)[SHED_LAG + 1 :] >= limits.planning_floor)
 
 
 def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
@@ -206,14 +207,14 @@ def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
 
 
 def _memoized_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
-    """`shedding_sensitivity`, solved once per model and `steps`; read-only."""
+    """`shedding_sensitivity`, solved once per model, `steps` and `SHED_LAG`; read-only."""
 
     def solve():
         C = shedding_sensitivity(model, steps)
         C.setflags(write=False)
         return C
 
-    return _memoized(model._memo, ("sensitivity", model.A, model.B_l, steps), solve)
+    return _memoized(model._memo, ("sensitivity", model.A, model.B_l, steps, SHED_LAG), solve)
 
 
 def quantize(amounts, d: float):
@@ -256,8 +257,7 @@ def solve_shedding(
     cleared.  The quantized shed of a node is a whole number of quanta, at
     most its maximum rounded down to a whole quantum.  `om_free` is the
     full-support rollout of `predict_max_dc` on the same arguments, when the
-    caller already has it; the sensitivity matrix is computed once per model
-    and `steps`.
+    caller already has it.  A NaN step in `om_free` gives the flagged maximum.
     """
     node_base_mw = np.asarray(node_base_mw, dtype=float)
     p = model.n_loads
@@ -265,8 +265,6 @@ def solve_shedding(
 
     if om_free is None:
         om_free = predict_max_dc(model, omega_window, y_window, limits, steps)
-    C = _memoized_sensitivity(model, steps)
-    margin = om_free - limits.planning_floor  # must stay >= -C x
 
     # each node's cap, rounded down to a whole quantum (within 1e-9 quantum,
     # so that a cap of 210 MW stays 21 quanta of 10 MW)
@@ -285,11 +283,14 @@ def solve_shedding(
             feasible=feasible,
         )
 
-    # constrain only the steps the shed moves, from SHED_LAG + 1 on; with
-    # steps <= SHED_LAG there are none, and the cost H below would be zero
-    reach = slice(SHED_LAG + 1, None)
-    if np.all(margin[reach] >= 0):
+    # constrain only the steps the shed moves, from SHED_LAG + 1 on, as
+    # `needs_shedding` does; with steps <= SHED_LAG there are none, and the
+    # cost H below would be zero
+    if not needs_shedding(om_free, limits):
         return make_plan(np.zeros(p), True)
+    C = _memoized_sensitivity(model, steps)
+    margin = om_free - limits.planning_floor  # must stay >= -C x
+    reach = slice(SHED_LAG + 1, None)
 
     H = 2.0 * (steps - SHED_LAG) * np.diag(q1_diag)
     G = np.vstack([-C[reach], -np.eye(p), np.eye(p)])
@@ -401,7 +402,7 @@ def coordinate(
     cfg = model.config
     w = cfg.window_len
     dt = scenario.dt
-    delay_steps = first_sample_at(MEASUREMENT_DELAY, dt)  # arm no sooner than the delay after detection
+    delay_steps = delay_samples(dt)  # arm no sooner than the delay after detection
     p, q = grid.n_loads, grid.n_links
     n = scenario.n_steps + 1  # samples in the record
     ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
@@ -415,9 +416,6 @@ def coordinate(
         om = om_hist[-1]
         if detect_k is None and om <= -0.25 * limits.activation_threshold_pu:
             detect_k = k
-
-        # activation (below) sets the plan; it is applied from the next step on
-        ul = no_shed if plan is None else plan.quantized_ratio
 
         if activated_k is None:
             ready = detect_k is not None and k - detect_k >= delay_steps and k >= w - 1
@@ -441,6 +439,8 @@ def coordinate(
             g = lift(*window_at(om_hist, y_hist, k, w), cfg)
             ud = lqr_step(g, sol, limits)
         ud_cmds[k] = ud
+        # the plan set at activation is applied from SHED_LAG samples after it
+        ul = no_shed if plan is None or k < activated_k + SHED_LAG else plan.quantized_ratio
         return ul, ud
 
     rec = gridsim.simulate(grid, scenario, policy)

@@ -155,16 +155,15 @@ def _layout(config) -> str:
     )
 
 
-def _event_time(scenario) -> float:
-    """`Scenario.event_time`, or 0 (the record's start) without a scenario or an event."""
-    return 0.0 if scenario is None or scenario.event_time is None else scenario.event_time
+def _event_sample(scenario) -> int:
+    """`Scenario.event_sample`, or 0 (the record's start) without a scenario or an event."""
+    return 0 if scenario is None or scenario.event_sample is None else scenario.event_sample
 
 
 def _event_and_shed(rec, w: int) -> tuple:
-    """The record's event sample e (`Scenario.event_sample`, 0 without a scenario
-    or an event); e + w - 1, the end of the first window wholly after it; and
-    the mask of shed samples."""
-    e = 0 if rec.scenario is None or rec.scenario.event_sample is None else rec.scenario.event_sample
+    """The record's event sample e (`_event_sample`); e + w - 1, the end of the
+    first window wholly after it; and the mask of shed samples."""
+    e = _event_sample(rec.scenario)
     return e, e + w - 1, np.any(rec.ul > 0, axis=1)
 
 
@@ -680,23 +679,17 @@ def output_response(A, x, *inputs) -> np.ndarray:
     return out
 
 
-def first_sample_at(t: float, dt: float) -> int:
-    """Index of the first sample at or after time `t`, with 1e-9 of a sample as
-    rounding tolerance."""
-    return int(np.ceil(t / dt - 1e-9))
+def delay_samples(dt: float) -> int:
+    """Samples in `MEASUREMENT_DELAY` at sample time `dt`, rounded up, with
+    1e-9 of a sample as rounding tolerance."""
+    return int(np.ceil(MEASUREMENT_DELAY / dt - 1e-9))
 
 
-def prediction_start(rec, config) -> int:
-    """Index of the first measured window: the first sample with a full window
-    at or after `MEASUREMENT_DELAY` past `Scenario.event_time` (0 without a
-    scenario or an event)."""
-    return scenario_prediction_start(rec.scenario, rec.dt, config)
-
-
-def scenario_prediction_start(scenario, dt: float, config) -> int:
-    """`prediction_start` of any record of `scenario` (None: no scenario)
-    sampled every `dt`, known before the run."""
-    return max(config.window_len - 1, first_sample_at(_event_time(scenario) + MEASUREMENT_DELAY, dt))
+def prediction_start(scenario, dt: float, config) -> int:
+    """Index of the first measured window of any record of `scenario` (None: no
+    scenario) sampled every `dt`: the first sample with a full window and
+    `delay_samples(dt)` after `_event_sample`, known before the run."""
+    return max(config.window_len - 1, _event_sample(scenario) + delay_samples(dt))
 
 
 def predict_record(model: KoopmanModel, rec):
@@ -705,7 +698,7 @@ def predict_record(model: KoopmanModel, rec):
     Returns (start index, omega-hat for every sample from the start on).
     """
     check_sample_time("the record", rec.dt, model.config)
-    k0 = prediction_start(rec, model.config)
+    k0 = prediction_start(rec.scenario, rec.dt, model.config)
     window = window_at(rec.omega, rec.y, k0, model.config.window_len)
     om_hat = predict_rollout(model, *window, rec.ul[k0:-1], rec.ud[k0:-1], len(rec) - 1 - k0)
     return k0, om_hat
@@ -722,7 +715,7 @@ def eval_metrics(model: KoopmanModel, test_records, base_frequency: float) -> di
     nadir_err, ssv_err, traj_err = [], [], []
     n_diverged = 0
     for rec in test_records:
-        if len(rec) - 1 - prediction_start(rec, model.config) <= 1:
+        if len(rec) - 1 - prediction_start(rec.scenario, rec.dt, model.config) <= 1:
             continue
         k0, om_hat = predict_record(model, rec)
         om_true = rec.omega[k0:]

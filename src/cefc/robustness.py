@@ -18,7 +18,7 @@ import numpy as np
 from . import gridsim
 from .controller import SHED_LAG, ControlLimits, prediction_steps, shed_weights
 from .gridsim import GridModel, Scenario, SimulationError
-from .koopman import KoopmanModel, ObservableConfig, check_sample_time, lift, scenario_prediction_start, window_at
+from .koopman import KoopmanModel, ObservableConfig, check_sample_time, lift, prediction_start, window_at
 
 MODE_CAP = 4096
 
@@ -153,7 +153,7 @@ def _measured_window(grid, scenario, limits, config):
     def policy(t, om_hist, y_hist):
         return np.zeros(grid.n_loads), limits.ud_support
 
-    k0 = scenario_prediction_start(scenario, scenario.dt, config)
+    k0 = prediction_start(scenario, scenario.dt, config)
     horizon = min(scenario.horizon, max(k0, 1) * scenario.dt)
     rec = gridsim.simulate(grid, replace(scenario, horizon=horizon), policy)
     return window_at(rec.omega, rec.y, k0, config.window_len)
@@ -171,7 +171,7 @@ def brute_force_mode(
     last of `check_prop1`'s measured window under `modes.config`, as
     `coordinate` applies a plan.  Returns (index or None, feasibility mask).
     """
-    shed_k = scenario_prediction_start(scenario, scenario.dt, modes.config) + SHED_LAG
+    shed_k = prediction_start(scenario, scenario.dt, modes.config) + SHED_LAG
     feasible = np.zeros(modes.n_modes, dtype=bool)
     for i in range(modes.n_modes):
         ratio = np.clip(modes.shed_ratio[i], 0.0, 1.0)

@@ -486,6 +486,18 @@ class TestSolveShedding:
         assert np.all(plan.quantized_mw <= limits.ul_max * node_base + 1e-9)
         assert np.all(plan.quantized_mw % limits.quantum_mw < 1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_in_the_prediction_gives_the_flagged_cap(self, grid, node_base):
+        # a NaN step counts as under the floor, and the QP refuses the NaN
+        model = KoopmanModel(A=np.array([[0.97]]), B_l=np.full((1, 3), 0.02), B_d=np.zeros((1, 2)), config=scalar_model().config)
+        lim = ControlLimits.for_grid(grid)
+        om_free = np.full(101, -0.005)
+        om_free[50] = np.nan
+        plan = solve_shedding(model, [-0.005], [[]], lim, node_base, 100, om_free=om_free)
+        assert not plan.feasible
+        assert np.array_equal(plan.continuous_ratio, lim.ul_max)
+        assert plan.quantized_mw.tolist() == [210.0, 180.0, 150.0]
+
     @pytest.mark.parametrize(
         "quantum_mw, ul_max, want",
         [(40.0, 0.3, [200.0, 160.0, 120.0]), (10.0, 0.25, [170.0, 150.0, 120.0])],
@@ -590,6 +602,31 @@ class TestCoordinate:
         rollout = predict_rollout(cefc_model, *window, rec.ul[k0:-1], rec.ud[k0:-1], scenario.n_steps - k0)
         assert om_hat.tobytes() == rollout.tobytes()
 
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_the_shed_lands_shed_lag_samples_after_arming(self, grid, cefc_model, limits, monkeypatch, lag):
+        monkeypatch.setattr(controller, "SHED_LAG", lag)
+        trace = coordinate(grid, control_scenario(0.85), cefc_model, limits)
+        rec = trace.record
+        k = int(round(trace.activation_time / rec.dt))
+        assert trace.plan is not None and trace.plan.total_mw > 0
+        shed = np.flatnonzero(np.any(rec.ul > 0, axis=1))
+        assert shed[0] == k + lag and shed[-1] == len(rec) - 1
+        assert trace.plan.shed_time == pytest.approx(rec.t[k + lag], abs=1e-9)
+
+    def test_a_nan_prediction_ships_the_flagged_cap(self, grid, limits, monkeypatch):
+        rollout = controller.predict_max_dc
+
+        def with_a_nan(*args):
+            om = rollout(*args)
+            om[5] = np.nan
+            return om
+
+        monkeypatch.setattr(controller, "predict_max_dc", with_a_nan)
+        trace = coordinate(grid, replace(control_scenario(0.85), horizon=20.0), grid_scalar_model(grid), limits)
+        shed = trace.summary(grid.base_frequency)["shed"]
+        assert shed is not None and shed["feasible"] is False
+        assert shed["quantized_mw"] == [210.0, 180.0, 150.0]
+
     def test_rejects_unknown_dc_mode(self, grid, cefc_model, limits):
         from cefc.bench import control_scenario
 
@@ -600,8 +637,24 @@ class TestCoordinate:
 class TestNeedsShedding:
     def test_uses_the_planning_floor(self):
         lim = scalar_limits(planning_margin_pu=0.004)
-        assert needs_shedding([-0.017], lim)
-        assert not needs_shedding([-0.015], lim)
+        assert needs_shedding([0.0, 0.0, -0.017], lim)
+        assert not needs_shedding([0.0, 0.0, -0.015], lim)
+
+    def test_a_dip_the_shed_cannot_move_needs_no_shed(self):
+        # steps 0 to SHED_LAG come before the shed lands, so no shed lifts them
+        model, lim = scalar_model(), scalar_limits(ud_support=np.zeros(2))
+        om_free = np.full(101, -0.005)
+        om_free[: controller.SHED_LAG + 1] = -0.03
+        assert not needs_shedding(om_free, lim)
+        plan = solve_shedding(model, [-0.005], [[]], lim, [1800.0], 100, om_free=om_free)
+        assert plan.feasible and np.all(plan.continuous_mw == 0.0) and plan.total_mw == 0.0
+        om_free[controller.SHED_LAG + 1] = -0.03
+        assert needs_shedding(om_free, lim)
+
+    def test_a_nan_step_needs_a_shed(self):
+        lim = scalar_limits()
+        assert needs_shedding([0.0, 0.0, np.nan, 0.0], lim)
+        assert not needs_shedding([np.nan, np.nan, 0.0], lim)
 
 
 class TestLqrWeights:
@@ -686,6 +739,15 @@ class TestComputedOnce:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
         assert C.tobytes() == shedding_sensitivity(model, 50).tobytes()
+
+    def test_sensitivity_is_kept_per_shed_lag(self, grid, monkeypatch):
+        model = grid_scalar_model(grid)
+        C1 = controller._memoized_sensitivity(model, 50)
+        monkeypatch.setattr(controller, "SHED_LAG", 2)
+        C2 = controller._memoized_sensitivity(model, 50)
+        assert C2.tobytes() == shedding_sensitivity(model, 50).tobytes()
+        assert np.any(C1[2] != 0.0) and np.all(C2[2] == 0.0)
+        assert controller._memoized_sensitivity(model, 50) is C2
 
     @pytest.mark.parametrize("fitted_first", [True, False], ids=["fitted-first", "rebuilt-first"])
     def test_c_ordered_copies_give_the_fitted_bytes(self, grid, dataset_small, limits, fitted_first):

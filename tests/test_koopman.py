@@ -24,7 +24,6 @@ from cefc.koopman import (
     predict_record,
     predict_rollout,
     prediction_start,
-    scenario_prediction_start,
 )
 
 
@@ -428,18 +427,30 @@ class TestPredictionStart:
         cfg = method_config("cefc", dt=dt)
         scenario = Scenario(noise_amplitude=2.0, dt=dt)
         want = max(cfg.window_len - 1, int(np.ceil(koopman.MEASUREMENT_DELAY / dt - 1e-9)))
-        assert scenario_prediction_start(scenario, dt, cfg) == want == scenario_prediction_start(None, dt, cfg)
+        assert prediction_start(scenario, dt, cfg) == want == prediction_start(None, dt, cfg)
         if dt == 0.1:
             assert want == 4
 
     def test_record_without_an_event_starts_at_the_delay(self, grid):
         rec = simulate(grid, Scenario(noise_amplitude=2.0, horizon=2.0))
-        assert prediction_start(rec, method_config("cefc")) == 4
+        assert prediction_start(rec.scenario, rec.dt, method_config("cefc")) == 4
 
     @pytest.mark.parametrize("kw", [{"trip_set": (1,)}, {"extra_deficit": 0.05}])
     def test_an_event_delays_the_start(self, kw):
         cfg = method_config("cefc")
-        assert scenario_prediction_start(Scenario(**kw), 0.1, cfg) == 54
+        assert prediction_start(Scenario(**kw), 0.1, cfg) == 54
+
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.12, 0.2, 0.3, 0.7])
+    @pytest.mark.parametrize("delays", [0, 4, 40])
+    def test_counts_the_delay_in_samples_from_the_event_sample(self, delays, dt):
+        # the start in samples equals the first sample with a full window at
+        # or after event time + MEASUREMENT_DELAY, counted in seconds
+        cfg = ObservableConfig(dt=dt, delay_span=delays * dt, dictionary="delay" if delays else "identity", include_voltage=False)
+        for e in range(400):
+            scenario = Scenario(trip_set=(1,), trip_time=e * dt, horizon=(e + 10) * dt, dt=dt)
+            assert scenario.event_sample == e
+            in_seconds = int(np.ceil((scenario.trip_time + koopman.MEASUREMENT_DELAY) / dt - 1e-9))
+            assert prediction_start(scenario, dt, cfg) == max(cfg.window_len - 1, in_seconds)
 
 
 class TestEvalMetrics:

@@ -136,7 +136,7 @@ def test_measured_window_starts_at_least_the_measurement_delay_after_the_trip(gr
     scenario = Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=trip_time, horizon=8.0)
     config = method_config("cefc")
     rec = simulate(grid, scenario, lambda t, om, y: (np.zeros(grid.n_loads), limits.ud_support))
-    assert prediction_start(rec, config) == start
+    assert prediction_start(scenario, scenario.dt, config) == start
     om, y = _measured_window(grid, scenario, limits, config)
     assert np.array_equal(om, rec.omega[start - 4 : start + 1])
     assert np.array_equal(y, rec.y[start - 4 : start + 1])
@@ -184,7 +184,7 @@ def test_measured_window_ending_on_the_last_sample_equals_the_full_run(grid, lim
     full = Scenario(inertia_scale=0.85, trip_set=(1,), trip_time=5.0, horizon=30.0,
                     noise_amplitude=noise, noise_seed=4, noise_channels=("loads", "dc"))
     rec = simulate(grid, full, lambda t, om, y: (np.zeros(grid.n_loads), limits.ud_support))
-    k0 = prediction_start(rec, config)
+    k0 = prediction_start(rec.scenario, rec.dt, config)
     short = replace(full, horizon=k0 * full.dt)
     for scenario in (full, short):
         om, y = _measured_window(grid, scenario, limits, config)
