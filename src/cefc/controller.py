@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gridsim
-from .gridsim import GridModel, Scenario, is_number
+from .gridsim import GridModel, Scenario, is_number, shed_weights
 from .koopman import KoopmanModel, _memoized, check_sample_time, delay_samples, lift, output_response, predict_rollout, steady_state_samples, window_at
 from .qp import QPError, solve_qp
 
@@ -225,15 +225,6 @@ def quantize(amounts, d: float):
     if np.any(amounts < -1e-12):
         raise ValueError("shedding amounts must be nonnegative")
     return np.floor(np.clip(amounts, 0.0, None) / d + 0.5) * d
-
-
-def shed_weights(node_base_mw) -> np.ndarray:
-    """Diagonal of the shedding cost Q1: each node's base power over the mean."""
-    node_base_mw = np.asarray(node_base_mw, dtype=float)
-    q1_diag = node_base_mw / np.mean(node_base_mw)
-    if np.any(q1_diag <= 0) or not np.all(np.isfinite(q1_diag)):
-        raise ValueError("Q1 diagonal must be positive and finite")
-    return q1_diag
 
 
 def solve_shedding(

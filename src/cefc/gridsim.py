@@ -167,6 +167,16 @@ class GridModel:
         return _located("grid.", cls, {**d, **entries})
 
 
+def shed_weights(node_base_mw) -> np.ndarray:
+    """Each node's base power over the mean: the shedding cost Q1's diagonal,
+    and pl, the direction of the fitted shed input B_l = β plᵀ."""
+    node_base_mw = np.asarray(node_base_mw, dtype=float)
+    q1_diag = node_base_mw / np.mean(node_base_mw)
+    if np.any(q1_diag <= 0) or not np.all(np.isfinite(q1_diag)):
+        raise ValueError("Q1 diagonal must be positive and finite")
+    return q1_diag
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Disturbance description: trips, inertia scaling and excitation noise."""

@@ -4,7 +4,8 @@ Observables are the current COI frequency deviation plus a configurable
 dictionary over a trailing time-delay window of frequency and bus voltages
 (delay coordinates, Gaussian radial basis features, or both).  The lifted
 dynamics g+ = A g + B_l u_l + B_d u_d are fitted by ridge-regularized least
-squares over all consecutive sample pairs.
+squares over all consecutive sample pairs.  The shed enters as one channel,
+B_l = β plᵀ, as the plant sees it: through the shed power ul · pl.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gridsim import GridModel, Scenario, TrajectoryRecord, SimulationError, is_number, simulate
+from .gridsim import GridModel, Scenario, TrajectoryRecord, SimulationError, is_number, shed_weights, simulate
 
 DICTIONARIES = ("identity", "delay", "rbf", "delay_rbf")
 
@@ -331,7 +332,7 @@ def _check_layout(dim: int, config: ObservableConfig):
 class Dataset:
     train: list  # TrajectoryRecord
     test: list
-    grid: GridModel | None = None
+    grid: GridModel  # the grid the records ran on; `fit` reads its load base
     seed: int | None = None
     # models fitted on `train`, filled through `_memoized` by `fit`; not saved
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -348,8 +349,7 @@ class Dataset:
                 if rec.scenario is not None:
                     entry["scenario"] = rec.scenario.to_dict()
                 manifest[split].append(entry)
-        if self.grid is not None:
-            manifest["grid"] = self.grid.to_dict()
+        manifest["grid"] = self.grid.to_dict()
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2)
 
@@ -357,9 +357,7 @@ class Dataset:
     def load(cls, outdir) -> "Dataset":
         with open(os.path.join(outdir, "manifest.json")) as fh:
             manifest = json.load(fh)
-        ds = cls(train=[], test=[], seed=manifest.get("seed"))
-        if "grid" in manifest:
-            ds.grid = GridModel.from_dict(manifest["grid"])
+        ds = cls(train=[], test=[], grid=GridModel.from_dict(manifest["grid"]), seed=manifest.get("seed"))
         for split in ("train", "test"):
             for entry in manifest[split]:
                 rec = TrajectoryRecord.read_csv(os.path.join(outdir, entry["file"]))
@@ -517,24 +515,26 @@ def _ridge_lstsq(Zr, Yr):
     return np.linalg.lstsq(Zr, Yr, rcond=None)[0]
 
 
-def _input_response_fit(records, config, A, B_d):
-    """Shedding input matrix by simulation-error least squares, A and B_d fixed.
+def _input_response_fit(records, config, A, B_d, pl):
+    """Shedding input matrix B_l = β plᵀ by simulation-error least squares,
+    A and B_d fixed.  A shed enters the plant's swing equation through its
+    power alone, so β is the response to one channel, the shed power
+    s_t = ul_t · pl, with pl the load base over its mean (`shed_weights`).
 
-    The rolled-out frequency component is linear in the entries of B_l, so
-    matching the measured trajectories after each shedding onset is still a
-    convex least-squares problem.  One-step residual fits misattribute the
-    response of a persistent shedding step: pairs after the onset carry
-    almost no information (the measurement window already reflects the
-    reduced net deficit), and the near-unit modes of A make the long-horizon
-    response explosively sensitive to B_l.  The multi-step objective pins
-    both the fast uplift and the settled gain.
+    The rolled-out frequency component is linear in β, so matching the
+    measured trajectories after each shedding onset is a convex least-squares
+    problem in dim unknowns.  One-step residual fits misattribute the response
+    of a persistent shedding step: pairs after the onset carry almost no
+    information (the measurement window already reflects the reduced net
+    deficit), and the near-unit modes of A make the long-horizon response
+    explosively sensitive to β.  The multi-step objective pins both the fast
+    uplift and the settled gain.
 
     The segments are found first; each one's regressor rows and residuals
-    are then written in place into one X and one Y, which are freed once
-    XᵀX and XᵀY are formed, before the solve.
+    are then written in place into one X (total × dim) and one Y, which are
+    freed once XᵀX and XᵀY are formed, before the solve.
     """
     n = A.shape[0]
-    p = records[0].ul.shape[1]
     w = config.window_len
     segments = []
     for rec in records:
@@ -544,37 +544,33 @@ def _input_response_fit(records, config, A, B_d):
         if shed.any() and steps > 0:
             segments.append((rec, k0, steps))
     if not segments:
-        return np.zeros((n, p))
+        return np.zeros((n, len(pl)))
     total = sum(steps for _, _, steps in segments)
-    X = np.empty((total, n * p))
+    X = np.empty((total, n))
     Y = np.empty(total)
     AT = A.T  # kept a view: its layout picks the BLAS call, which can change the rounding
-    matmul, add = np.matmul, np.add
-    zero = np.zeros((n, p))  # the coefficients before every onset
+    zero = np.zeros(n)  # the coefficients before every onset
     start = 0
     for rec, k0, steps in segments:
         g = lift(*window_at(rec.omega, rec.y, k0, w), config)
-        free = output_response(A, g, _input_terms(B_d, rec.ud[k0 : k0 + steps]))[1:]  # omega-hat with B_l = 0
+        free = output_response(A, g, _input_terms(B_d, rec.ud[k0 : k0 + steps]))[1:]  # omega-hat with β = 0
         np.subtract(rec.omega[k0 + 1 : k0 + 1 + steps], free, out=Y[start : start + steps])
-        # row t = d(omega-hat at k0 + t + 1) / d(B_l) = Aᵀ row (t-1) + e0 ulᵀ,
-        # with the zero block as row -1; each row is a C-ordered (n, p) view
-        # of X.  The shed is added to row 0 alone: the BLAS product holds no
-        # -0.0 for the other rows' + 0.0 to turn into +0.0, so the bits are
-        # the same.
+        # row t = d(omega-hat at k0 + t + 1) / dβ = Aᵀ row (t-1) + e0 s_t,
+        # with zeros as row -1.  The shed power is added to entry 0 alone:
+        # the BLAS product holds no -0.0 for the other entries' + 0.0 to
+        # turn into +0.0, so the bits are the same.
         prev = zero
-        for row, ul in zip(X[start : start + steps].reshape(steps, n, p), rec.ul[k0 : k0 + steps]):
-            matmul(AT, prev, out=row)
-            shed_row = row[0]
-            add(shed_row, ul, out=shed_row)
+        for row, shed in zip(X[start : start + steps], rec.ul[k0 : k0 + steps] @ pl):
+            np.matmul(AT, prev, out=row)
+            row[0] += shed
             prev = row
         start += steps
-    del row, prev, shed_row  # views of X
+    del row, prev  # views of X
     G = X.T @ X
     XtY = X.T @ Y
     del X, Y
-    G += RIDGE * np.eye(n * p)
-    theta = np.linalg.solve(G, XtY)
-    return theta.reshape(n, p)
+    G += RIDGE * np.eye(n)
+    return np.outer(np.linalg.solve(G, XtY), pl)
 
 
 def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
@@ -582,8 +578,9 @@ def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
 
     `data` is a Dataset, and the fit uses its training records.  The fit runs
     in two stages: A and B_d come from the shedding-free pairs, then B_l from
-    a simulation-error fit over the post-onset segments with A and B_d held
-    fixed.  A persistent shedding step is nearly collinear with the slow
+    a simulation-error fit of β in B_l = β plᵀ over the post-onset segments
+    with A and B_d held fixed; pl is the load base of `data.grid` over its
+    mean.  A persistent shedding step is nearly collinear with the slow
     modes of the lifted state, and a joint one-step fit trades accuracy of A
     against B_l, which wrecks long rollouts; the staged fit keeps A anchored
     to the drift data.
@@ -594,8 +591,8 @@ def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
     the largest array alive is the larger of the two systems (and the copy
     `np.linalg.lstsq` makes of the first).
 
-    The Dataset keeps the models fitted on it, keyed by its training records
-    and the feature layout `(dt, delay_span, rbf_count, include_voltage)`.
+    The Dataset keeps the models fitted on it, keyed by its training records,
+    pl and the feature layout `(dt, delay_span, rbf_count, include_voltage)`.
     The `dictionary` label is not in the key, because it does not change the
     model.  Every fit returns a model under the caller's config that shares
     the kept read-only matrices, RBF centres and widths.
@@ -603,11 +600,12 @@ def fit(data: Dataset, config: ObservableConfig) -> KoopmanModel:
     records = data.train
     if not records:
         raise ValueError("empty dataset")
-    inputs = [float(config.dt), float(config.delay_span), config.rbf_count, config.include_voltage]
+    pl = shed_weights(data.grid.load_base_mw)
+    inputs = [float(config.dt), float(config.delay_span), config.rbf_count, config.include_voltage, pl]
     for rec in records:
         check_sample_time("a training record", rec.dt, config)
         inputs += [repr(rec.scenario), rec.dt, rec.omega, rec.y, rec.ul, rec.ud]
-    kept = _memoized(data._fits, inputs, lambda: _fit_records(records, config))
+    kept = _memoized(data._fits, inputs, lambda: _fit_records(records, config, pl))
     if config.rbf_count > 0:
         config = replace(config, rbf_centers=kept.config.rbf_centers, rbf_widths=kept.config.rbf_widths)
     return KoopmanModel(A=kept.A, B_l=kept.B_l, B_d=kept.B_d, config=config)
@@ -631,14 +629,14 @@ def _memoized(store: dict, inputs, compute):
     return store[key]
 
 
-def _fit_records(records, config) -> KoopmanModel:
+def _fit_records(records, config, pl) -> KoopmanModel:
     config = _resolve_rbf(records, config)
     # no name holds the ridge system, so it is freed before the second stage
     theta = _ridge_lstsq(*_regression_pairs(records, config))
     n = theta.shape[1]
     A = theta.T[:, :n]
     B_d = theta.T[:, n:]
-    B_l = _input_response_fit(records, config, A, B_d)
+    B_l = _input_response_fit(records, config, A, B_d, pl)
 
     return KoopmanModel(A=A, B_l=B_l, B_d=B_d, config=config)
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cefc.bench import (
@@ -14,7 +15,7 @@ from cefc.bench import (
     run_prediction_table,
 )
 from cefc.controller import LqrWeights
-from cefc.koopman import generate_dataset
+from cefc.koopman import fit, generate_dataset, method_config
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,17 @@ def subcases(grid, limits, cefc_model, weights, outdir):
 @pytest.fixture(scope="module")
 def edcps(grid, limits, cefc_model, weights, outdir):
     return run_edcps_comparison(grid, limits, cefc_model, weights, outdir)
+
+
+@pytest.fixture(scope="module", params=["cefc_model", 1, 7])
+def bench_subcases(request, grid, limits, weights, subcases, tmp_path_factory):
+    """The subcase summaries of the `cefc_model` fixture, and of `cefc bench
+    --train 8 --test 4` on seeds 1 and 7."""
+    if request.param == "cefc_model":
+        return subcases
+    ds = generate_dataset(grid, 8, 4, seed=request.param)
+    model = fit(ds, method_config("cefc", dt=ds.train[0].dt))
+    return run_control_subcases(grid, limits, model, weights, str(tmp_path_factory.mktemp("bench8")))
 
 
 def read_columns(path):
@@ -74,6 +86,16 @@ def test_control_subcases_outputs(subcases, outdir):
     assert [r["inertia_scale"] for r in summary] == list(SUBCASE_INERTIA)
     for r in summary:
         assert r["nadir_hz"] > 48.0  # arrested decline in every subcase
+
+
+def test_every_feasible_continuous_plan_sheds_one_ratio_at_every_node(grid, bench_subcases):
+    # the model takes the shed as one channel, B_l = β plᵀ, and Q1 = diag(pl),
+    # so the cheapest shed of a given power takes one ratio of every load base
+    plans = [r["shed"] for r in bench_subcases if r["shed"] is not None and r["shed"]["feasible"]]
+    assert any(sum(plan["continuous_mw"]) > 0 for plan in plans)
+    for plan in plans:
+        ratio = np.asarray(plan["continuous_mw"]) / grid.load_base_mw
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12, atol=0)
 
 
 def test_edcps_comparison_outputs(edcps, outdir):

@@ -483,9 +483,22 @@ def test_dataset_without_training_trajectories_is_a_config_error(tmp_path, works
     path = config_with(tmp_path, workspace)
     data_dir = tmp_path / "out" / "dataset"
     data_dir.mkdir(parents=True)
-    (data_dir / "manifest.json").write_text(json.dumps({"seed": 1, "train": [], "test": []}))
+    (data_dir / "manifest.json").write_text(json.dumps({"seed": 1, "train": [], "test": [], "grid": GRID}))
     assert main(["fit", "--config", path, "--method", "dmd"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: dataset {data_dir} has no training trajectories\n"
+
+
+def test_dataset_without_a_grid_is_a_config_error(tmp_path, workspace, capsys):
+    # the fit reads the shed direction from the grid's load base
+    path = config_with(tmp_path, workspace)
+    data_dir = tmp_path / "out" / "dataset"
+    shutil.copytree(os.path.join(workspace["out"], "dataset"), data_dir)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    del manifest["grid"]
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["fit", "--config", path, "--method", "cefc"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot read dataset {data_dir}: no 'grid' entry\n"
+    assert not (tmp_path / "out" / "model_cefc.json").exists()
 
 
 def test_dataset_with_a_shedding_ratio_above_one_is_a_config_error(tmp_path, workspace, capsys):
@@ -514,7 +527,7 @@ def test_malformed_input_file_is_a_config_error(tmp_path, workspace, capsys, wha
     else:  # a manifest without its train split
         bad = tmp_path / "out" / "dataset"
         bad.mkdir(parents=True)
-        (bad / "manifest.json").write_text(json.dumps({"seed": 1, "test": []}))
+        (bad / "manifest.json").write_text(json.dumps({"seed": 1, "test": [], "grid": GRID}))
         argv, key = ["fit", "--method", "dmd"], "train"
     assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: cannot read {what} {bad}: no '{key}' entry")

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cefc import koopman
-from cefc.gridsim import Scenario, simulate
+from cefc.gridsim import Scenario, shed_weights, simulate
 from cefc.koopman import (
     _input_response_fit,
     _regression_pairs,
@@ -262,13 +262,13 @@ class TestBatchedLift:
                 assert np.array_equal(a, b) and same_bits(a, b)
 
     @pytest.mark.parametrize("name", METHODS)
-    def test_without_shedding_free_pairs_the_first_stage_takes_every_kept_pair(self, dataset_small, name):
+    def test_without_shedding_free_pairs_the_first_stage_takes_every_kept_pair(self, grid, dataset_small, name):
         records = []
         for rec in dataset_small.train[:3]:
             ul = rec.ul.copy()
             ul[:, 0] = np.maximum(ul[:, 0], 0.02)  # shedding from the first window on
             records.append(replace(rec, ul=ul))
-        model = fit(Dataset(train=records, test=[]), method_config(name))
+        model = fit(Dataset(train=records, test=[], grid=grid), method_config(name))
         G0, G1, U = reference_regression_pairs(records, _resolve_rbf(records, method_config(name)))
         n, q = G0.shape[1], records[0].ud.shape[1]
         Zr = np.vstack([np.hstack([G0, U[:, -q:]]), np.sqrt(koopman.RIDGE) * np.eye(n + q)])
@@ -314,28 +314,28 @@ def reference_segments(records, config):
             yield rec, k0, steps
 
 
-def reference_input_response_fit(records, config, A, B_d):
-    """Per-step oracle for `_input_response_fit`: one appended regressor row per step."""
+def reference_input_response_fit(records, config, A, B_d, pl):
+    """Per-step oracle for `_input_response_fit`: one appended regressor row
+    per step for β, the response to the shed power ul · pl, and B_l = β plᵀ."""
     n = A.shape[0]
-    p = records[0].ul.shape[1]
     w = config.window_len
     e0 = np.zeros(n)
     e0[0] = 1.0
     X, Y = [], []
     for rec, k0, steps in reference_segments(records, config):
         g = lift(rec.omega[k0 - w + 1 : k0 + 1], rec.y[k0 - w + 1 : k0 + 1], config)
-        coef = np.zeros((n, p))
+        coef = np.zeros(n)
         for t in range(steps):
             g = A @ g + B_d @ rec.ud[k0 + t]
-            coef = A.T @ coef + np.outer(e0, rec.ul[k0 + t])
-            X.append(coef.reshape(-1))
+            coef = A.T @ coef + e0 * (rec.ul[k0 + t] @ pl)
+            X.append(coef)
             Y.append(rec.omega[k0 + t + 1] - g[0])
     if not X:
-        return np.zeros((n, p))
+        return np.zeros((n, len(pl)))
     X = np.asarray(X)
     Y = np.asarray(Y)
-    theta = np.linalg.solve(X.T @ X + koopman.RIDGE * np.eye(n * p), X.T @ Y)
-    return theta.reshape(n, p)
+    beta = np.linalg.solve(X.T @ X + koopman.RIDGE * np.eye(n), X.T @ Y)
+    return np.outer(beta, pl)
 
 
 def reference_rollout(model, omega_window, y_window, ul_seq, ud_seq, steps):
@@ -365,38 +365,40 @@ def shed_records(dataset_small):
 
 
 @pytest.fixture(scope="module")
-def shed_models(shed_records):
-    return {name: fit(Dataset(train=shed_records, test=[]), method_config(name)) for name in METHODS}
+def shed_models(grid, shed_records):
+    return {name: fit(Dataset(train=shed_records, test=[], grid=grid), method_config(name)) for name in METHODS}
 
 
 class TestInputResponseFit:
     @pytest.mark.parametrize("name", METHODS)
-    def test_equals_the_per_step_reference(self, shed_records, shed_models, event_records, name):
+    def test_equals_the_per_step_reference(self, grid, shed_records, shed_models, event_records, name):
+        pl = shed_weights(grid.load_base_mw)
         assert any(np.any(r.ul[-1] > 0) and np.any(r.ul[-1] == 0) for r in shed_records)
         model = shed_models[name]
-        assert same_bits(model.B_l, reference_input_response_fit(shed_records, model.config, model.A, model.B_d))
+        assert same_bits(model.B_l, reference_input_response_fit(shed_records, model.config, model.A, model.B_d, pl))
         records = shed_records + event_records
-        got = _input_response_fit(records, model.config, model.A, model.B_d)
-        want = reference_input_response_fit(records, model.config, model.A, model.B_d)
+        got = _input_response_fit(records, model.config, model.A, model.B_d, pl)
+        want = reference_input_response_fit(records, model.config, model.A, model.B_d, pl)
         assert same_bits(got, want)
 
-    def test_deficit_only_segment_starts_after_the_step(self, shed_models, event_records):
+    def test_deficit_only_segment_starts_after_the_step(self, grid, shed_models, event_records):
         # the segment's first window ends at e + w - 1 or later, so no sample
         # before the event sample e reaches the fit (the shed starts at 4.0 s,
         # before the 5.0 s step)
         rec = event_records[0]
         model = shed_models["cefc"]
+        pl = shed_weights(grid.load_base_mw)
         e = reference_event_sample(rec)
         assert e == 50 and np.flatnonzero(rec.ul[:, 0])[0] < e
         moved = replace(rec, omega=rec.omega.copy(), y=rec.y.copy())
         moved.omega[:e] += 1e-3
         moved.y[:e] += 1e-3
-        got = _input_response_fit([moved], model.config, model.A, model.B_d)
+        got = _input_response_fit([moved], model.config, model.A, model.B_d, pl)
         assert np.any(got != 0.0)
-        assert same_bits(got, _input_response_fit([rec], model.config, model.A, model.B_d))
+        assert same_bits(got, _input_response_fit([rec], model.config, model.A, model.B_d, pl))
 
     @pytest.mark.parametrize("name", METHODS)
-    def test_records_without_a_segment_between_shedding_records_are_skipped(self, shed_records, shed_models, name):
+    def test_records_without_a_segment_between_shedding_records_are_skipped(self, grid, shed_records, shed_models, name):
         shedding = [r for r in shed_records if np.any(r.ul > 0)][:3]
         rec = shedding[0]
         # cut at the first window after the trip: the segment would start past the end
@@ -407,15 +409,26 @@ class TestInputResponseFit:
         quiet = replace(shedding[1], ul=np.zeros_like(shedding[1].ul))
         records = [shedding[0], cut, shedding[1], quiet, shedding[2]]
         model = shed_models[name]
+        pl = shed_weights(grid.load_base_mw)
         assert len(list(reference_segments(records, model.config))) == 3
-        got = _input_response_fit(records, model.config, model.A, model.B_d)
-        want = reference_input_response_fit(records, model.config, model.A, model.B_d)
+        got = _input_response_fit(records, model.config, model.A, model.B_d, pl)
+        want = reference_input_response_fit(records, model.config, model.A, model.B_d, pl)
         assert same_bits(got, want)
 
-    def test_no_shedding_record_gives_a_zero_input_matrix(self, dataset_small):
+    @pytest.mark.parametrize("name", METHODS)
+    def test_shed_input_is_one_channel_along_the_load_base(self, grid, shed_models, name):
+        # B_l = β plᵀ: column j is β · pl_j, with pl the load base over its mean
+        B_l = shed_models[name].B_l
+        pl = shed_weights(grid.load_base_mw)
+        beta = B_l[:, 0] / pl[0]
+        assert np.any(beta != 0)
+        for j in range(len(pl)):
+            np.testing.assert_allclose(B_l[:, j], beta * pl[j], rtol=1e-12, atol=0)
+
+    def test_no_shedding_record_gives_a_zero_input_matrix(self, grid, dataset_small):
         rec = dataset_small.train[0]
         quiet = replace(rec, ul=np.zeros_like(rec.ul))
-        model = fit(Dataset(train=[quiet], test=[]), method_config("dmd"))
+        model = fit(Dataset(train=[quiet], test=[], grid=grid), method_config("dmd"))
         assert np.array_equal(model.B_l, np.zeros((1, rec.ul.shape[1])))
 
 
@@ -483,14 +496,14 @@ class TestFit:
         assert m["n_records"] == len(dataset_small.test)
         assert m["mean_hz"] < 0.1
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_dataset_rejected(self, grid):
         with pytest.raises(ValueError, match="empty dataset"):
-            fit(Dataset(train=[], test=[]), method_config("dmd"))
+            fit(Dataset(train=[], test=[], grid=grid), method_config("dmd"))
 
     def test_record_at_another_sample_time_rejected(self, grid):
         rec = simulate(grid, Scenario(trip_set=(1,), trip_time=2.0, horizon=6.0, dt=0.05))
         with pytest.raises(ValueError, match="samples every 0.05 s but the model runs at 0.1 s"):
-            fit(Dataset(train=[rec], test=[]), method_config("dmd"))
+            fit(Dataset(train=[rec], test=[], grid=grid), method_config("dmd"))
 
     def test_shedding_response_sign(self, cefc_model):
         # a positive shed adds power: the settled frequency response must be up
@@ -501,12 +514,12 @@ class TestFit:
         assert np.all(M[0] > 0)
 
 
-def test_cefc_ntd_and_edmd_fit_the_same_model(dataset_small):
+def test_cefc_ntd_and_edmd_fit_the_same_model(grid, dataset_small):
     # delay_rbf at delay span 0 builds the rbf vector, so the ablation row
     # and the edmd row come from one model
     records = dataset_small.train[:10]
-    ntd = fit(Dataset(train=records, test=[]), method_config("cefc-ntd"))
-    edmd = fit(Dataset(train=records, test=[]), method_config("edmd"))
+    ntd = fit(Dataset(train=records, test=[], grid=grid), method_config("cefc-ntd"))
+    edmd = fit(Dataset(train=records, test=[], grid=grid), method_config("edmd"))
     for a, b in ((ntd.A, edmd.A), (ntd.B_l, edmd.B_l), (ntd.B_d, edmd.B_d)):
         assert same_bits(a, b)
 
@@ -549,7 +562,7 @@ def own_copies(records):
     return [replace(r, omega=r.omega.copy(), y=r.y.copy(), ul=r.ul.copy(), ud=r.ud.copy()) for r in records]
 
 
-def test_fit_peak_stays_near_the_larger_stage_system(memo_records):
+def test_fit_peak_stays_near_the_larger_stage_system(grid, memo_records):
     # each stage's system is filled in place: no other array of its size is
     # built, and the first stage's is freed before the second starts
     records = list(memo_records)
@@ -557,12 +570,12 @@ def test_fit_peak_stays_near_the_larger_stage_system(memo_records):
     resolved = _resolve_rbf(records, cfg)
     Zr, Yr = reference_ridge_system(records, resolved)
     first = Zr.nbytes + Yr.nbytes
-    n, p = Yr.shape[1], records[0].ul.shape[1]
-    second = sum(steps for _, _, steps in reference_segments(records, resolved)) * n * p * 8  # X
+    n = Yr.shape[1]
+    second = sum(steps for _, _, steps in reference_segments(records, resolved)) * n * 8  # X
     del Zr, Yr
     tracemalloc.start()
     try:
-        fit(Dataset(train=records, test=[]), cfg)
+        fit(Dataset(train=records, test=[], grid=grid), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -570,27 +583,27 @@ def test_fit_peak_stays_near_the_larger_stage_system(memo_records):
 
 
 class TestFitMemo:
-    def test_alias_pair_runs_each_stage_once(self, memo_records, stage_calls):
-        ds = Dataset(train=list(memo_records), test=[])
+    def test_alias_pair_runs_each_stage_once(self, grid, memo_records, stage_calls):
+        ds = Dataset(train=list(memo_records), test=[], grid=grid)
         ntd = fit(ds, method_config("cefc-ntd"))
         edmd = fit(ds, method_config("edmd"))
         assert stage_calls == {"_regression_pairs": 1, "_input_response_fit": 1}
         assert same_model(ntd, edmd)
 
     @pytest.mark.parametrize("name", METHODS)
-    def test_hit_equals_a_fresh_fit_of_the_records(self, memo_records, dataset_small, stage_calls, name):
+    def test_hit_equals_a_fresh_fit_of_the_records(self, grid, memo_records, dataset_small, stage_calls, name):
         cfg = method_config(name)
-        ds = Dataset(train=list(memo_records), test=[])
+        ds = Dataset(train=list(memo_records), test=[], grid=grid)
         first = fit(ds, cfg)
         hit = fit(ds, cfg)
         assert stage_calls["_regression_pairs"] == 1
-        fresh = fit(Dataset(train=list(memo_records), test=[]), cfg)
+        fresh = fit(Dataset(train=list(memo_records), test=[], grid=grid), cfg)
         assert same_model(hit, fresh) and same_model(first, fresh)
         test = dataset_small.test[:4]
         assert repr(eval_metrics(hit, test, 50.0)) == repr(eval_metrics(fresh, test, 50.0))
 
-    def test_hit_keeps_the_callers_label_through_save(self, memo_records, tmp_path):
-        ds = Dataset(train=list(memo_records), test=[])
+    def test_hit_keeps_the_callers_label_through_save(self, grid, memo_records, tmp_path):
+        ds = Dataset(train=list(memo_records), test=[], grid=grid)
         fit(ds, method_config("cefc-ntd"))
         hit = fit(ds, method_config("edmd"))
         assert hit.config.dictionary == "rbf"
@@ -599,25 +612,28 @@ class TestFitMemo:
             assert json.load(fh)["config"]["dictionary"] == "rbf"
         assert KoopmanModel.load(tmp_path / "edmd.json").config.dictionary == "rbf"
 
-    @pytest.mark.parametrize("change", ["layout", "edited-sample"])
-    def test_each_input_of_the_fit_misses(self, memo_records, stage_calls, change):
+    @pytest.mark.parametrize("change", ["layout", "edited-sample", "load-base"])
+    def test_each_input_of_the_fit_misses(self, grid, memo_records, stage_calls, change):
         records = own_copies(memo_records)
-        ds = Dataset(train=records, test=[])
+        ds = Dataset(train=records, test=[], grid=grid)
         cfg = method_config("dmd")
         fit(ds, cfg)
         if change == "layout":
             cfg = ObservableConfig(dt=0.1, delay_span=0.2, dictionary="delay", include_voltage=False)
-        else:
+        elif change == "edited-sample":
             records[3].omega[100] = np.nextafter(records[3].omega[100], 1.0)
+        else:  # another split of the load base, so another pl
+            loads = tuple(replace(ld, base_power=ld.base_power * (1.0 + i)) for i, ld in enumerate(grid.loads))
+            ds.grid = replace(grid, loads=loads)
         again = fit(ds, cfg)
         assert stage_calls["_regression_pairs"] == 2
-        assert same_model(again, fit(Dataset(train=own_copies(records), test=[]), cfg))
+        assert same_model(again, fit(Dataset(train=own_copies(records), test=[], grid=ds.grid), cfg))
 
-    def test_hits_share_the_kept_read_only_arrays(self, memo_records):
+    def test_hits_share_the_kept_read_only_arrays(self, grid, memo_records):
         cfg = ObservableConfig(dt=0.1, delay_span=0.0, dictionary="rbf", rbf_count=5)
-        ds = Dataset(train=list(memo_records), test=[])
+        ds = Dataset(train=list(memo_records), test=[], grid=grid)
         first, hit = fit(ds, cfg), fit(ds, cfg)
-        fresh = fit(Dataset(train=list(memo_records), test=[]), cfg)
+        fresh = fit(Dataset(train=list(memo_records), test=[], grid=grid), cfg)
         for model in (first, hit):
             for a in (model.A, model.B_l, model.B_d, model.config.rbf_centers, model.config.rbf_widths):
                 assert not a.flags.writeable
