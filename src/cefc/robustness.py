@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gridsim
-from .controller import SHED_LAG, ControlLimits, prediction_steps, shed_weights
-from .gridsim import GridModel, Scenario, SimulationError
+from .controller import SHED_LAG, ControlLimits, prediction_steps
+from .gridsim import GridModel, Scenario, SimulationError, shed_weights
 from .koopman import KoopmanModel, ObservableConfig, check_sample_time, lift, prediction_start, window_at
 
 MODE_CAP = 4096

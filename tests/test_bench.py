@@ -14,7 +14,7 @@ from cefc.bench import (
     run_edcps_comparison,
     run_prediction_table,
 )
-from cefc.controller import LqrWeights
+from cefc.controller import LqrWeights, coordinate
 from cefc.koopman import fit, generate_dataset, method_config
 
 
@@ -38,14 +38,23 @@ def edcps(grid, limits, cefc_model, weights, outdir):
     return run_edcps_comparison(grid, limits, cefc_model, weights, outdir)
 
 
+@pytest.fixture(scope="module")
+def bench8_models(grid):
+    """The `cefc` model of `cefc bench --train 8 --test 4` on seeds 1 and 7."""
+    models = {}
+    for seed in (1, 7):
+        ds = generate_dataset(grid, 8, 4, seed=seed)
+        models[seed] = fit(ds, method_config("cefc", dt=ds.train[0].dt))
+    return models
+
+
 @pytest.fixture(scope="module", params=["cefc_model", 1, 7])
-def bench_subcases(request, grid, limits, weights, subcases, tmp_path_factory):
+def bench_subcases(request, grid, limits, weights, subcases, bench8_models, tmp_path_factory):
     """The subcase summaries of the `cefc_model` fixture, and of `cefc bench
     --train 8 --test 4` on seeds 1 and 7."""
     if request.param == "cefc_model":
         return subcases
-    ds = generate_dataset(grid, 8, 4, seed=request.param)
-    model = fit(ds, method_config("cefc", dt=ds.train[0].dt))
+    model = bench8_models[request.param]
     return run_control_subcases(grid, limits, model, weights, str(tmp_path_factory.mktemp("bench8")))
 
 
@@ -96,6 +105,15 @@ def test_every_feasible_continuous_plan_sheds_one_ratio_at_every_node(grid, benc
     for plan in plans:
         ratio = np.asarray(plan["continuous_mw"]) / grid.load_base_mw
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_every_feasible_plan_sheds_one_ratio_bit_for_bit(grid, limits, weights, bench8_models, seed):
+    plans = [coordinate(grid, control_scenario(s), bench8_models[seed], limits, weights).plan for s in SUBCASE_INERTIA]
+    feasible = [plan for plan in plans if plan is not None and plan.feasible]
+    assert any(plan.total_mw > 0 for plan in feasible)
+    for plan in feasible:
+        assert np.all(plan.continuous_ratio == plan.continuous_ratio[0]), plan.continuous_ratio.tolist()
 
 
 def test_edcps_comparison_outputs(edcps, outdir):

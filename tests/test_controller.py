@@ -22,6 +22,7 @@ from cefc.controller import (
     solve_dare,
     solve_shedding,
 )
+from cefc.gridsim import shed_weights
 from cefc.koopman import (
     MEASUREMENT_DELAY,
     KoopmanModel,
@@ -33,6 +34,7 @@ from cefc.koopman import (
     predict_rollout,
     window_at,
 )
+from cefc.qp import QPError, solve_qp
 
 
 def scalar_model(a=0.97, bl=0.02, bd=1e-4):
@@ -70,6 +72,7 @@ class TestControlLimits:
             ({"ul_max": np.array([float("nan")])}, "ul_max"),
             ({"ul_max": np.array([float("inf")])}, "ul_max"),
             ({"ul_max": np.array([-0.1])}, "ul_max"),
+            ({"ul_max": np.array([0.3, 0.2, 0.3])}, "ul_max"),
             ({"activation_threshold_hz": -1.0}, "activation_threshold_hz"),
             ({"activation_threshold_hz": 0.0}, "activation_threshold_hz"),
             ({"activation_threshold_hz": float("nan")}, "activation_threshold_hz"),
@@ -78,7 +81,7 @@ class TestControlLimits:
             ({"omega_min": float("nan")}, "omega_min"),
         ],
         ids=["quantum-zero", "quantum-nan", "quantum-inf", "margin-nan", "margin-negative", "margin-inf",
-             "ul-max-above-one", "ul-max-nan", "ul-max-inf", "ul-max-negative", "threshold-negative",
+             "ul-max-above-one", "ul-max-nan", "ul-max-inf", "ul-max-negative", "ul-max-uneven", "threshold-negative",
              "threshold-zero", "threshold-nan", "threshold-inf", "floor-minus-inf", "floor-nan"],
     )
     def test_value_that_can_break_safety_is_rejected_by_key(self, kw, key):
@@ -403,6 +406,50 @@ def rollout_1d(model, lim, om0, x, steps):
     return om
 
 
+def two_state_problem():
+    """A two-state model in which a held shed first lifts omega and later
+    drags it down (the sensitivity changes sign), with the limits, window and
+    step count of a decision on it."""
+    cfg = ObservableConfig(dt=0.1, delay_span=0.1, dictionary="delay", include_voltage=False)
+    A = np.array([[0.9, -0.3], [0.0, 0.95]])
+    model = KoopmanModel(A=A, B_l=np.array([[0.1], [0.02]]), B_d=np.zeros((2, 2)), config=cfg)
+    return model, scalar_limits(ud_support=np.zeros(2)), [0.0, -0.025], 100
+
+
+def rank_one_problem(rng):
+    """A random shedding decision on three loads: a two-state model whose
+    shed input is one channel along the load base, B_l = outer(β, pl), with
+    an oscillating response of either sign, a dipping full-support prediction
+    and a one-ratio cap."""
+    rho, theta = rng.uniform(0.8, 0.98), rng.uniform(0.1, 0.6)
+    A = rho * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    base = rng.uniform(300.0, 900.0, 3)
+    B_l = np.outer([rng.uniform(0.0, 0.05), rng.normal(0.0, 0.05)], shed_weights(base))
+    cfg = ObservableConfig(dt=0.1, delay_span=0.1, dictionary="delay", include_voltage=False)
+    model = KoopmanModel(A=A, B_l=B_l, B_d=np.zeros((2, 2)), config=cfg)
+    lim = scalar_limits(ul_max=np.full(3, rng.uniform(0.05, 1.0)))
+    steps = 40
+    t = np.arange(steps + 1) / rng.uniform(3.0, 20.0)
+    om_free = -rng.uniform(0.005, 0.04) * t * np.exp(1.0 - t)  # a dip that recovers
+    return model, lim, base, steps, om_free
+
+
+def reference_shedding_qp(model, lim, base, steps, om_free):
+    """The shed as `qp.solve_qp` sizes it: the least Q1 cost of the held steps
+    under the planning floor on every step the shed moves and 0 <= x <= ul_max.
+    Returns x, or None when the QP finds no feasible point."""
+    p = model.n_loads
+    reach = slice(controller.SHED_LAG + 1, None)
+    C = shedding_sensitivity(model, steps)
+    H = 2.0 * (steps - controller.SHED_LAG) * np.diag(shed_weights(base))
+    G = np.vstack([-C[reach], -np.eye(p), np.eye(p)])
+    h = np.concatenate([om_free[reach] - lim.planning_floor, np.zeros(p), lim.ul_max])
+    try:
+        return solve_qp(H, np.zeros(p), G, h)[0]
+    except QPError:
+        return None
+
+
 class TestSolveShedding:
     def test_no_shed_when_the_floor_is_respected(self):
         model = scalar_model()
@@ -429,14 +476,9 @@ class TestSolveShedding:
         assert np.array_equal(plan.continuous_ratio, lim.ul_max)
 
     def test_partial_shed_when_full_shedding_breaches_the_floor_later(self):
-        # a two-state model in which a held shed first lifts omega and later
-        # drags it down (the sensitivity changes sign): full shedding breaches
-        # the floor, a small shed clears it
-        cfg = ObservableConfig(dt=0.1, delay_span=0.1, dictionary="delay", include_voltage=False)
-        A = np.array([[0.9, -0.3], [0.0, 0.95]])
-        model = KoopmanModel(A=A, B_l=np.array([[0.1], [0.02]]), B_d=np.zeros((2, 2)), config=cfg)
-        lim = scalar_limits(ud_support=np.zeros(2))
-        om_win, y_win, steps = [0.0, -0.025], np.zeros((2, 0)), 100
+        # full shedding breaches the floor, a small shed clears it
+        model, lim, om_win, steps = two_state_problem()
+        y_win = np.zeros((2, 0))
         floor = lim.omega_min + lim.planning_margin_pu
 
         def nadir(x):
@@ -487,16 +529,76 @@ class TestSolveShedding:
         assert np.all(plan.quantized_mw % limits.quantum_mw < 1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_nan_in_the_prediction_gives_the_flagged_cap(self, grid, node_base):
-        # a NaN step counts as under the floor, and the QP refuses the NaN
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "minus-inf"])
+    def test_a_nan_in_the_prediction_gives_the_flagged_cap(self, grid, node_base, bad):
+        # a NaN step counts as under the floor and no shed can lift it; nor
+        # can any shed lift a step at -inf
         model = KoopmanModel(A=np.array([[0.97]]), B_l=np.full((1, 3), 0.02), B_d=np.zeros((1, 2)), config=scalar_model().config)
         lim = ControlLimits.for_grid(grid)
         om_free = np.full(101, -0.005)
-        om_free[50] = np.nan
+        om_free[50] = bad
         plan = solve_shedding(model, [-0.005], [[]], lim, node_base, 100, om_free=om_free)
         assert not plan.feasible
         assert np.array_equal(plan.continuous_ratio, lim.ul_max)
         assert plan.quantized_mw.tolist() == [210.0, 180.0, 150.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_step_at_plus_inf_never_binds(self):
+        # the two-state model's response changes sign, so the +inf steps sit
+        # where a shed lifts omega and where it drags omega down
+        model, lim, om_win, steps = two_state_problem()
+        om_free = predict_max_dc(model, om_win, np.zeros((2, 0)), lim, steps)
+        c = shedding_sensitivity(model, steps) @ np.ones(1)
+        at = [int(np.argmax(c)), int(np.argmin(c))]
+        assert c[at[0]] > 0 > c[at[1]]
+        plans = []
+        for value in (np.inf, 1.0):
+            om = om_free.copy()
+            om[at] = value
+            plans.append(solve_shedding(model, om_win, np.zeros((2, 0)), lim, [1800.0], steps, om_free=om))
+        assert plans[0].feasible and plans[1].feasible and plans[0].total_mw > 0
+        assert plans[0].continuous_ratio.tobytes() == plans[1].continuous_ratio.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_response_that_overflows_gives_the_flagged_cap(self, grid, node_base):
+        # an A far outside the unit circle drives the shed response to inf
+        # while the prediction under full support stays finite
+        model = KoopmanModel(A=np.array([[1e300]]), B_l=np.full((1, 3), 1.0), B_d=np.zeros((1, 2)), config=scalar_model().config)
+        assert not np.all(np.isfinite(shedding_sensitivity(model, 100)))
+        lim = ControlLimits.for_grid(grid)
+        plan = solve_shedding(model, [-0.05], [[]], lim, node_base, 100, om_free=np.full(101, -0.05))
+        assert not plan.feasible
+        assert plan.quantized_mw.tolist() == [210.0, 180.0, 150.0]
+
+    def test_sizes_a_shed_without_the_qp(self, cefc_model, limits, node_base, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve_shedding called the QP")
+
+        monkeypatch.setattr(controller, "solve_qp", refuse)
+        w = cefc_model.config.window_len
+        plan = solve_shedding(cefc_model, np.full(w, -0.018), np.ones((w, 2)), limits, node_base, 200)
+        assert plan.feasible and plan.total_mw > 0
+
+    def test_matches_the_qp_on_random_rank_one_problems(self):
+        rng = np.random.default_rng(39)
+        counts = {"interior": 0, "upper-bound": 0, "flagged": 0}
+        for _ in range(2000):
+            model, lim, base, steps, om_free = rank_one_problem(rng)
+            if not needs_shedding(om_free, lim):
+                continue
+            plan = solve_shedding(model, [], [], lim, base, steps, om_free=om_free)
+            x = reference_shedding_qp(model, lim, base, steps, om_free)
+            assert plan.feasible == (x is not None)
+            if x is None:
+                counts["flagged"] += 1
+                continue
+            np.testing.assert_allclose(plan.continuous_ratio, x, rtol=1e-12, atol=0)
+            # upper-bound: the full cap breaches the floor, so a step where
+            # the shed drags omega down bounds the ratio from above
+            under_cap = om_free + shedding_sensitivity(model, steps) @ lim.ul_max
+            counts["upper-bound" if needs_shedding(under_cap, lim) else "interior"] += 1
+        assert sum(counts.values()) >= 1000
+        assert min(counts.values()) > 0, counts
 
     @pytest.mark.parametrize(
         "quantum_mw, ul_max, want",

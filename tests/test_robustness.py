@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cefc.controller import shed_weights
 from cefc import gridsim
-from cefc.gridsim import Scenario, simulate
+from cefc.gridsim import Scenario, shed_weights, simulate
 from cefc.koopman import InsufficientHistoryError, KoopmanModel, lift, method_config, prediction_start
 from cefc.robustness import (
     FeederSpec,
