@@ -217,11 +217,7 @@ def cmd_bench(cfg, args) -> int:
     limits = _limits_from_config(cfg, grid)
     weights = _weights_from_config(cfg)
     outdir = _outdir(cfg)
-    dataset = generate_dataset(grid, args.train, args.test, cfg["seed"])
-    table = bench_mod.run_prediction_table(grid, dataset, outdir)
-    model = fit(dataset, method_config("cefc", dt=dataset.train[0].dt))
-    bench_mod.run_control_subcases(grid, limits, model, weights, outdir)
-    bench_mod.run_edcps_comparison(grid, limits, model, weights, outdir)
+    table = bench_mod.bench(grid, limits, weights, args.train, args.test, cfg["seed"], outdir)
     for name, m in table.items():
         print(f"{name:9s} nadir {m['nadir_hz']:.3f} Hz  ssv {m['ssv_hz']:.3f} Hz  mean {m['mean_hz']:.3f} Hz")
     print(f"outputs in {outdir}")

@@ -204,17 +204,13 @@ def shedding_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
     Row t gives d(omega_t)/d(x) for the shedding vector x applied from step
     `SHED_LAG` onward; rows 0 to `SHED_LAG` are zero.  The lifted model is
     linear in its inputs, so a one-shot shed x predicts `om_free + C @ x`,
-    with `om_free` the full-support rollout of `predict_max_dc`.
+    with `om_free` the full-support rollout of `predict_max_dc`.  Solved
+    once per model, `steps` and `SHED_LAG`; read-only.
     """
-    inputs = ([0.0] * SHED_LAG + [model.B_l] * steps)[:steps]
-    return output_response(model.A, np.zeros((model.dim, model.n_loads)), inputs)
-
-
-def _memoized_sensitivity(model: KoopmanModel, steps: int) -> np.ndarray:
-    """`shedding_sensitivity`, solved once per model, `steps` and `SHED_LAG`; read-only."""
 
     def solve():
-        C = shedding_sensitivity(model, steps)
+        inputs = ([0.0] * SHED_LAG + [model.B_l] * steps)[:steps]
+        C = output_response(model.A, np.zeros((model.dim, model.n_loads)), inputs)
         C.setflags(write=False)
         return C
 
@@ -282,7 +278,7 @@ def solve_shedding(
     # `needs_shedding` does; with steps <= SHED_LAG there are none
     if not needs_shedding(om_free, limits):
         return make_plan(0.0, True)
-    c = _memoized_sensitivity(model, steps)[SHED_LAG + 1 :] @ np.ones(p)
+    c = shedding_sensitivity(model, steps)[SHED_LAG + 1 :] @ np.ones(p)
     need = limits.planning_floor - om_free[SHED_LAG + 1 :]  # c_t r must reach it
     cap = limits.ul_max[0]
     if np.isnan(need).any() or not np.isfinite(c).all() or np.any(need[c == 0] > 0):
@@ -417,7 +413,7 @@ def coordinate(
                 if needs_shedding(om_hat, limits):
                     plan = solve_shedding(model, om_win, y_win, limits, grid.load_base_mw, steps, om_free=om_hat)
                     plan.shed_time = t + SHED_LAG * dt
-                    om_hat = om_hat + _memoized_sensitivity(model, steps) @ plan.quantized_ratio
+                    om_hat = om_hat + shedding_sensitivity(model, steps) @ plan.quantized_ratio
                 omega_pred = np.full(n, np.nan)
                 omega_pred[k : k + steps + 1] = om_hat
                 ud = support

@@ -268,7 +268,6 @@ class TrajectoryRecord:
     y: np.ndarray  # (n, m) bus-voltage proxies, p.u.
     ul: np.ndarray  # (n, p) shedding ratios, [0, 1]
     ud: np.ndarray  # (n, q) DC reference deviations, MW (as commanded)
-    ud_applied: np.ndarray | None = None  # (n, q) after ramp limiting
     scenario: Scenario | None = None
 
     def __len__(self) -> int:
@@ -572,7 +571,7 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
     event = n if scenario.event_sample is None else scenario.event_sample  # step k is post-trip from k = event on
     omega = np.zeros(n)
     y = np.zeros((n, plant.vsens.shape[0]))
-    ul_rows, ud_rows, app_rows = [], [], []
+    ul_rows, ud_rows = [], []
 
     for k in range(n):
         omega[k] = x[0]
@@ -580,7 +579,6 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
         if k == n_steps:
             ul_rows.append(held.ul)
             ud_rows.append(ud_rows[-1])
-            app_rows.append(r)
             break
 
         if policy is not None:
@@ -617,7 +615,6 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
         ]
         ul_rows.append(held.ul)
         ud_rows.append(cmd)
-        app_rows.append(r)
 
         x = plant.step(x, k >= event, held, r, noise_sum)
         if not all(map(math.isfinite, x)) or abs(x[0]) > 1.0:
@@ -630,6 +627,5 @@ def simulate(grid: GridModel, scenario: Scenario, policy=None) -> TrajectoryReco
         y=y,
         ul=np.array(ul_rows),
         ud=np.array(ud_rows, dtype=float),
-        ud_applied=np.array(app_rows, dtype=float),
         scenario=scenario,
     )

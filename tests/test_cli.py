@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from cefc import cli
+from cefc import bench, cli
 from cefc.bench import METHODS, SUBCASE_INERTIA
 from cefc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cefc.gridsim import Scenario, default_grid, simulate
@@ -401,11 +401,11 @@ def test_malformed_fit_setting_is_a_config_error(tmp_path, workspace, capsys, ch
 @pytest.mark.parametrize(
     "argv, work",
     [
-        (["gen-data", "--train", "2", "--test", "1"], "generate_dataset"),
-        (["bench", "--train", "2", "--test", "1"], "generate_dataset"),
-        (["predict", "--model", "{model}"], "simulate"),
-        (["control", "--model", "{model}"], "coordinate"),
-        (["prop1", "--model", "{model}"], "check_prop1"),
+        (["gen-data", "--train", "2", "--test", "1"], "cli.generate_dataset"),
+        (["bench", "--train", "2", "--test", "1"], "bench.generate_dataset"),
+        (["predict", "--model", "{model}"], "cli.simulate"),
+        (["control", "--model", "{model}"], "cli.coordinate"),
+        (["prop1", "--model", "{model}"], "cli.check_prop1"),
     ],
     ids=["gen-data", "bench", "predict", "control", "prop1"],
 )
@@ -413,7 +413,7 @@ def test_output_dir_that_is_a_file_is_a_config_error_found_before_any_work(tmp_p
     def fail(*args, **kwargs):
         raise AssertionError(f"{work} ran before the output directory was made")
 
-    monkeypatch.setattr(cli, work, fail)
+    monkeypatch.setattr(f"cefc.{work}", fail)
     taken = tmp_path / "taken"
     taken.write_text("")
     path = config_with(tmp_path, workspace, output_dir=str(taken))
@@ -427,7 +427,7 @@ def test_bench_refuses_its_weights_before_any_work(tmp_path, workspace, capsys, 
     def fail(*args, **kwargs):
         raise AssertionError("generate_dataset ran before the weights were read")
 
-    monkeypatch.setattr(cli, "generate_dataset", fail)
+    monkeypatch.setattr(bench, "generate_dataset", fail)
     path = config_with(tmp_path, workspace, weights={"r": -1.0})
     assert main(["bench", "--config", path, "--train", "2", "--test", "1"]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -697,6 +697,21 @@ def test_bench_writes_every_output(tmp_path):
         compare = json.load(fh)
     assert set(compare) == {"lqr", "max"}
     assert all(np.isfinite(compare[mode]["cumulative_abs_ud_mw_s"]) for mode in compare)
+
+
+def test_bench_generates_its_data_once_through_the_bench_module(tmp_path, monkeypatch):
+    calls = []
+    generate = bench.generate_dataset
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "generate_dataset", spy)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "output_dir": str(tmp_path / "out")}))
+    assert main(["bench", "--config", str(path), "--train", "2", "--test", "1"]) == EXIT_OK
+    assert calls == [(2, 1, 1)]
 
 
 def test_bench_runs_where_the_riccati_residual_sits_at_the_rounding_floor(tmp_path):

@@ -384,6 +384,12 @@ class TestSheddingSensitivity:
         assert C.shape == (steps + 1, model.n_loads)
         assert C.tobytes() == reference_sensitivity(model, steps).tobytes()
 
+    def test_a_second_call_returns_the_same_read_only_array(self, cefc_model):
+        C = shedding_sensitivity(cefc_model, 30)
+        assert shedding_sensitivity(cefc_model, 30) is C
+        assert not C.flags.writeable
+        assert C.tobytes() == reference_sensitivity(cefc_model, 30).tobytes()
+
     def test_first_two_rows_are_zero(self, cefc_model):
         C = shedding_sensitivity(cefc_model, 10)
         assert np.all(C[0] == 0.0) and np.all(C[1] == 0.0)
@@ -696,7 +702,7 @@ class TestCoordinate:
         assert len(om) == len(y) == cfg.window_len and om[-1] == rec.omega[k] and y[-1].tobytes() == rec.y[k].tobytes()
         om_free = predict_max_dc(cefc_model, om, y, limits, steps)
         shed = trace.plan.quantized_ratio if trace.plan is not None else np.zeros(grid.n_loads)
-        om_pred = om_free + controller._memoized_sensitivity(cefc_model, steps) @ shed
+        om_pred = om_free + shedding_sensitivity(cefc_model, steps) @ shed
         assert trace.omega_pred[k : k + steps + 1].tobytes() == om_pred.tobytes()
         k0, om_hat = predict_record(cefc_model, rec)
         assert len(om_hat) == scenario.n_steps + 1 - k0
@@ -788,7 +794,7 @@ def grid_scalar_model(grid, a=0.97):
 
 def record_bytes(trace) -> list:
     rec = trace.record
-    arrays = (rec.t, rec.omega, rec.y, rec.ul, rec.ud, rec.ud_applied, trace.ud_commands, trace.omega_pred)
+    arrays = (rec.t, rec.omega, rec.y, rec.ul, rec.ud, trace.ud_commands, trace.omega_pred)
     return [a.tobytes() for a in arrays]
 
 
@@ -834,22 +840,22 @@ class TestComputedOnce:
     def test_cached_arrays_are_read_only(self, grid, limits):
         model = grid_scalar_model(grid)
         sol = coordinate(grid, replace(control_scenario(0.85), horizon=10.0), model, limits).riccati
-        C = controller._memoized_sensitivity(model, 50)
-        assert controller._memoized_sensitivity(model, 50) is C
+        C = shedding_sensitivity(model, 50)
+        assert shedding_sensitivity(model, 50) is C
         for a in (sol.P, sol.K, C):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
-        assert C.tobytes() == shedding_sensitivity(model, 50).tobytes()
+        assert C.tobytes() == reference_sensitivity(model, 50).tobytes()
 
     def test_sensitivity_is_kept_per_shed_lag(self, grid, monkeypatch):
         model = grid_scalar_model(grid)
-        C1 = controller._memoized_sensitivity(model, 50)
+        C1 = shedding_sensitivity(model, 50)
         monkeypatch.setattr(controller, "SHED_LAG", 2)
-        C2 = controller._memoized_sensitivity(model, 50)
-        assert C2.tobytes() == shedding_sensitivity(model, 50).tobytes()
+        C2 = shedding_sensitivity(model, 50)
+        assert C2.tobytes() == reference_sensitivity(model, 50).tobytes()
         assert np.any(C1[2] != 0.0) and np.all(C2[2] == 0.0)
-        assert controller._memoized_sensitivity(model, 50) is C2
+        assert shedding_sensitivity(model, 50) is C2
 
     @pytest.mark.parametrize("fitted_first", [True, False], ids=["fitted-first", "rebuilt-first"])
     def test_c_ordered_copies_give_the_fitted_bytes(self, grid, dataset_small, limits, fitted_first):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,8 +35,9 @@ def reference_simulate(grid, scenario, policy=None, substeps=4):
 
     The oracle for `simulate`'s fused sample steps: same policy, noise and
     ramp handling, with the physics written out term by term.  Returns
-    (omega, y, ud_applied, clipped), where `clipped[i]` says whether the
-    governor clip of machine i engaged at some stage while it was online.
+    (omega, y, ud_app, clipped): `ud_app` is the ramp-limited DC reference
+    applied at each sample, and `clipped[i]` says whether the governor clip
+    of machine i engaged at some stage while it was online.
     """
     s = grid.s_base
     ms, lds, lks = grid.machines, grid.loads, grid.hvdc
@@ -126,20 +127,33 @@ def shed_and_ramp_policy(grid, shed_time=7.0, shed=(0.12, 0.05, 0.0), dc_mw=70.0
 
 
 def assert_matches_reference(grid, scenario, policy_factory=None):
+    """`simulate`'s record, and the oracle's applied DC reference and clip
+    flags, after checking that omega and y match the oracle's to 1e-12."""
     rec = simulate(grid, scenario, policy_factory() if policy_factory else None)
     omega, y, ud_app, clipped = reference_simulate(
         grid, scenario, policy_factory() if policy_factory else None
     )
     assert np.max(np.abs(rec.omega - omega)) <= 1e-12
     assert np.max(np.abs(rec.y - y)) <= 1e-12
-    assert np.max(np.abs(rec.ud_applied - ud_app)) <= 1e-12
-    return rec, clipped
+    return rec, ud_app, clipped
+
+
+def assert_within_limits_and_ramp(grid, dt, ud_app):
+    """Every applied DC reference lies within its link limits and moves at
+    most one ramp step per sample, from rest."""
+    ud_lo = np.array([lk.ud_min for lk in grid.hvdc])
+    ud_hi = np.array([lk.ud_max for lk in grid.hvdc])
+    ramp_dt = np.array([lk.ramp_rate for lk in grid.hvdc]) * dt
+    assert np.all((ud_app >= ud_lo) & (ud_app <= ud_hi))
+    steps = np.diff(ud_app, axis=0, prepend=0.0)
+    assert np.all(np.abs(steps) <= ramp_dt + 1e-9)
+    return steps, ramp_dt
 
 
 class TestFusedStepsMatchReference:
     def test_deep_event_with_the_governor_clip_engaged(self, grid):
         scenario = trip_scenario(trip_set=(1, 2, 3), extra_deficit=0.1, horizon=30.0)
-        _, clipped = assert_matches_reference(grid, scenario)
+        _, _, clipped = assert_matches_reference(grid, scenario)
         assert clipped[0]  # the stage-by-stage steps ran
 
     def test_later_trip(self, grid):
@@ -160,10 +174,10 @@ class TestFusedStepsMatchReference:
         assert_matches_reference(grid, scenario, lambda: shed_and_ramp_policy(grid))
 
     def test_policy_that_sheds_and_ramps_dc(self, grid):
-        rec, _ = assert_matches_reference(
+        rec, ud_app, _ = assert_matches_reference(
             grid, trip_scenario(horizon=30.0), lambda: shed_and_ramp_policy(grid)
         )
-        assert np.any(rec.ul > 0) and np.any(rec.ud_applied == 70.0)
+        assert np.any(rec.ul > 0) and np.any(ud_app == 70.0)
 
 
 def numpy_loop_simulate(grid, scenario, policy=None):
@@ -231,12 +245,12 @@ def numpy_loop_simulate(grid, scenario, policy=None):
     t_arr = np.arange(n) * dt
     event = scenario.event_sample
     omega, y = np.zeros(n), np.zeros((n, plant.vsens.shape[0]))
-    ul_arr, ud_arr, ud_app = np.zeros((n, p)), np.zeros((n, q)), np.zeros((n, q))
+    ul_arr, ud_arr = np.zeros((n, p)), np.zeros((n, q))
     for k in range(n):
         omega[k] = x[0]
         y[k] = voltages(held, noise_s)
         if k == n_steps:
-            ul_arr[k], ud_arr[k], ud_app[k] = held.ul, ud_arr[k - 1], r
+            ul_arr[k], ud_arr[k] = held.ul, ud_arr[k - 1]
             break
         ud_cmd = np.zeros(q)
         if policy is not None:
@@ -254,14 +268,14 @@ def numpy_loop_simulate(grid, scenario, policy=None):
         if noise_dc:
             ud_cmd = np.clip(ud_cmd + noise[k, dc_col:], ud_lo, ud_hi)
         r = np.clip(r + np.clip(ud_cmd - r, ramp_lo, ramp_hi), ud_lo, ud_hi)
-        ul_arr[k], ud_arr[k], ud_app[k] = held.ul, ud_cmd, r
+        ul_arr[k], ud_arr[k] = held.ul, ud_cmd
         step(event is not None and k >= event, held, r, noise_sum)
         if not np.all(np.isfinite(x)) or abs(x[0]) > 1.0:
             raise SimulationError(f"integration diverged at t={(k + 1) * dt:.2f}s")
-    return TrajectoryRecord(dt=dt, t=t_arr, omega=omega, y=y, ul=ul_arr, ud=ud_arr, ud_applied=ud_app)
+    return TrajectoryRecord(dt=dt, t=t_arr, omega=omega, y=y, ul=ul_arr, ud=ud_arr)
 
 
-RECORD_FIELDS = ("omega", "y", "ul", "ud", "ud_applied")
+RECORD_FIELDS = ("omega", "y", "ul", "ud")
 
 
 def assert_same_bits(a, b):
@@ -358,14 +372,15 @@ class TestFloatLoopMatchesNumpyLoop:
         assert_same_bits(run(simulate), run(numpy_loop_simulate))
 
     def test_zero_bounded_links(self, grid):
-        # a -0.0 limit ties with a 0.0 reference: the clip must return the limit
+        # a -0.0 limit ties with a 0.0 reference: the clip must return the
+        # limit; under DC noise the commands clip at the same bounds
         hvdc = (replace(grid.hvdc[0], ud_min=-0.0), replace(grid.hvdc[1], ud_max=-0.0))
         zero_grid = replace(grid, hvdc=hvdc)
         for channels in ((), ("dc",)):
             scenario = trip_scenario(noise_amplitude=3.0 * bool(channels), noise_channels=channels, horizon=15.0)
             new = simulate(zero_grid, scenario, signed_zero_policy(zero_grid))
             assert_same_bits(new, numpy_loop_simulate(zero_grid, scenario, signed_zero_policy(zero_grid)))
-            assert np.signbit(new.ud_applied[1:]).any()
+            assert np.signbit(new.ud[1:]).any()
 
     @pytest.mark.parametrize("dc_mode", ["lqr", "max"])
     def test_coordinate_policies(self, grid, cefc_model, limits, monkeypatch, dc_mode):
@@ -412,16 +427,11 @@ def test_simulate_matches_reference_and_respects_limits(
         noise_channels=("loads", "dc"),
         horizon=20.0,
     )
-    rec, _ = assert_matches_reference(
+    rec, ud_app, _ = assert_matches_reference(
         grid, scenario, lambda: shed_and_ramp_policy(grid, shed_time, shed, dc_mw)
     )
     assert np.all(np.diff(rec.ul, axis=0) >= 0.0)
-    ud_lo = np.array([lk.ud_min for lk in grid.hvdc])
-    ud_hi = np.array([lk.ud_max for lk in grid.hvdc])
-    ramp_dt = np.array([lk.ramp_rate for lk in grid.hvdc]) * scenario.dt
-    assert np.all((rec.ud_applied >= ud_lo) & (rec.ud_applied <= ud_hi))
-    steps = np.diff(rec.ud_applied, axis=0, prepend=0.0)
-    assert np.all(np.abs(steps) <= ramp_dt + 1e-9)
+    assert_within_limits_and_ramp(grid, scenario.dt, ud_app)
 
 
 def total_damping(grid) -> float:
@@ -665,13 +675,14 @@ class TestPolicyInterface:
         assert np.all(after == 0.2)
 
     def test_dc_ramp_limits_the_applied_reference(self, grid):
+        # the record holds the commands; simulate's ramp shows through its
+        # match with the oracle, whose applied reference is checked here
         def policy(t, om, y):
             return np.zeros(grid.n_loads), np.full(grid.n_links, 80.0)
 
-        rec = simulate(grid, trip_scenario(), policy)
-        step = np.max(np.abs(np.diff(rec.ud_applied, axis=0)), axis=0)
-        ramp_dt = np.array([lk.ramp_rate for lk in grid.hvdc]) * 0.1
-        assert np.all(step <= ramp_dt + 1e-9)
+        _, ud_app, _ = assert_matches_reference(grid, trip_scenario(horizon=20.0), lambda: policy)
+        steps, ramp_dt = assert_within_limits_and_ramp(grid, 0.1, ud_app)
+        assert np.allclose(np.max(np.abs(steps), axis=0), ramp_dt, rtol=0.0, atol=1e-9)  # the ramp binds
 
 
 class TestRecordsAndSerialization:
@@ -688,6 +699,16 @@ class TestRecordsAndSerialization:
         assert back.dt == rec.dt
         for name in ("t", "omega", "y", "ul", "ud"):
             assert getattr(back, name).tobytes() == getattr(rec, name).tobytes(), name
+
+    def test_a_record_and_its_csv_round_trip_set_the_same_fields(self, grid, tmp_path):
+        # `Dataset.load` restores the scenario, which the CSV does not hold
+        rec = simulate(grid, trip_scenario(horizon=20.0), shed_and_ramp_policy(grid))
+        path = tmp_path / "traj.csv"
+        rec.write_csv(path)
+        back = TrajectoryRecord.read_csv(path)
+        for f in fields(TrajectoryRecord):
+            if f.name != "scenario":
+                assert (getattr(rec, f.name) is None) == (getattr(back, f.name) is None), f.name
 
     def test_csv_text_is_each_value_as_its_shortest_repr(self, grid, tmp_path):
         rec = simulate(grid, trip_scenario(noise_amplitude=2.0, noise_channels=("dc",), horizon=8.0))

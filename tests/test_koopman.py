@@ -405,7 +405,7 @@ class TestInputResponseFit:
         end = reference_event_sample(rec) + 1
         ul = rec.ul[:end].copy()
         ul[10:, 0] = 0.05
-        cut = replace(rec, t=rec.t[:end], omega=rec.omega[:end], y=rec.y[:end], ul=ul, ud=rec.ud[:end], ud_applied=None)
+        cut = replace(rec, t=rec.t[:end], omega=rec.omega[:end], y=rec.y[:end], ul=ul, ud=rec.ud[:end])
         quiet = replace(shedding[1], ul=np.zeros_like(shedding[1].ul))
         records = [shedding[0], cut, shedding[1], quiet, shedding[2]]
         model = shed_models[name]
