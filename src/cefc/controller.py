@@ -142,14 +142,40 @@ class RiccatiSolution:
     iterations: int
 
 
+@dataclass(frozen=True)
+class Decision:
+    """The closed loop's one shedding decision, taken at the arming sample."""
+
+    detect_sample: int  # the first sample of the detected fall
+    sample: int  # the arming sample, on which the decision window ends
+    om_free: np.ndarray  # steps + 1 predicted deviations from `sample`, full DC support, no shed
+    plan: SheddingPlan | None  # None when no shed is needed
+    om_planned: np.ndarray  # the prediction under the shipped plan, om_free + C x
+
+
 @dataclass
 class CoordinationTrace:
     record: gridsim.TrajectoryRecord
-    activation_time: float | None
-    plan: SheddingPlan | None
-    omega_pred: np.ndarray | None  # model prediction from activation, nan-padded; om_free + C x under shed x
+    decision: Decision | None  # None in a run that never arms
     ud_commands: np.ndarray  # (n, q) as issued by the controller
     riccati: RiccatiSolution | None  # the LQR gain's solve; None under constant support
+
+    @property
+    def activation_time(self) -> float | None:
+        return None if self.decision is None else self.decision.sample * self.record.dt
+
+    @property
+    def plan(self) -> SheddingPlan | None:
+        return None if self.decision is None else self.decision.plan
+
+    @property
+    def omega_pred(self) -> np.ndarray | None:
+        """`om_planned` in the record's rows from the arming sample on, NaN in the others."""
+        if self.decision is None:
+            return None
+        d, out = self.decision, np.full(len(self.record), np.nan)
+        out[d.sample : d.sample + len(d.om_planned)] = d.om_planned
+        return out
 
     def nadir(self) -> float:
         return float(np.min(self.record.omega))
@@ -159,6 +185,11 @@ class CoordinationTrace:
         return float(np.mean(self.record.omega[-tail:]))
 
     def summary(self, base_frequency: float) -> dict:
+        d = self.decision
+
+        def nadir_hz(om):  # over the steps a shed moves, None when there are none
+            return base_frequency * (1.0 + float(np.min(om[SHED_LAG + 1 :]))) if len(om) > SHED_LAG + 1 else None
+
         return {
             "activation_time": self.activation_time,
             "shed": self.plan.to_dict() if self.plan is not None else None,
@@ -172,6 +203,14 @@ class CoordinationTrace:
             "riccati": None
             if self.riccati is None
             else {"iterations": self.riccati.iterations, "residual": self.riccati.residual},
+            "decision": None if d is None else {
+                "detect_sample": d.detect_sample,
+                "sample": d.sample,
+                "steps": len(d.om_free) - 1,
+                "free_nadir_hz": nadir_hz(d.om_free),
+                "planned_nadir_hz": nadir_hz(d.om_planned),
+                "max_prediction_gap_hz": float(np.nanmax(np.abs(self.omega_pred - self.record.omega))) * base_frequency,
+            },
         }
 
 
@@ -288,6 +327,22 @@ def solve_shedding(
     return make_plan(lo, True) if lo <= hi else make_plan(cap, False)
 
 
+def decide(
+    model: KoopmanModel, omega_window, y_window, limits: ControlLimits, node_base_mw, steps: int,
+    detect_sample: int, sample: int, dt: float,
+) -> Decision:
+    """The decision at arming sample `sample` on the window ending there: the
+    full-support rollout, then, when it needs a shed, the plan, which lands
+    `SHED_LAG` samples later, and the prediction under it."""
+    om_free = om_planned = predict_max_dc(model, omega_window, y_window, limits, steps)
+    plan = None
+    if needs_shedding(om_free, limits):
+        plan = solve_shedding(model, omega_window, y_window, limits, node_base_mw, steps, om_free=om_free)
+        plan.shed_time = sample * dt + SHED_LAG * dt
+        om_planned = om_free + shedding_sensitivity(model, steps) @ plan.quantized_ratio
+    return Decision(detect_sample, sample, om_free, plan, om_planned)
+
+
 def solve_dare(A, B, q_diag, r_diag, tol: float = 1e-10, discount: float = 1.0) -> RiccatiSolution:
     """Structure-preserving doubling for the discrete algebraic Riccati equation.
 
@@ -394,28 +449,24 @@ def coordinate(
     ud_cmds = np.zeros((n, q))  # row k: the command issued at step k; the last row stays 0
     # the policy hands simulate these shared vectors, which it only reads
     no_shed, no_dc, support = np.zeros(p), np.zeros(q), limits.ud_support
-    detect_k = activated_k = plan = omega_pred = None
+    detect_k = decision = None
+    shed, shed_from = no_shed, n  # the decided shed ratio, applied from sample shed_from on
 
     def policy(t, om_hist, y_hist):
-        nonlocal detect_k, activated_k, plan, omega_pred
+        nonlocal detect_k, decision, shed, shed_from
         k = len(om_hist) - 1
         om = om_hist[-1]
         if detect_k is None and om <= -0.25 * limits.activation_threshold_pu:
             detect_k = k
 
-        if activated_k is None:
+        if decision is None:
             ready = detect_k is not None and k - detect_k >= delay_steps and k >= w - 1
             if ready and check_activation(om, limits):
-                activated_k = k
-                om_win, y_win = window_at(om_hist, y_hist, k, w)
                 steps = min(prediction_steps(dt), n - 1 - k)
-                om_hat = predict_max_dc(model, om_win, y_win, limits, steps)
-                if needs_shedding(om_hat, limits):
-                    plan = solve_shedding(model, om_win, y_win, limits, grid.load_base_mw, steps, om_free=om_hat)
-                    plan.shed_time = t + SHED_LAG * dt
-                    om_hat = om_hat + shedding_sensitivity(model, steps) @ plan.quantized_ratio
-                omega_pred = np.full(n, np.nan)
-                omega_pred[k : k + steps + 1] = om_hat
+                win = window_at(om_hist, y_hist, k, w)
+                decision = decide(model, *win, limits, grid.load_base_mw, steps, detect_k, k, dt)
+                if decision.plan is not None:
+                    shed, shed_from = decision.plan.quantized_ratio, k + SHED_LAG
                 ud = support
             else:
                 ud = no_dc
@@ -425,16 +476,7 @@ def coordinate(
             g = lift(*window_at(om_hist, y_hist, k, w), cfg)
             ud = lqr_step(g, sol, limits)
         ud_cmds[k] = ud
-        # the plan set at activation is applied from SHED_LAG samples after it
-        ul = no_shed if plan is None or k < activated_k + SHED_LAG else plan.quantized_ratio
-        return ul, ud
+        return (shed if k >= shed_from else no_shed), ud
 
     rec = gridsim.simulate(grid, scenario, policy)
-    return CoordinationTrace(
-        record=rec,
-        activation_time=None if activated_k is None else activated_k * dt,
-        plan=plan,
-        omega_pred=omega_pred,
-        ud_commands=ud_cmds,
-        riccati=sol,
-    )
+    return CoordinationTrace(record=rec, decision=decision, ud_commands=ud_cmds, riccati=sol)

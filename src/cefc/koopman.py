@@ -162,10 +162,11 @@ def _event_sample(scenario) -> int:
 
 
 def _event_and_shed(rec, w: int) -> tuple:
-    """The record's event sample e (`_event_sample`); e + w - 1, the end of the
-    first window wholly after it; and the mask of shed samples."""
+    """The record's event sample e (`_event_sample`); the end of the first window
+    the fit keeps after it, e + min(w - 1, `delay_samples(dt)`): the first wholly
+    after it or the first a decision reads; and the mask of shed samples."""
     e = _event_sample(rec.scenario)
-    return e, e + w - 1, np.any(rec.ul > 0, axis=1)
+    return e, e + min(w - 1, delay_samples(rec.dt)), np.any(rec.ul > 0, axis=1)
 
 
 def steady_state_samples(dt: float) -> int:
@@ -466,9 +467,10 @@ def _regression_pairs(records, config):
     g_{k+1} of Yr per lifted one-step pair, over sqrt(RIDGE) I and zeros.
 
     Pairs whose measurement window spans the event see the deficit step as
-    an unmodelled input, so only windows lying fully before or fully after
-    the event are kept.  Of those, the shedding-free pairs are used, or every
-    kept pair when none is shedding-free.  The rows are counted first; then
+    an unmodelled input, so only windows lying fully before the event, or
+    ending at or after `_event_and_shed`'s post-event sample, are kept.  Of
+    those, the shedding-free pairs are used, or every kept pair when none is
+    shedding-free.  The rows are counted first; then
     one batched `lift` per record lifts only the windows its kept pairs read
     (window j for row j of Zr, window j + 1 for row j of Yr), each once, and
     its rows are written in place by position, so no other array of the

@@ -13,6 +13,7 @@ from cefc.controller import (
     StabilizabilityError,
     check_activation,
     coordinate,
+    decide,
     lqr_step,
     needs_shedding,
     predict_max_dc,
@@ -22,7 +23,7 @@ from cefc.controller import (
     solve_dare,
     solve_shedding,
 )
-from cefc.gridsim import shed_weights
+from cefc.gridsim import Scenario, shed_weights
 from cefc.koopman import (
     MEASUREMENT_DELAY,
     KoopmanModel,
@@ -740,6 +741,70 @@ class TestCoordinate:
 
         with pytest.raises(ValueError):
             coordinate(grid, control_scenario(0.85), cefc_model, limits, dc_mode="pid")
+
+
+class TestDecision:
+    """`decide` builds the closed loop's one decision; the trace keeps it and reads it."""
+
+    @pytest.mark.parametrize("dc_mode", ["lqr", "max"])
+    def test_deciding_on_the_traced_window_replays_the_decision(self, grid, cefc_model, limits, dc_mode):
+        shed = 0
+        for scale in SUBCASE_INERTIA:
+            trace = coordinate(grid, control_scenario(scale), cefc_model, limits, dc_mode=dc_mode)
+            rec, d = trace.record, trace.decision
+            assert d.detect_sample == np.argmax(rec.omega <= -0.25 * limits.activation_threshold_pu)
+            steps = min(prediction_steps(rec.dt), len(rec) - 1 - d.sample)
+            window = window_at(rec.omega, rec.y, d.sample, cefc_model.config.window_len)
+            again = decide(cefc_model, *window, limits, grid.load_base_mw, steps, d.detect_sample, d.sample, rec.dt)
+            assert (again.detect_sample, again.sample) == (d.detect_sample, d.sample)
+            assert again.om_free.tobytes() == d.om_free.tobytes()
+            assert again.om_planned.tobytes() == d.om_planned.tobytes()
+            assert (again.plan is None) == (d.plan is None)
+            if d.plan is not None:
+                for name in ("continuous_ratio", "continuous_mw", "quantized_mw", "quantized_ratio"):
+                    assert getattr(again.plan, name).tobytes() == getattr(d.plan, name).tobytes()
+                assert (again.plan.shed_time, again.plan.feasible) == (d.plan.shed_time, d.plan.feasible)
+                shed += 1
+        assert shed > 0  # some runs take the shedding path
+
+    def test_decides_once_in_an_armed_run_and_never_in_a_quiet_one(self, grid, limits, monkeypatch):
+        calls = []
+        real = controller.decide
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(controller, "decide", spy)
+        model = grid_scalar_model(grid)
+        armed = coordinate(grid, replace(control_scenario(0.85), horizon=20.0), model, limits)
+        assert len(calls) == 1 and armed.decision is not None
+        quiet = coordinate(grid, Scenario(noise_amplitude=2.0, horizon=10.0), model, limits)
+        assert len(calls) == 1
+        assert quiet.decision is None and quiet.activation_time is None and quiet.plan is None and quiet.omega_pred is None
+        assert json.loads(json.dumps(quiet.summary(grid.base_frequency)))["decision"] is None
+
+    @pytest.mark.parametrize("dc_mode", ["lqr", "max"])
+    def test_the_summary_block_agrees_with_the_trace(self, grid, cefc_model, limits, dc_mode):
+        base, lag = grid.base_frequency, controller.SHED_LAG
+        trace = coordinate(grid, control_scenario(0.85), cefc_model, limits, dc_mode=dc_mode)
+        s = json.loads(json.dumps(trace.summary(base)))
+        block, rec = s["decision"], trace.record
+        k, steps = block["sample"], block["steps"]
+        assert k * rec.dt == s["activation_time"] == trace.activation_time
+        assert block["detect_sample"] == trace.decision.detect_sample < k
+        assert steps == min(prediction_steps(rec.dt), len(rec) - 1 - k) == 300
+        assert block["planned_nadir_hz"] == base * (1.0 + float(np.min(trace.omega_pred[k + lag + 1 : k + steps + 1])))
+        assert block["free_nadir_hz"] == base * (1.0 + float(np.min(trace.decision.om_free[lag + 1 :])))
+        assert block["max_prediction_gap_hz"] == float(np.nanmax(np.abs(trace.omega_pred - rec.omega))) * base
+        assert trace.plan is not None and trace.plan.shed_time == s["shed"]["shed_time"]
+
+    def test_no_nadir_without_a_step_the_shed_moves(self, grid, limits):
+        # armed at sample 55 with one step left: the prediction ends on the shed's own sample
+        trace = coordinate(grid, replace(control_scenario(0.85), horizon=5.6), grid_scalar_model(grid), limits)
+        block = trace.summary(grid.base_frequency)["decision"]
+        assert (block["sample"], block["steps"]) == (55, controller.SHED_LAG)
+        assert block["free_nadir_hz"] is None and block["planned_nadir_hz"] is None
 
 
 class TestNeedsShedding:

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from cefc import koopman
 from cefc.gridsim import Scenario, shed_weights, simulate
 from cefc.koopman import (
+    _event_and_shed,
     _input_response_fit,
     _regression_pairs,
     _resolve_rbf,
@@ -24,6 +25,7 @@ from cefc.koopman import (
     predict_record,
     predict_rollout,
     prediction_start,
+    window_at,
 )
 
 
@@ -464,6 +466,37 @@ class TestPredictionStart:
             assert scenario.event_sample == e
             in_seconds = int(np.ceil((scenario.trip_time + koopman.MEASUREMENT_DELAY) / dt - 1e-9))
             assert prediction_start(scenario, dt, cfg) == max(cfg.window_len - 1, in_seconds)
+
+
+class TestDelaySpan:
+    """A delay span longer than the measurement delay: the fit keeps the
+    windows that straddle the event from the decision sample on."""
+
+    @pytest.mark.parametrize("span", [round(0.1 * n, 1) for n in range(4, 16)])
+    def test_the_first_stage_keeps_every_window_a_prediction_reads(self, grid, span):
+        # each row of Zr is a lifted window the first stage keeps
+        cfg = ObservableConfig(dt=0.1, delay_span=span, dictionary="delay", include_voltage=False)
+        rec = simulate(grid, Scenario(trip_set=(1,), horizon=8.0))
+        Zr, _ = _regression_pairs([rec], cfg)
+        n = Zr.shape[1] - rec.ud.shape[1]
+        kept = {row.tobytes() for row in Zr[:, :n]}
+        k0 = prediction_start(rec.scenario, rec.dt, cfg)
+        assert k0 == 54
+        for k in range(k0, len(rec) - 1):
+            assert lift(*window_at(rec.omega, rec.y, k, cfg.window_len), cfg).tobytes() in kept, k
+
+    @pytest.mark.parametrize("span, after", [(0.0, 50), (0.4, 54), (0.8, 54)])
+    def test_the_kept_windows_start_at_the_shorter_of_the_window_and_the_delay(self, grid, span, after):
+        # at the shipped span 0.4 s both read e + 4, as the window rule alone did
+        rec = simulate(grid, Scenario(trip_set=(1,), horizon=8.0))
+        assert _event_and_shed(rec, int(round(span / 0.1)) + 1)[:2] == (50, after)
+
+    def test_a_long_span_fits_the_protocol_data(self, grid):
+        # `cefc bench --train 8 --test 4` data on seed 7: 4.64 Hz when the fit
+        # kept no window that straddles the event
+        ds = generate_dataset(grid, 8, 4, seed=7)
+        model = fit(ds, replace(method_config("cefc"), delay_span=0.8))
+        assert eval_metrics(model, ds.test, grid.base_frequency)["mean_hz"] < 0.2
 
 
 class TestEvalMetrics:
